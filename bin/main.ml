@@ -18,22 +18,6 @@
 
 open Morphcore
 
-let read_circuit path =
-  try Ok (Qasm.parse_file path) with
-  | Qasm.Parse_error { line; column; message; _ } ->
-      Error
-        (if column > 0 then
-           Printf.sprintf "%s:%d:%d: %s" path line column message
-         else Printf.sprintf "%s:%d: %s" path line message)
-  | Circuit.Error { code; message; loc } ->
-      Error
-        (match loc with
-        | Some (line, col) ->
-            Printf.sprintf "%s:%d:%d: [%s] %s" path line col code message
-        | None -> Printf.sprintf "%s: [%s] %s" path code message)
-  | Sys_error msg -> Error msg
-
-(* like [read_circuit], but keeps the [expect] pragma side channel *)
 let read_full path =
   try Ok (Qasm.parse_file_full path) with
   | Qasm.Parse_error { line; column; message; _ } ->
@@ -49,10 +33,8 @@ let read_full path =
         | None -> Printf.sprintf "%s: [%s] %s" path code message)
   | Sys_error msg -> Error msg
 
-(* predicate / budget spec parsing lives in [Server.Spec] so the serve
-   daemon and the CLI accept exactly one grammar *)
-let parse_predicate = Server.Spec.parse_predicate
-let parse_budget = Server.Spec.parse_budget
+(* the circuit alone, dropping the [expect] pragma side channel *)
+let read_circuit path = Result.map (fun f -> f.Qasm.circuit) (read_full path)
 
 (* ------------------------------- info -------------------------------- *)
 
@@ -156,13 +138,9 @@ let print_certify_failures ~file failures =
         (Transpile.Certify.failure_message f))
     failures
 
-(* pre-flight used by verify/serve and the standalone subcommand: run the
-   transpile pipeline through the certificate-emitting pass variants and
-   re-check the chain with the independent checker *)
-let run_certify ?cache ~file full =
-  let report =
-    Verify.certify_transpile ?cache ~locs:full.Qasm.locs full.Qasm.circuit
-  in
+(* the checker's verdict on one program's transpile chain, as printed by
+   certify and verify --certify *)
+let print_certify_report ~file (report : Verify.certify_report) =
   let s = report.Verify.cert_summary in
   if report.Verify.certified then
     Format.printf
@@ -177,11 +155,12 @@ let run_certify ?cache ~file full =
     Format.printf "%s: NOT CERTIFIED (%d failures)@." file
       (List.length report.Verify.cert_failures);
     print_certify_failures ~file report.Verify.cert_failures
-  end;
-  report.Verify.certified
+  end
 
 (* morphqpv certify: translation-validate the transpile pipeline over one
-   or more programs; exit 1 as soon as any obligation fails to check *)
+   or more programs — transpile through the certificate-emitting pass
+   variants and re-check the chain with the independent checker; exit 1
+   as soon as any obligation fails to check *)
 let certify_cmd files =
   let failed = ref false in
   List.iter
@@ -190,47 +169,52 @@ let certify_cmd files =
       | Error e ->
           prerr_endline e;
           failed := true
-      | Ok full -> if not (run_certify ~file full) then failed := true)
+      | Ok full ->
+          let report =
+            Verify.certify_transpile ~locs:full.Qasm.locs full.Qasm.circuit
+          in
+          print_certify_report ~file report;
+          if not report.Verify.certified then failed := true)
     files;
   if !failed then 1 else 0
 
 (* ------------------------------ verify ------------------------------- *)
 
-(* check the file's [expect] pragmas against sampled measurement counts;
-   returns false when any pragma is malformed or statistically violated *)
-let check_expects ~budget ~rng program (expects : Qasm.expect_pragma list) =
-  List.for_all
-    (fun (e : Qasm.expect_pragma) ->
+(* print one pipeline event; a malformed expect pragma goes to stderr *)
+let print_verify_event ~file = function
+  | Pipeline.Certified report -> print_certify_report ~file report
+  | Pipeline.Expect (e, result) -> (
       let line, col = e.Qasm.expect_loc in
-      match
-        Assertion.Dist.make ?significance:e.Qasm.significance e.Qasm.expected
-      with
-      | exception Invalid_argument msg ->
-          Format.eprintf "expect at %d:%d: %s@." line col msg;
-          false
-      | dist ->
-          let input =
-            Qstate.Statevec.basis (Program.num_input_qubits program) 0
-          in
-          let r = Verify.check_counts ~budget ~rng program dist ~input in
+      match result with
+      | Error msg -> Format.eprintf "expect at %d:%d: %s@." line col msg
+      | Ok r ->
           Format.printf
             "expect at %d:%d: %s (chi2 %.4g, p %.4g, df %g, shots %d%s)@."
             line col
             (if r.Verify.counts_hold then "OK" else "VIOLATED")
             r.Verify.test.Stats.Tests.statistic r.Verify.test.Stats.Tests.pvalue
             r.Verify.test.Stats.Tests.df r.Verify.shots_used
-            (if r.Verify.early_stop then ", early stop" else "");
-          r.Verify.counts_hold)
-    expects
+            (if r.Verify.early_stop then ", early stop" else ""))
+  | Pipeline.Asserting assertion ->
+      Format.printf "%s@." (Assertion.describe assertion)
+  | Pipeline.Verdict (Verify.Verified { confidence; max_objective }) ->
+      Format.printf
+        "VERIFIED: max guarantee objective %.3g; confidence %.4f (%a, \
+         threshold %.2f)@."
+        max_objective confidence.Confidence.confidence Stats.Beta_dist.pp
+        confidence.Confidence.dist confidence.Confidence.epsilon
+  | Pipeline.Verdict (Verify.Violated { counterexample; objective; _ }) ->
+      Format.printf "VIOLATED (objective %.4f). Counter-example input:@.%a@."
+        objective Linalg.Cmat.pp counterexample
 
+(* exit 0 iff every guarantee and every expect pragma held *)
 let verify_cmd file assumes guarantees count solver seed budget use_cache
     certify =
-  match (read_full file, parse_budget budget) with
+  match (read_full file, Spec.parse_budget budget) with
   | Error e, _ | _, Error e ->
       prerr_endline e;
       1
   | Ok full, Ok budget -> (
-      let c = full.Qasm.circuit in
       (* --cache forces an in-memory cache even without the env vars;
          MORPHQPV_CACHE_DIR / MORPHQPV_CACHE alone also enable it *)
       let cache =
@@ -239,70 +223,34 @@ let verify_cmd file assumes guarantees count solver seed budget use_cache
         | true, None -> Some (Cache.create ())
         | false, None -> None
       in
-      (* --certify: translation-validate the transpile pipeline before any
-         verification work; a failed certificate is a hard MQ021 error *)
-      if certify && not (run_certify ?cache ~file full) then 1
-      else
-      let rng = Stats.Rng.make seed in
-      let program = Program.make c in
-      let n_in = Program.num_input_qubits program in
-      let expects_ok = check_expects ~budget ~rng program full.Qasm.expects in
-      let parse_all specs =
-        List.fold_left
-          (fun acc spec ->
-            match (acc, parse_predicate c n_in spec) with
-            | Error e, _ -> Error e
-            | Ok l, Ok p -> Ok (p :: l)
-            | Ok _, Error e -> Error e)
-          (Ok []) specs
-        |> Result.map List.rev
+      let request =
+        { Pipeline.full; name = file; assumes; guarantees; count; seed;
+          solver = Spec.parse_solver solver; budget;
+          mode = Characterize.Exact; certify; cache }
       in
-      match (parse_all assumes, parse_all guarantees) with
-      | Error e, _ | _, Error e ->
+      match Pipeline.run ~emit:(print_verify_event ~file) request with
+      | Error (Pipeline.Not_certified _) -> 1
+      | Error (Pipeline.Bad_spec e) ->
           prerr_endline e;
           1
-      | Ok _, Ok [] when full.Qasm.expects <> [] ->
-          (* distribution-only verification via the expect pragmas *)
-          if expects_ok then 0 else 1
-      | Ok _, Ok [] ->
+      | Error Pipeline.Nothing_to_check ->
           prerr_endline
             "verify: at least one --guarantee (or an expect pragma in the \
              file) is required";
           1
-      | Ok assumes, Ok guarantees ->
-          let assertion = Assertion.make ~name:file ~assumes ~guarantees () in
-          Format.printf "%s@." (Assertion.describe assertion);
-          let count =
-            if count > 0 then count else Approx.samples_for_full_accuracy ~n_in
-          in
-          let ch = Characterize.run ?cache ~rng program ~count in
-          let approx = Approx.of_characterization ch in
-          let solver = Server.Spec.parse_solver solver in
-          let options = { Verify.default_options with solver } in
-          (match
-             Verify.validate ~options ~rng ~confirm:program ?cache approx
-               assertion
-           with
-          | Verify.Verified { confidence; max_objective } ->
-              Format.printf
-                "VERIFIED: max guarantee objective %.3g; confidence %.4f \
-                 (%a, threshold %.2f)@."
-                max_objective confidence.Confidence.confidence
-                Stats.Beta_dist.pp confidence.Confidence.dist
-                confidence.Confidence.epsilon
-          | Verify.Violated { counterexample; objective; _ } ->
-              Format.printf "VIOLATED (objective %.4f). Counter-example input:@.%a@."
-                objective Linalg.Cmat.pp counterexample);
-          Format.printf "characterization cost: %a@." Sim.Cost.pp
-            ch.Characterize.cost;
-          (match cache with
-          | None -> ()
-          | Some cache ->
-              let s : Cache.stats = Cache.stats cache in
-              Format.printf
-                "cache: %d hits, %d misses, %d entries (%d bytes)@." s.hits
-                s.misses s.entries s.bytes);
-          if expects_ok then 0 else 1)
+      | Ok o ->
+          Option.iter
+            (fun cost ->
+              Format.printf "characterization cost: %a@." Sim.Cost.pp cost;
+              Option.iter
+                (fun cache ->
+                  let s : Cache.stats = Cache.stats cache in
+                  Format.printf
+                    "cache: %d hits, %d misses, %d entries (%d bytes)@." s.hits
+                    s.misses s.entries s.bytes)
+                cache)
+            o.Pipeline.cost;
+          if o.Pipeline.verified then 0 else 1)
 
 (* ----------------------------- optimize ------------------------------ *)
 

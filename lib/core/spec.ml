@@ -1,6 +1,5 @@
 (* Textual predicate and shot-budget specs, shared by the CLI and the
-   server (moved here from bin/main.ml so both front ends parse the same
-   grammar).
+   server through [Pipeline], so both front ends parse one grammar.
 
    Predicate specs (tracepoint 0 = the program input):
      pure:T                 the state at tracepoint T is pure
@@ -13,8 +12,6 @@
 
    Budget specs: fixed:N | seq:ALPHA,BETA,MAX *)
 
-open Morphcore
-
 let qubits_of_tracepoint circuit tp =
   if tp = 0 then None
   else
@@ -24,57 +21,81 @@ let qubits_of_tracepoint circuit tp =
 
 let parse_predicate circuit n_in spec =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let dim_of tp =
+  let ( let* ) = Result.bind in
+  (* range checks against the program, so a spec it cannot evaluate is
+     rejected here rather than failing inside the solver *)
+  let width tp =
     match qubits_of_tracepoint circuit tp with
     | Some k -> Ok k
     | None when tp = 0 -> Ok n_in
     | None -> fail "unknown tracepoint %d" tp
   in
+  let basis_index tp k =
+    let* w = width tp in
+    if k >= 0 && k < 1 lsl w then Ok w
+    else
+      fail "predicate spec %S: basis index %d out of range for tracepoint %d \
+            (%d qubits)"
+        spec k tp w
+  in
+  let pauli tp p =
+    let* w = width tp in
+    let p = Qstate.Pauli.of_string p in
+    if Array.length p = w then Ok p
+    else
+      fail "predicate spec %S: Pauli string has %d qubits, tracepoint %d has %d"
+        spec (Array.length p) tp w
+  in
   try
     match String.split_on_char ':' spec with
-    | [ "pure"; t ] -> Ok (Predicate.Is_pure (int_of_string t))
+    | [ "pure"; t ] ->
+        let t = int_of_string t in
+        let* _ = width t in
+        Ok (Predicate.Is_pure t)
     | [ "equals"; rest ] -> (
         match String.split_on_char ',' rest with
-        | [ a; b ] -> Ok (Predicate.Equals (int_of_string a, int_of_string b))
+        | [ a; b ] ->
+            let a = int_of_string a and b = int_of_string b in
+            let* wa = width a in
+            let* wb = width b in
+            if wa = wb then Ok (Predicate.Equals (a, b))
+            else
+              fail
+                "predicate spec %S: tracepoints %d and %d differ in width (%d \
+                 vs %d qubits)"
+                spec a b wa wb
         | _ -> fail "equals expects A,B")
     | [ "equals-basis"; rest ] -> (
         match String.split_on_char ',' rest with
-        | [ t; k ] -> (
+        | [ t; k ] ->
             let tp = int_of_string t and k = int_of_string k in
-            match dim_of tp with
-            | Ok nq ->
-                let v = Qstate.Statevec.to_cvec (Qstate.Statevec.basis nq k) in
-                Ok (Predicate.Equals_const (tp, Linalg.Cmat.outer v v))
-            | Error e -> Error e)
+            let* nq = basis_index tp k in
+            let v = Qstate.Statevec.to_cvec (Qstate.Statevec.basis nq k) in
+            Ok (Predicate.Equals_const (tp, Linalg.Cmat.outer v v))
         | _ -> fail "equals-basis expects T,K")
     | [ "diag"; rest ] -> (
         match String.split_on_char ',' rest with
         | [ t; k; lo; hi ] ->
-            Ok
-              (Predicate.Diag_in_range
-                 ( int_of_string t,
-                   int_of_string k,
-                   float_of_string lo,
-                   float_of_string hi ))
+            let t = int_of_string t and k = int_of_string k in
+            let lo = float_of_string lo and hi = float_of_string hi in
+            let* _ = basis_index t k in
+            Ok (Predicate.Diag_in_range (t, k, lo, hi))
         | _ -> fail "diag expects T,K,LO,HI")
-    | [ "expect-ge"; rest ] -> (
+    | [ (("expect-ge" | "expect-le") as form); rest ] -> (
         match String.split_on_char ',' rest with
         | [ t; p; v ] ->
+            let t = int_of_string t and v = float_of_string v in
+            let* p = pauli t p in
             Ok
-              (Predicate.Expect_ge
-                 (int_of_string t, Qstate.Pauli.of_string p, float_of_string v))
-        | _ -> fail "expect-ge expects T,PAULI,V")
-    | [ "expect-le"; rest ] -> (
-        match String.split_on_char ',' rest with
-        | [ t; p; v ] ->
-            Ok
-              (Predicate.Expect_le
-                 (int_of_string t, Qstate.Pauli.of_string p, float_of_string v))
-        | _ -> fail "expect-le expects T,PAULI,V")
+              (if form = "expect-ge" then Predicate.Expect_ge (t, p, v)
+               else Predicate.Expect_le (t, p, v))
+        | _ -> fail "%s expects T,PAULI,V" form)
     | [ "purity-ge"; rest ] -> (
         match String.split_on_char ',' rest with
         | [ t; v ] ->
-            Ok (Predicate.Purity_ge (int_of_string t, float_of_string v))
+            let t = int_of_string t and v = float_of_string v in
+            let* _ = width t in
+            Ok (Predicate.Purity_ge (t, v))
         | _ -> fail "purity-ge expects T,V")
     | _ -> fail "unknown predicate spec %S" spec
   with Failure _ | Invalid_argument _ ->

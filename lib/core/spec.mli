@@ -1,5 +1,6 @@
-(** Textual predicate / budget / mode specs shared by the [morphqpv]
-    CLI and the RPC server, so both front ends accept one grammar.
+(** Textual predicate / budget / mode specs. {!Pipeline} parses the
+    predicate specs of every verify request, so the [morphqpv] CLI and the
+    RPC server accept one grammar.
 
     Predicate specs (tracepoint 0 = the program input):
     [pure:T], [equals:A,B], [equals-basis:T,K], [diag:T,K,LO,HI],
@@ -7,16 +8,17 @@
     Budget specs: [fixed:N] | [seq:ALPHA,BETA,MAX].
     Mode specs: [exact] | [tomo:SHOTS] | [probs:SHOTS]. *)
 
-open Morphcore
-
 val qubits_of_tracepoint : Circuit.t -> int -> int option
 (** Width of tracepoint [tp]'s recorded state; [None] for the reserved
     input id 0 and for unknown ids. *)
 
 val parse_predicate :
   Circuit.t -> int -> string -> (Predicate.t, string) result
-(** [parse_predicate circuit n_in spec] — malformed numbers and unknown
-    forms return [Error], never raise. *)
+(** [parse_predicate circuit n_in spec] ([n_in] = the width of tracepoint
+    0). Malformed numbers, unknown forms and predicates the program cannot
+    evaluate — an unknown tracepoint, [equals] across different widths, a
+    basis index [K >= 2^width], a Pauli string whose length is not the
+    width — return [Error], never raise. *)
 
 val parse_budget : string -> (Stats.Tests.budget, string) result
 val parse_mode : string -> (Characterize.mode, string) result

@@ -8,12 +8,11 @@
    followed by exactly one terminal line carrying either
      {"id": 1, "result": {...}}  or  {"id": 1, "error": "..."}.
 
-   Methods: ping, stats, verify, shutdown. The verify handler mirrors
-   the CLI's verify subcommand (expect pragmas, --assume/--guarantee
-   specs, Theorem-2 default sample count) but shares one process-wide
-   content-addressed cache across requests, so re-verifying a program
-   the daemon has seen — under any qubit labeling — performs zero
-   characterization shots. Requests are handled sequentially on the
+   Methods: ping, stats, verify, shutdown. The verify handler renders
+   [Pipeline.run], the same pipeline as the CLI's verify subcommand, but
+   shares one process-wide content-addressed cache across requests, so
+   re-verifying a program the daemon has seen — under any qubit labeling
+   — performs zero characterization shots. Requests are handled sequentially on the
    accept loop; the characterization inside each request parallelizes
    on the global domain pool as usual.
 
@@ -23,7 +22,8 @@
 open Morphcore
 
 (* [server] is this library's main module: siblings are invisible
-   outside unless re-exported here *)
+   outside unless re-exported here; [Spec] now lives in core and stays
+   reachable under its old path *)
 module Jsonx = Jsonx
 module Spec = Spec
 module Recorder = Recorder
@@ -124,55 +124,48 @@ let string_list params key =
   | Some (Jsonx.Str s) -> [ s ]
   | Some _ -> failf "%S must be a list of strings" key
 
-let check_expects ~emit ~id ~budget ~rng program expects =
-  List.for_all
-    (fun (e : Qasm.expect_pragma) ->
-      let line, col = e.Qasm.expect_loc in
-      let base =
+(* one pipeline event as a protocol event line; [Asserting] has none *)
+let emit_event ~emit ~id ev =
+  let line kind fields =
+    emit (event id (("event", Jsonx.Str kind) :: fields))
+  in
+  match ev with
+  | Pipeline.Certified report ->
+      let summary = report.Verify.cert_summary in
+      line "certify"
         [
-          ("event", Jsonx.Str "expect");
-          ("line", Jsonx.int line);
-          ("col", Jsonx.int col);
+          ("certified", Jsonx.Bool report.Verify.certified);
+          ("steps", Jsonx.int summary.Transpile.Certify.chain_steps);
+          ( "obligations",
+            Jsonx.int (Transpile.Certify.total_obligations summary) );
         ]
-      in
-      match
-        Assertion.Dist.make ?significance:e.Qasm.significance e.Qasm.expected
-      with
-      | exception Invalid_argument msg ->
-          emit
-            (event id
-               (base
-               @ [ ("holds", Jsonx.Bool false); ("error", Jsonx.Str msg) ]));
-          false
-      | dist ->
-          let input =
-            Qstate.Statevec.basis (Program.num_input_qubits program) 0
-          in
-          let r = Verify.check_counts ~budget ~rng program dist ~input in
-          emit
-            (event id
-               (base
-               @ [
-                   ("holds", Jsonx.Bool r.Verify.counts_hold);
-                   ("statistic", Jsonx.Num r.Verify.test.Stats.Tests.statistic);
-                   ("pvalue", Jsonx.Num r.Verify.test.Stats.Tests.pvalue);
-                   ("shots", Jsonx.int r.Verify.shots_used);
-                   ("early_stop", Jsonx.Bool r.Verify.early_stop);
-                 ]));
-          r.Verify.counts_hold)
-    expects
-
-let verify_result ~t0 ~stats0 ~cache ~verified ~expects_ok ~executions ~shots =
-  Jsonx.Obj
-    [
-      ("ok", Jsonx.Bool true);
-      ("verified", Jsonx.Bool verified);
-      ("expects_ok", Jsonx.Bool expects_ok);
-      ("executions", Jsonx.int executions);
-      ("shots", Jsonx.int shots);
-      ("cache", cache_delta_json stats0 cache);
-      ("seconds", Jsonx.Num (Unix.gettimeofday () -. t0));
-    ]
+  | Pipeline.Expect (e, result) ->
+      let l, col = e.Qasm.expect_loc in
+      line "expect"
+        ([ ("line", Jsonx.int l); ("col", Jsonx.int col) ]
+        @
+        match result with
+        | Error msg -> [ ("holds", Jsonx.Bool false); ("error", Jsonx.Str msg) ]
+        | Ok r ->
+            [
+              ("holds", Jsonx.Bool r.Verify.counts_hold);
+              ("statistic", Jsonx.Num r.Verify.test.Stats.Tests.statistic);
+              ("pvalue", Jsonx.Num r.Verify.test.Stats.Tests.pvalue);
+              ("shots", Jsonx.int r.Verify.shots_used);
+              ("early_stop", Jsonx.Bool r.Verify.early_stop);
+            ])
+  | Pipeline.Asserting _ -> ()
+  | Pipeline.Verdict (Verify.Verified { confidence; max_objective }) ->
+      line "verdict"
+        [
+          ("verified", Jsonx.Bool true);
+          ("max_objective", Jsonx.Num max_objective);
+          ("confidence", Jsonx.Num confidence.Confidence.confidence);
+          ("epsilon", Jsonx.Num confidence.Confidence.epsilon);
+        ]
+  | Pipeline.Verdict (Verify.Violated { objective; _ }) ->
+      line "verdict"
+        [ ("verified", Jsonx.Bool false); ("objective", Jsonx.Num objective) ]
 
 let verify_request state ~emit ~id ~rid params =
   let t0 = Unix.gettimeofday () in
@@ -205,9 +198,6 @@ let verify_request state ~emit ~id ~rid params =
   in
   let assumes = string_list params "assume" in
   let guarantees = string_list params "guarantee" in
-  let rng = Stats.Rng.make seed in
-  let program = Program.make c in
-  let n_in = Program.num_input_qubits program in
   let stats0 = Option.map Cache.stats state.cache in
   emit
     (event id
@@ -218,30 +208,37 @@ let verify_request state ~emit ~id ~rid params =
          ("tracepoints", Jsonx.int (List.length (Circuit.tracepoints c)));
          ("expects", Jsonx.int (List.length full.Qasm.expects));
        ]);
-  (* translation validation: transpile through the certificate-emitting
-     pass variants and re-check the chain with the independent checker.
-     The certified plan is cached under its own key prefix, so a daemon
-     asked to certify never serves a plan that skipped certification. *)
-  let want_certify =
+  (* the certified plan is cached under its own key prefix, so a daemon
+     asked to certify never serves a plan that skipped certification *)
+  let certify =
     state.certify
     || Option.value ~default:false
          (Option.bind (Jsonx.member "certify" params) Jsonx.to_bool)
   in
-  if want_certify then begin
-    let report =
-      Verify.certify_transpile ?cache:state.cache ~locs:full.Qasm.locs c
-    in
-    let summary = report.Verify.cert_summary in
-    emit
-      (event id
-         [
-           ("event", Jsonx.Str "certify");
-           ("certified", Jsonx.Bool report.Verify.certified);
-           ("steps", Jsonx.int summary.Transpile.Certify.chain_steps);
-           ( "obligations",
-             Jsonx.int (Transpile.Certify.total_obligations summary) );
-         ]);
-    if not report.Verify.certified then begin
+  let request =
+    { Pipeline.full; name = "rpc"; assumes; guarantees; count; seed; solver;
+      budget; mode; certify; cache = state.cache }
+  in
+  match Pipeline.run ~emit:(emit_event ~emit ~id) request with
+  | Ok o ->
+      let executions, shots =
+        match o.Pipeline.cost with
+        | Some cost -> (cost.Sim.Cost.executions, cost.Sim.Cost.shots)
+        | None -> (0, 0)
+      in
+      emit
+        (result_line ~rid id
+           (Jsonx.Obj
+              [
+                ("ok", Jsonx.Bool true);
+                ("verified", Jsonx.Bool o.Pipeline.verified);
+                ("expects_ok", Jsonx.Bool o.Pipeline.expects_ok);
+                ("executions", Jsonx.int executions);
+                ("shots", Jsonx.int shots);
+                ("cache", cache_delta_json stats0 state.cache);
+                ("seconds", Jsonx.Num (Unix.gettimeofday () -. t0));
+              ]))
+  | Error (Pipeline.Not_certified report) ->
       let msg =
         match report.Verify.cert_failures with
         | f :: _ -> Transpile.Certify.failure_message f
@@ -252,82 +249,15 @@ let verify_request state ~emit ~id ~rid params =
           ("code", Obs.Log.S "MQ021");
           ("reason", Obs.Log.S msg);
           ( "steps",
-            Obs.Log.I report.Verify.cert_summary.Transpile.Certify.chain_steps
-          );
+            Obs.Log.I report.Verify.cert_summary.Transpile.Certify.chain_steps );
         ];
       failf "MQ021: %s" msg
-    end
-  end;
-  let expects_ok =
-    check_expects ~emit ~id ~budget ~rng program full.Qasm.expects
-  in
-  let parse_all specs =
-    List.fold_left
-      (fun acc spec ->
-        match (acc, Spec.parse_predicate c n_in spec) with
-        | Error e, _ -> Error e
-        | Ok l, Ok p -> Ok (p :: l)
-        | Ok _, Error e -> Error e)
-      (Ok []) specs
-    |> Result.map List.rev
-  in
-  match (parse_all assumes, parse_all guarantees) with
-  | Error e, _ | _, Error e -> raise (Fail e)
-  | Ok _, Ok [] when full.Qasm.expects <> [] ->
-      (* distribution-only verification via the expect pragmas *)
-      emit
-        (result_line ~rid id
-           (verify_result ~t0 ~stats0 ~cache:state.cache ~verified:expects_ok
-              ~expects_ok ~executions:0 ~shots:0))
-  | Ok _, Ok [] ->
+  | Error (Pipeline.Bad_spec e) -> raise (Fail e)
+  | Error Pipeline.Nothing_to_check ->
       raise
         (Fail
            "at least one guarantee (or an expect pragma in the program) is \
             required")
-  | Ok assumes, Ok guarantees ->
-      let assertion = Assertion.make ~name:"rpc" ~assumes ~guarantees () in
-      let count =
-        if count > 0 then count else Approx.samples_for_full_accuracy ~n_in
-      in
-      let ch =
-        Characterize.run ?cache:state.cache ~rng ~mode program ~count
-      in
-      let approx = Approx.of_characterization ch in
-      let options = { Verify.default_options with solver } in
-      let verdict =
-        Verify.validate ~options ~rng ~confirm:program ?cache:state.cache
-          approx assertion
-      in
-      let verified =
-        match verdict with
-        | Verify.Verified { confidence; max_objective } ->
-            emit
-              (event id
-                 [
-                   ("event", Jsonx.Str "verdict");
-                   ("verified", Jsonx.Bool true);
-                   ("max_objective", Jsonx.Num max_objective);
-                   ( "confidence",
-                     Jsonx.Num confidence.Confidence.confidence );
-                   ("epsilon", Jsonx.Num confidence.Confidence.epsilon);
-                 ]);
-            true
-        | Verify.Violated { objective; _ } ->
-            emit
-              (event id
-                 [
-                   ("event", Jsonx.Str "verdict");
-                   ("verified", Jsonx.Bool false);
-                   ("objective", Jsonx.Num objective);
-                 ]);
-            false
-      in
-      emit
-        (result_line ~rid id
-           (verify_result ~t0 ~stats0 ~cache:state.cache
-              ~verified:(verified && expects_ok) ~expects_ok
-              ~executions:ch.Characterize.cost.Sim.Cost.executions
-              ~shots:ch.Characterize.cost.Sim.Cost.shots))
 
 (* ------------------------- request summaries --------------------------- *)
 

@@ -24,7 +24,7 @@
     request hit/miss/store deltas) makes that observable to clients. *)
 
 module Jsonx : module type of Jsonx
-module Spec : module type of Spec
+module Spec : module type of Morphcore.Spec
 module Recorder : module type of Recorder
 
 type addr = Unix_path of string | Tcp of int  (** TCP binds loopback only *)

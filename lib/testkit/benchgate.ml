@@ -1,162 +1,7 @@
 (* Bench-regression gate over the machine-readable results files — see
    the mli for the statistical contract. *)
 
-(* ------------------------- tiny JSON reader -------------------------- *)
-
-(* The tree has no JSON dependency; the writer ([bench/util.ml]) emits a
-   small, regular subset, but the reader below is a complete-enough
-   parser (escapes, exponents, nesting, null) that hand-edited or
-   externally produced results files also load. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Json_error of string
-
-let parse_json src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub src !pos l = word then (
-      pos := !pos + l;
-      value)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'u' ->
-              (* non-ASCII never appears in record names; map the BMP
-                 escape to '?' rather than carrying a UTF-8 encoder *)
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              Buffer.add_char buf '?';
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let consume () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-          advance ();
-          true
-      | _ -> false
-    in
-    while consume () do () done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub src start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' -> parse_obj ()
-    | Some '[' -> parse_arr ()
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | _ -> fail "expected a JSON value"
-  and parse_obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then (
-      advance ();
-      Obj [])
-    else
-      let rec members acc =
-        skip_ws ();
-        let key = parse_string () in
-        skip_ws ();
-        expect ':';
-        let v = parse_value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-        | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-        | _ -> fail "expected ',' or '}'"
-      in
-      members []
-  and parse_arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then (
-      advance ();
-      Arr [])
-    else
-      let rec elems acc =
-        let v = parse_value () in
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            elems (v :: acc)
-        | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-        | _ -> fail "expected ',' or ']'"
-      in
-      elems []
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing content";
-  v
+module Jsonx = Server.Jsonx
 
 (* --------------------------- schema binding --------------------------- *)
 
@@ -169,31 +14,32 @@ type row = {
 
 type run = { schema : string; rows : row list }
 
-let field key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
+exception Bad_row of string
 
-let num_exn what = function
-  | Num f -> f
-  | _ -> raise (Json_error (what ^ ": expected a number"))
+let num_exn what v =
+  match Jsonx.to_num v with
+  | Some f -> f
+  | None -> raise (Bad_row (what ^ ": expected a number"))
 
 let row_of_json j =
   let name =
-    match field "name" j with
-    | Some (Str s) -> s
-    | _ -> raise (Json_error "result row without a \"name\"")
+    match Jsonx.mem_str "name" j with
+    | Some s -> s
+    | None -> raise (Bad_row "result row without a \"name\"")
   in
   let seconds =
-    match field "seconds" j with
+    match Jsonx.member "seconds" j with
     | Some v -> num_exn (name ^ ".seconds") v
-    | None -> raise (Json_error (name ^ ": missing \"seconds\""))
+    | None -> raise (Bad_row (name ^ ": missing \"seconds\""))
   in
   let samples =
-    match field "samples" j with
-    | Some (Arr l) -> Array.of_list (List.map (num_exn (name ^ ".samples")) l)
-    | _ -> [||]
+    match Jsonx.mem_list "samples" j with
+    | Some l -> Array.of_list (List.map (num_exn (name ^ ".samples")) l)
+    | None -> [||]
   in
   let metrics =
-    match field "metrics" j with
-    | Some (Obj kvs) ->
+    match Jsonx.member "metrics" j with
+    | Some (Jsonx.Obj kvs) ->
         List.map
           (fun (k, v) -> (k, int_of_float (num_exn (name ^ ".metrics") v)))
           kvs
@@ -202,20 +48,18 @@ let row_of_json j =
   { name; seconds; samples; metrics }
 
 let parse_run src =
-  match parse_json src with
-  | exception Json_error msg -> Error msg
-  | j -> (
-      let schema =
-        match field "schema" j with Some (Str s) -> s | _ -> ""
-      in
+  match Jsonx.parse src with
+  | Error msg -> Error msg
+  | Ok j -> (
+      let schema = Option.value ~default:"" (Jsonx.mem_str "schema" j) in
       if schema <> "morphqpv-bench-v2" then
         Error (Printf.sprintf "unsupported results schema %S" schema)
       else
-        match field "results" j with
-        | Some (Arr rows) -> (
+        match Jsonx.mem_list "results" j with
+        | Some rows -> (
             try Ok { schema; rows = List.map row_of_json rows }
-            with Json_error msg -> Error msg)
-        | _ -> Error "missing \"results\" array")
+            with Bad_row msg -> Error msg)
+        | None -> Error "missing \"results\" array")
 
 let load path =
   match open_in_bin path with

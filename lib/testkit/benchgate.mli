@@ -23,9 +23,7 @@ type row = {
 type run = { schema : string; rows : row list }
 
 (** [parse_run src] reads a [morphqpv-bench-v2] results document from a
-    string. The reader is a small hand-rolled JSON parser (no JSON
-    dependency in the tree) covering the subset the writer emits plus
-    standard escapes, exponents and [null]. *)
+    string with the RPC protocol's JSON reader ({!Server.Jsonx}). *)
 val parse_run : string -> (run, string) result
 
 (** [load path] is {!parse_run} on the file's contents. *)

@@ -5,7 +5,8 @@
    incremental + whole-result, verdict, segments, tomography), the
    cache-transparency oracle with a persistence reload, MQ020 cone-hash
    lint, and the JSON-RPC protocol (Jsonx roundtrips, [Server.handle_line]
-   unit tests, one fork-based end-to-end socket smoke). *)
+   unit tests, a golden verify transcript, and one end-to-end socket
+   smoke with the daemon on a second domain). *)
 
 open Testkit
 open Morphcore
@@ -776,57 +777,122 @@ let test_server_shutdown () =
     "acknowledges" true
     (List.exists (fun j -> Jsonx.member "result" j <> None) out)
 
-(* end-to-end over a real Unix socket: fork a daemon, ping it, verify a
-   program twice (the second response must report cache hits), shut it
-   down with SIGTERM and reap a clean exit *)
+(* end-to-end over a real Unix socket: run the daemon's accept loop on a
+   second domain (no fork: the pool may already have spawned domains),
+   ping it, verify a program twice (the second response must report cache
+   hits), then stop it with SIGTERM as an operator would and check that it
+   returned cleanly and unlinked its socket *)
 let test_serve_socket_smoke () =
   let path = Filename.temp_file "morphqpv-serve" ".sock" in
   Sys.remove path;
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      (* announce readiness to the parent through the pipe *)
-      let on_ready () =
-        ignore (Unix.write w (Bytes.of_string "r") 0 1);
-        Unix.close w
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.serve ~cache:(Cache.create ())
+          ~on_ready:(fun () -> Atomic.set ready true)
+          (Server.Unix_path path))
+  in
+  let rec wait tries =
+    if not (Atomic.get ready) then
+      if tries = 0 then Alcotest.fail "daemon never started listening"
+      else begin
+        Unix.sleepf 0.01;
+        wait (tries - 1)
+      end
+  in
+  wait 1000;
+  Fun.protect
+    ~finally:(fun () ->
+      (* the handler [serve] installed turns SIGTERM into a stop request;
+         [Domain.join] re-raises anything the accept loop raised *)
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      Domain.join daemon)
+    (fun () ->
+      let addr = Server.Unix_path path in
+      let request line =
+        match Server.Client.request addr (parse_exn line) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "client error: %s" e
       in
-      Server.serve ~cache:(Cache.create ()) ~on_ready (Server.Unix_path path);
-      exit 0
-  | pid ->
-      Unix.close w;
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ())
-        (fun () ->
-          ignore (Unix.read r (Bytes.create 1) 0 1);
-          Unix.close r;
-          let addr = Server.Unix_path path in
-          let request line =
-            match Server.Client.request addr (parse_exn line) with
-            | Ok j -> j
-            | Error e -> Alcotest.failf "client error: %s" e
-          in
-          let pong = request {|{"id":1,"method":"ping"}|} in
-          Alcotest.(check bool) "pong" true (Jsonx.member "result" pong <> None);
-          let first = request (verify_req 2) in
-          let second = request (verify_req 3) in
-          let hits j =
-            member_exn "result" j |> member_exn "cache" |> member_exn "hits"
-            |> int_exn
-          in
-          Alcotest.(check int) "cold over socket: no hits" 0 (hits first);
-          Alcotest.(check bool) "warm over socket: hits" true (hits second > 0);
-          Unix.kill pid Sys.sigterm;
-          let _, status = Unix.waitpid [] pid in
-          Alcotest.(check bool)
-            "clean exit on SIGTERM" true
-            (status = Unix.WEXITED 0);
-          Alcotest.(check bool)
-            "socket path cleaned up" false (Sys.file_exists path))
+      let pong = request {|{"id":1,"method":"ping"}|} in
+      Alcotest.(check bool) "pong" true (Jsonx.member "result" pong <> None);
+      let first = request (verify_req 2) in
+      let second = request (verify_req 3) in
+      let hits j =
+        member_exn "result" j |> member_exn "cache" |> member_exn "hits"
+        |> int_exn
+      in
+      Alcotest.(check int) "cold over socket: no hits" 0 (hits first);
+      Alcotest.(check bool) "warm over socket: hits" true (hits second > 0));
+  Alcotest.(check bool) "socket path cleaned up" false (Sys.file_exists path)
+
+(* ------------------------- verify golden --------------------------------- *)
+
+(* [serve_golden.txt] is a transcript: each "> " line is a request fed to
+   one daemon state (with an in-memory cache, so later requests see the
+   earlier ones' entries), followed by the exact response lines it must
+   produce. Wall-clock [seconds] fields are dropped; other numbers match
+   to 1e-9 relative. *)
+let rec drop_seconds = function
+  | Jsonx.Obj kvs ->
+      Jsonx.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "seconds" then None else Some (k, drop_seconds v))
+           kvs)
+  | Jsonx.List l -> Jsonx.List (List.map drop_seconds l)
+  | v -> v
+
+let rec golden_equal a b =
+  match (a, b) with
+  | Jsonx.Num x, Jsonx.Num y ->
+      x = y || Float.abs (x -. y) <= 1e-9 *. Float.max (Float.abs x) (Float.abs y)
+  | Jsonx.List xs, Jsonx.List ys ->
+      List.compare_lengths xs ys = 0 && List.for_all2 golden_equal xs ys
+  | Jsonx.Obj xs, Jsonx.Obj ys ->
+      List.compare_lengths xs ys = 0
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && golden_equal x y) xs ys
+  | _ -> a = b
+
+let test_server_verify_golden () =
+  let is_request l = String.length l > 2 && String.sub l 0 2 = "> " in
+  let lines =
+    List.find Sys.file_exists [ "serve_golden.txt"; "test/serve_golden.txt" ]
+    |> Fun.flip In_channel.with_open_text In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let state = Server.make_state ~cache:(Cache.create ()) () in
+  let rec replay = function
+    | [] -> ()
+    | req :: rest ->
+        let rec split acc = function
+          | l :: ls when not (is_request l) -> split (l :: acc) ls
+          | ls -> (List.rev acc, ls)
+        in
+        let expected, rest = split [] rest in
+        let req = String.sub req 2 (String.length req - 2) in
+        let got, _ = drive state [ req ] in
+        (* compare what goes over the wire: non-finite numbers print as null *)
+        let got =
+          List.map (fun j -> parse_exn (Jsonx.to_string (drop_seconds j))) got
+        in
+        let show l = String.concat "\n" (List.map Jsonx.to_string l) in
+        let expected = List.map parse_exn expected in
+        if
+          not
+            (List.compare_lengths expected got = 0
+            && List.for_all2 golden_equal expected got)
+        then
+          Alcotest.failf "request %s\nexpected:\n%s\ngot:\n%s" req
+            (show expected) (show got);
+        replay rest
+  in
+  replay lines
 
 (* ------------------------------ spec ------------------------------------ *)
+
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/qasm"; "examples/qasm" ]
 
 let test_spec_grammar () =
   let c = ghz3 in
@@ -850,9 +916,68 @@ let test_spec_grammar () =
   (match ok (Server.Spec.parse_mode "tomo:32") with
   | Characterize.Tomography { shots = 32; project = true } -> ()
   | _ -> Alcotest.fail "tomo mode");
-  match ok (Server.Spec.parse_mode "exact") with
+  (match ok (Server.Spec.parse_mode "exact") with
   | Characterize.Exact -> ()
-  | _ -> Alcotest.fail "exact mode"
+  | _ -> Alcotest.fail "exact mode");
+  (* range checks against the program: each of these used to pass the
+     parser and fail later with an uncaught exception *)
+  let teleport = Qasm.parse_file (Filename.concat examples_dir "teleport.qasm") in
+  let rejects c spec =
+    match Server.Spec.parse_predicate c 3 spec with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s must not parse" spec
+  in
+  rejects ghz3 "pure:9";
+  rejects teleport "equals:0,1";
+  rejects ghz3 "diag:1,99,0,1";
+  rejects ghz3 "diag:1,-1,0,1";
+  rejects ghz3 "expect-ge:1,ZZ,0";
+  rejects ghz3 "expect-le:1,ZZZZ,0";
+  rejects ghz3 "purity-ge:4,0.5";
+  rejects ghz3 "equals-basis:1,8";
+  List.iter
+    (fun (c, spec) -> ignore (ok (Server.Spec.parse_predicate c 3 spec)))
+    [
+      (teleport, "equals:1,2");
+      (teleport, "equals:0,0");
+      (ghz3, "diag:1,7,0,1");
+      (ghz3, "diag:0,7,0,1");
+      (ghz3, "expect-ge:1,ZZI,0");
+      (ghz3, "equals-basis:1,7");
+    ]
+
+(* a spec the program cannot evaluate comes back as an error line that
+   carries the parser's message, not a stringified exception *)
+let test_server_spec_error () =
+  let state = Server.make_state () in
+  List.iter
+    (fun spec ->
+      let want =
+        match Server.Spec.parse_predicate ghz3 3 spec with
+        | Error e -> e
+        | Ok _ -> Alcotest.failf "%s must not parse" spec
+      in
+      let line =
+        Jsonx.to_string
+          (Jsonx.Obj
+             [
+               ("id", Jsonx.int 1);
+               ("method", Jsonx.Str "verify");
+               ( "params",
+                 Jsonx.Obj
+                   [
+                     ("qasm", Jsonx.Str (Qasm.to_string ghz3));
+                     ("guarantee", Jsonx.Str spec);
+                     ("count", Jsonx.int 4);
+                   ] );
+             ])
+      in
+      match List.rev (fst (drive state [ line ])) with
+      | last :: _ ->
+          Alcotest.(check (option string))
+            spec (Some want) (Jsonx.mem_str "error" last)
+      | [] -> Alcotest.fail "no response")
+    [ "pure:9"; "diag:1,99,0,1"; "expect-ge:1,ZZ,0" ]
 
 let () =
   Alcotest.run "cache"
@@ -901,5 +1026,7 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_server_shutdown;
           Alcotest.test_case "socket smoke" `Quick test_serve_socket_smoke;
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
+          Alcotest.test_case "spec errors" `Quick test_server_spec_error;
+          Alcotest.test_case "verify golden" `Quick test_server_verify_golden;
         ] );
     ]
