@@ -27,9 +27,13 @@ let checks () =
     ("qasm-roundtrip", Gen.gen_program (), Oracle.qasm_roundtrip);
     ("prune-preserves-traces", Gen.gen_pure (), Oracle.prune_preserves_traces);
     ("lightcone-restrict", Gen.gen_pure (), Oracle.lightcone_restrict_matches);
-    ("stabilizer-traces", Gen.gen_clifford (), Oracle.stabilizer_traces_agree);
-    ("sparse-traces", Gen.gen_pure (), Oracle.sparse_vs_statevec);
-    ("rank-traces", Gen.gen_near_clifford (), Oracle.rank_vs_statevec);
+    ( "stabilizer-traces",
+      Gen.gen_clifford (),
+      Oracle.route_vs_statevec `Stabilizer );
+    ("sparse-traces", Gen.gen_pure (), Oracle.route_vs_statevec `Sparse);
+    ( "rank-traces",
+      Gen.gen_near_clifford (),
+      Oracle.route_vs_statevec `Rank );
     ( "characterize-auto-pinned",
       Gen.gen_program (),
       fun c -> Oracle.characterize_auto_unchanged c );

@@ -127,7 +127,7 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            ignore (Baselines.Twist.purity_vector xeb_prog ~input:0)));
     Test.make ~name:"table6/automa-sparse"
-      (Staged.stage (fun () -> ignore (Baselines.Sparse_sim.run xeb5 ~input:0)));
+      (Staged.stage (fun () -> ignore (Sim.Sparse.run xeb5 ~input:0)));
   ]
 
 let run_bechamel () =

@@ -302,15 +302,6 @@ let optimize_cmd file output certify =
 let characterization_seconds c =
   Sim.Cost.hardware_seconds (Sim.Cost.estimate_characterization c)
 
-(* simulation-class estimator handed to the MQ018 lint check, same
-   layering as above: the router lives in [Sim.Engine] *)
-let simulation_class c =
-  match Sim.Engine.sim_class c with
-  | Sim.Engine.Class_dense -> "dense"
-  | Sim.Engine.Class_sparse -> "sparse"
-  | Sim.Engine.Class_stabilizer -> "stabilizer"
-  | Sim.Engine.Class_rank k -> Printf.sprintf "stabilizer-rank 2^%d" k
-
 (* morphqpv profile: run the program through the pipeline's phases with
    observability forced on, then print the span-tree summary as a
    per-phase/per-kernel table. [--trace] dumps the spans as Chrome
@@ -455,7 +446,8 @@ let lint_cmd files strict quiet cost_threshold certify =
                   let c = full.Qasm.circuit in
                   Analysis.Lint.check_cost ~estimate:characterization_seconds
                     ?threshold:cost_threshold c
-                  @ Analysis.Lint.check_sim_class ~classify:simulation_class c
+                  @ Analysis.Lint.check_sim_class ~classify:Sim.Engine.sim_class
+                      c
                   (* MQ020 needs the canonical hasher from morphqpv.cache,
                      one layer above the analysis library *)
                   @ Analysis.Lint.check_cones ~digests:Cache.Canon.cone_digests

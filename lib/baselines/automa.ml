@@ -1,7 +1,7 @@
 open Morphcore
 
 let embed_input program input =
-  (* Sparse_sim works on basis indices over the full register: shift the
+  (* Sim.Sparse works on basis indices over the full register: shift the
      basis input into the program's input-qubit positions *)
   let qs = program.Program.input_qubits in
   List.fold_left
@@ -45,14 +45,14 @@ let check ?rng ?input_preps ~tests ~reference ~candidate () =
               let run program =
                 match case with
                 | `Basis input ->
-                    Sparse_sim.run
+                    Sim.Sparse.run
                       (strip_tracepoints program.Program.circuit)
                       ~input:(embed_input program input)
                 | `Prep prep ->
-                    Sparse_sim.run (strip_tracepoints (with_prep program prep)) ~input:0
+                    Sim.Sparse.run (strip_tracepoints (with_prep program prep)) ~input:0
               in
               let s_ref = run reference and s_cand = run candidate in
-              if not (Sparse_sim.equal s_ref s_cand) then (true, used + 1)
+              if not (Sim.Sparse.equal s_ref s_cand) then (true, used + 1)
               else go (used + 1) rest
         in
         go 0 cases)

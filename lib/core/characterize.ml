@@ -23,7 +23,7 @@ type t = {
 let degrade ?budget rng mode cost circuit (id, exact) =
   match mode with
   | Exact ->
-      Sim.Cost.record_many cost circuit ~circuits:1 ~shots_each:1;
+      Sim.Cost.record_total cost circuit ~executions:1 ~total_shots:1;
       (id, exact)
   | Tomography { shots; project } ->
       let tomo =
@@ -43,26 +43,33 @@ let degrade ?budget rng mode cost circuit (id, exact) =
 
 type engine = [ `Auto | `Batched | `Sequential ]
 
-(* average per-trajectory trace lists exactly as [Engine.tracepoint_states]
-   does: first-seen id order, in-trajectory-order adds, one final rescale *)
-let average_traces trajectories per_traj =
-  let acc = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iter
-    (fun traces ->
-      List.iter
-        (fun (id, m) ->
-          match Hashtbl.find_opt acc id with
-          | None ->
-              order := id :: !order;
-              Hashtbl.add acc id m
-          | Some prev -> Hashtbl.replace acc id (Cmat.add prev m))
-        traces)
-    per_traj;
-  List.rev_map
-    (fun id ->
-      (id, Cmat.rscale (1. /. float_of_int trajectories) (Hashtbl.find acc id)))
-    !order
+(* Which engine runs a characterization, decided once per run. [`Auto]
+   routes only with basis-state inputs on an ideal program: then
+   [Sim.Engine.auto_route] may send each sample to a lightcone-restricted
+   cone backend (stabilizer tableau, sparse coordinates or stabilizer
+   rank) instead of a full state-vector pass. The decision is purely
+   static — never a function of sampled values — so programs outside it
+   take exactly the code path and generator streams they did before the
+   routing existed: batched when the noise model is ideal, sequential
+   otherwise. *)
+type decision = Routed of Sim.Engine.route | Batched | Sequential
+
+let decide ~engine ~kind ~inputs ~ideal ?wall circuit =
+  match engine with
+  | `Sequential -> Sequential
+  | `Batched ->
+      if not ideal then
+        invalid_arg "Characterize.run: batched engine requires ideal noise";
+      Batched
+  | `Auto -> (
+      let route =
+        if Option.is_none inputs && kind = Clifford.Sampling.Basis && ideal
+        then Sim.Engine.auto_route ?wall circuit
+        else None
+      in
+      match route with
+      | Some route -> Routed route
+      | None -> if ideal then Batched else Sequential)
 
 let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
     ?budget ?noise ?trajectories ?(engine = `Auto) ?inputs ?wall program ~count =
@@ -95,15 +102,8 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
   let n = Array.length inputs_arr in
   let rngs = Array.init n (Stats.Rng.split rng) in
   let ideal = match noise with None -> true | Some nz -> Sim.Noise.is_ideal nz in
-  let batched =
-    match engine with
-    | `Sequential -> false
-    | `Auto -> ideal
-    | `Batched ->
-        if not ideal then
-          invalid_arg "Characterize.run: batched engine requires ideal noise";
-        true
-  in
+  let circuit = program.Program.circuit in
+  let decision = decide ~engine ~kind ~inputs ~ideal ?wall circuit in
   let cost = Sim.Cost.create () in
   (* Batched path: compile the circuit once into fused segment operators and
      run every sampled input as one column of a packed batch, instead of
@@ -112,7 +112,6 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
      generator streams, cost accounting and the batched engine's own results
      are bit-identical for any domain count. *)
   let batch_traces () =
-    let circuit = program.Program.circuit in
     let plan = Transpile.Segments.compile circuit in
     if Sim.Batch.is_deterministic plan then
       Sim.Batch.run_traces ~pool plan ~count:n ~init:(fun i ->
@@ -131,29 +130,14 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
         Sim.Batch.run_traces ~pool ~rngs:col_rngs plan ~count:(n * t)
           ~init:(fun col -> Program.embed program inputs_arr.(col / t))
       in
-      Array.init n (fun i -> average_traces t (Array.sub per_col (i * t) t))
+      Array.init n (fun i ->
+          Sim.Engine.average_traces t (Array.sub per_col (i * t) t))
     end
   in
-  (* Scalable-engine auto-routing: with basis-state inputs on an ideal
-     program, [Sim.Engine.auto_route] may send each sample to the
-     stabilizer tableau (Clifford programs), the sparse coordinate
-     engine (provably low-occupancy programs) or the sum-over-
-     stabilizers engine (near-Clifford programs) — each a lightcone-
-     restricted run per tracepoint instead of a full state-vector pass.
-     The decision is purely static — never a function of sampled
-     values — so programs outside the condition take exactly the code
-     path (and generator streams) they did before the routing existed.
-     Basis inputs are exact one-hot amplitudes, so recovering the
-     preparation index below is exact — and sidesteps [Program.embed]'s
-     dense allocation, which cannot exist at 28+ qubits. *)
-  let route =
-    if
-      (match engine with `Auto -> true | `Batched | `Sequential -> false)
-      && Option.is_none inputs
-      && kind = Clifford.Sampling.Basis && ideal
-    then Sim.Engine.auto_route ?wall program.Program.circuit
-    else None
-  in
+  (* Basis inputs are exact one-hot amplitudes, so recovering a routed
+     sample's preparation index below is exact — and sidesteps
+     [Program.embed]'s dense allocation, which cannot exist at 28+
+     qubits. *)
   let basis_index st =
     let d = Qstate.Statevec.dim st in
     let rec go k found =
@@ -182,7 +166,7 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
           |> fst)
   in
   let batched_traces =
-    if batched && route = None then Some (batch_traces ()) else None
+    match decision with Batched -> Some (batch_traces ()) | _ -> None
   in
   let samples =
     Parallel.Pool.map_init pool n (fun i ->
@@ -190,24 +174,21 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
         let rng = rngs.(i) in
         let sample_cost = Sim.Cost.create () in
         let input_state = inputs_arr.(i) in
+        let with_input traces =
+          let v = Qstate.Statevec.to_cvec input_state in
+          (0, Cmat.outer v v) :: traces
+        in
         let prep =
-          match route with Some _ -> route_prep input_state | None -> None
+          match decision with
+          | Routed route -> Option.map (fun p -> (route, p)) (route_prep input_state)
+          | Batched | Sequential -> None
         in
         let traces =
-          match (route, prep, batched_traces) with
-          | Some engine, Some prep, _ ->
-              let v = Qstate.Statevec.to_cvec input_state in
-              let circuit = program.Program.circuit in
-              (0, Cmat.outer v v)
-              ::
-              (match engine with
-              | `Stabilizer -> Sim.Engine.stabilizer_traces ~prep circuit
-              | `Sparse -> Sim.Engine.sparse_traces ~prep circuit
-              | `Rank -> Sim.Engine.rank_traces ~prep circuit)
-          | _, _, Some all ->
-              let v = Qstate.Statevec.to_cvec input_state in
-              (0, Cmat.outer v v) :: all.(i)
-          | _, _, None ->
+          match (prep, batched_traces) with
+          | Some (route, prep), _ ->
+              with_input (Sim.Engine.cone_traces ~prep route circuit)
+          | None, Some all -> with_input all.(i)
+          | None, None ->
               Program.run_traces ~pool ?noise ?trajectories ~rng program
                 ~input:input_state
         in
@@ -216,8 +197,7 @@ let run_uncached ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact)
             (fun (id, m) ->
               if id = 0 then (id, m)
               else
-                degrade ?budget rng mode sample_cost program.Program.circuit
-                  (id, m))
+                degrade ?budget rng mode sample_cost circuit (id, m))
             traces
         in
         let v = Qstate.Statevec.to_cvec input_state in
@@ -344,15 +324,6 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
            (fun u -> u.Cache.Canon.width <= unit_width_cap)
            units
     in
-    (* the uncached path's scalable-engine route: when it would fire, the
-       incremental unit simulation is the wrong tool (dense per-unit
-       passes past the wall) — run uncached, no caching *)
-    let routed =
-      (match engine with `Auto -> true | `Batched | `Sequential -> false)
-      && Option.is_none inputs
-      && kind = Clifford.Sampling.Basis && ideal
-      && Sim.Engine.auto_route ?wall circuit <> None
-    in
     if incremental then begin
       (* consume the caller's generator exactly as the uncached path
          would — sampled inputs plus one split child per sample — so the
@@ -395,9 +366,14 @@ let run_cached cache ?pool ?rng ?(kind = Clifford.Sampling.Clifford)
       in
       { program; samples; mode; cost; obs = [] }
     end
-    else if routed then
-      (* scale programs past the dense wall: the routed engines are
-         already lightcone-restricted and cheap — pass through *)
+    else if
+      match decide ~engine ~kind ~inputs ~ideal ?wall circuit with
+      | Routed _ -> true
+      | Batched | Sequential -> false
+    then
+      (* too wide for per-unit dense passes, but routed: the cone
+         backends are already lightcone-restricted and cheap — run
+         uncached *)
       run_uncached ~pool ~rng ~kind ~mode ?budget ?noise ?trajectories ~engine
         ?inputs ?wall program ~count
     else begin

@@ -34,13 +34,14 @@ type t = {
     columns of one packed [Sim.Batch] buffer; it requires ideal noise.
     [`Sequential] re-walks the circuit per sample with [Engine]. [`Auto]
     (the default) picks batched exactly when the noise model is ideal —
-    except that [Basis]-kind sampling of an ideal, deterministic,
-    all-Clifford program with narrow tracepoint lightcones
-    ([Sim.Engine.stabilizer_applicable]) routes each sample to the
-    stabilizer tableau restricted to each tracepoint's cone. The routing
-    condition is purely static (program text only, never sampled values);
-    programs outside it take exactly the pre-routing code path and
-    generator streams. *)
+    except that [Basis]-kind sampling (no explicit [inputs]) of an ideal
+    program asks {!Sim.Engine.auto_route}, and when it names a route,
+    runs each sample through {!Sim.Engine.cone_traces} on that route: the
+    stabilizer tableau, sparse coordinates or stabilizer rank, one
+    lightcone-restricted run per tracepoint. The routing condition is
+    purely static (program text only, never sampled values); programs
+    outside it take exactly the pre-routing code path and generator
+    streams. *)
 type engine = [ `Auto | `Batched | `Sequential ]
 
 (** [run ?pool ?rng ?kind ?mode ?noise ?trajectories ?engine ?inputs program
@@ -74,13 +75,14 @@ type engine = [ `Auto | `Batched | `Sequential ]
     persistence reload. The caller's generator is consumed exactly as on
     the uncached path (sampled inputs + one split child per sample) even
     on full hits, so downstream draws are position-independent of cache
-    state. Stochastic / noisy / wider-than-cacheable programs fall back
-    to a whole-result memo keyed by the exact circuit bytes; programs the
-    scalable-engine route would take run uncached. Without [cache] the
-    behavior is byte-for-byte the pre-cache one.
+    state. Stochastic, noisy or wider-than-cacheable programs (a cone
+    unit wider than 22 qubits) are not characterized per unit: those the
+    [`Auto] route takes run uncached, the rest fall back to a
+    whole-result memo keyed by the exact circuit bytes. Without [cache]
+    the behavior is byte-for-byte the pre-cache one.
 
-    [wall] overrides {!Sim.Engine.dense_amp_wall} for this run's routing
-    decision without touching the global (safe under concurrency). *)
+    [wall] replaces {!Sim.Engine.dense_amp_wall} in this run's routing
+    decision. *)
 val run :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->

@@ -40,19 +40,8 @@ let record_circuit t circuit ~shots =
   t.two_qubit_gates <- t.two_qubit_gates + (shots * two_q);
   t.measurements <- t.measurements + (shots * max 1 meas)
 
-let record_many t circuit ~circuits ~shots_each =
-  let gates = Circuit.gate_count circuit in
-  let two_q = Circuit.two_qubit_count circuit in
-  let total_shots = circuits * shots_each in
-  t.executions <- t.executions + circuits;
-  t.shots <- t.shots + total_shots;
-  t.gate_ops <- t.gate_ops + (total_shots * gates);
-  t.one_qubit_gates <- t.one_qubit_gates + (total_shots * (gates - two_q));
-  t.two_qubit_gates <- t.two_qubit_gates + (total_shots * two_q);
-  t.measurements <- t.measurements + total_shots
-
-(* like [record_many] but with an exact total instead of a per-circuit
-   count — sequential shot budgets spend unequal shots per execution *)
+(* an exact shot total rather than a per-execution count — sequential
+   shot budgets spend unequal shots per execution *)
 let record_total t circuit ~executions ~total_shots =
   let gates = Circuit.gate_count circuit in
   let two_q = Circuit.two_qubit_count circuit in
@@ -91,8 +80,8 @@ let estimate_characterization ?(shots = 256) c =
   List.iter
     (function
       | Circuit.Instr.Tracepoint { qubits; _ } ->
-          record_many t c ~circuits:(pow3_sat (List.length qubits))
-            ~shots_each:shots
+          let settings = pow3_sat (List.length qubits) in
+          record_total t c ~executions:settings ~total_shots:(settings * shots)
       | _ -> ())
     (Circuit.instrs c);
   t

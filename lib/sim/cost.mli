@@ -20,16 +20,11 @@ val reset : t -> unit
     with the given number of shots. *)
 val record_circuit : t -> Circuit.t -> shots:int -> unit
 
-(** [record_many t circuit ~circuits ~shots_each] accounts [circuits]
-    distinct submissions of (variants of) [circuit], each with
-    [shots_each] shots — e.g. one tomography pass over many measurement
-    settings. *)
-val record_many : t -> Circuit.t -> circuits:int -> shots_each:int -> unit
-
 (** [record_total t circuit ~executions ~total_shots] accounts
-    [executions] submissions spending [total_shots] shots in total —
-    used by sequential shot budgets, where executions spend unequal
-    shots. *)
+    [executions] submissions of (variants of) [circuit] spending
+    [total_shots] shots in total — e.g. one tomography pass over many
+    measurement settings, or a sequential shot budget, where executions
+    spend unequal shots. *)
 val record_total : t -> Circuit.t -> executions:int -> total_shots:int -> unit
 
 (** [add t other] accumulates [other] into [t]. *)

@@ -130,82 +130,35 @@ let fan_out pool rng ~meter ~count job =
   | None -> ());
   Array.map fst results
 
-(* ------------------- stabilizer tracepoint evaluation ----------------- *)
+(* ------------------ lightcone-restricted cone engines ----------------- *)
 
-(* cap on lightcone width: [Tableau.density] materializes a [2^k x 2^k]
-   matrix per tracepoint, so only small cones are worth routing *)
-let stabilizer_cone_cap = 12
+type route = [ `Stabilizer | `Sparse | `Rank ]
 
-(* [stabilizer_applicable c] — every tracepoint state of [c] is computable
-   on the tableau from a computational-basis start: no measurement/reset/
-   feedback, every gate in [Tableau.apply_gate]'s dispatch, and every
-   tracepoint's lightcone within [cap] qubits. Purely static, so routing
-   decisions never depend on runtime values. *)
-let stabilizer_applicable ?(cap = stabilizer_cone_cap) c =
-  is_deterministic c
-  && Analysis.Classify.circuit c = Analysis.Classify.Clifford
-  && List.for_all
-       (fun cone ->
-         List.length cone.Analysis.Lightcone.qubits <= cap)
-       (Analysis.Lightcone.cones c)
+(* What a scalable engine supplies to the one cone driver below: its
+   admission rules and its kernels. The driver owns everything else —
+   lightcone restriction, basis preparation, the gate walk, spans and
+   routed counters — so a backend is only state plus arithmetic. *)
+module type BACKEND = sig
+  type t
 
-(* [stabilizer_traces ?prep c] computes every tracepoint's reduced density
-   matrix on the stabilizer tableau, one lightcone-restricted run per
-   tracepoint: O(cone^2) per gate plus a [2^cone] density materialization,
-   independent of the full register width. [prep] is a computational-basis
-   index (bit q of [prep] = X on qubit q) — a basis start is a product
-   state, so restricting to the cone is sound. Only valid when
-   [stabilizer_applicable c]. *)
-let stabilizer_traces ?(prep = 0) ?meter c =
-  Obs.Span.with_ ~name:"engine.stabilizer_traces" @@ fun () ->
-  (match meter with
-  | Some m -> Cost.record_circuit m c ~shots:1
-  | None -> ());
-  if Obs.enabled () then
-    Obs.Metrics.counter_add "stabilizer_routed_total"
-      (List.length (Analysis.Lightcone.cones c));
-  if Obs.enabled () then
-    Obs.Metrics.counter_add
-      ~labels:[ ("engine", "stabilizer") ]
-      "sim_engine_routed_total" 1;
-  List.map
-    (fun cone ->
-      let sub, qubits = Analysis.Lightcone.restrict c cone in
-      let t = Stabilizer.Tableau.make (Circuit.num_qubits sub) in
-      List.iteri
-        (fun local global ->
-          if (prep lsr global) land 1 = 1 then Stabilizer.Tableau.x t local)
-        qubits;
-      let tp_qubits = ref [] in
-      List.iter
-        (function
-          | Circuit.Instr.Gate g -> Stabilizer.Tableau.apply_gate g t
-          | Circuit.Instr.Tracepoint { qubits; _ } -> tp_qubits := qubits
-          | Circuit.Instr.Barrier _ -> ()
-          | _ -> invalid_arg "Engine.stabilizer_traces: non-Clifford program")
-        (Circuit.instrs sub);
-      let rho =
-        Qstate.Density.of_cmat (Circuit.num_qubits sub)
-          (Stabilizer.Tableau.density t)
-      in
-      let reduced = Qstate.Density.partial_trace ~keep:!tp_qubits rho in
-      (cone.Analysis.Lightcone.id, Qstate.Density.mat reduced))
-    (Analysis.Lightcone.cones c)
+  (* span suffix and [sim_engine_routed_total] label *)
+  val name : string
+  val admits_gate : Circuit.Gate.t -> bool
 
-(* ------------------ sparse & stabilizer-rank routing ------------------ *)
+  (* [admits_cone c cone] — the per-cone caps; purely static *)
+  val admits_cone : Circuit.t -> Analysis.Lightcone.cone -> bool
 
-(* caps on what the static router will send to the sparse engine: the
-   per-cone support bound (memory and per-gate work) and the tracepoint
-   width (a [2^tp x 2^tp] reduced density per tracepoint) *)
-let sparse_support_cap = 1 lsl 16
-let sparse_tp_cap = 8
+  (* [make n prep] is basis state [|prep>] on [n] qubits *)
+  val make : int -> int -> t
+  val apply_gate : Circuit.Gate.t -> t -> unit
+  val reduced_density : t -> int list -> Linalg.Cmat.t
 
-(* caps for the stabilizer-rank engine: non-Clifford gates per cone
-   (2^k Pauli frames, and every tracepoint costs O(4^tp * 4^k) tableau
-   expectations), tracepoint width, and the bitmask-bound cone width *)
-let rank_cutoff = 8
-let rank_tp_cap = 4
-let rank_cone_cap = 62
+  (* per-cone work counter, read once the cone's gates have run *)
+  val work_counter : string
+  val work : t -> int
+end
+
+let cone_width cone = List.length cone.Analysis.Lightcone.qubits
 
 let cone_tp_width c cone =
   match
@@ -214,95 +167,113 @@ let cone_tp_width c cone =
       (Circuit.tracepoints c)
   with
   | Some (_, qs) -> List.length qs
-  | None -> List.length cone.Analysis.Lightcone.qubits
+  | None -> cone_width cone
 
-(* [sparse_applicable c] — every tracepoint of [c] is computable on the
-   sparse engine within the caps: no measurement/reset/feedback (so one
-   pass is exact), gates the sparse kernels dispatch, and every
-   tracepoint cone's static support bound within [support_cap]. Purely
-   static, like {!stabilizer_applicable}. *)
-let sparse_applicable ?(support_cap = sparse_support_cap)
-    ?(tp_cap = sparse_tp_cap) c =
+(* The tableau: Clifford gates only, and a cone of at most 12 qubits,
+   because [Tableau.density] materializes the whole [2^cone] density
+   before the trace-out. *)
+module Tableau_backend = struct
+  type t = Stabilizer.Tableau.t
+
+  let name = "stabilizer"
+  let admits_gate = Analysis.Classify.gate_is_clifford
+  let admits_cone _ cone = cone_width cone <= 12
+
+  let make n prep =
+    let t = Stabilizer.Tableau.make n in
+    for q = 0 to n - 1 do
+      if (prep lsr q) land 1 = 1 then Stabilizer.Tableau.x t q
+    done;
+    t
+
+  let apply_gate = Stabilizer.Tableau.apply_gate
+
+  let reduced_density t keep =
+    let rho =
+      Qstate.Density.of_cmat (Stabilizer.Tableau.num_qubits t)
+        (Stabilizer.Tableau.density t)
+    in
+    Qstate.Density.mat (Qstate.Density.partial_trace ~keep rho)
+
+  let work_counter = "stabilizer_routed_total"
+  let work _ = 1
+end
+
+(* Sparse coordinates: single-target gates and plain swaps; the cone's
+   static support bound within 2^16 entries (memory and per-gate work)
+   and a tracepoint of at most 8 qubits (a [2^tp x 2^tp] density). *)
+module Sparse_backend = struct
+  include Sparse
+
+  let name = "sparse"
+
+  let admits_gate (g : Circuit.Gate.t) =
+    match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
+    | "swap", [ _; _ ] -> g.Circuit.Gate.controls = []
+    | _, [ _ ] -> true
+    | _ -> false
+
+  let support_cap = 1 lsl 16
+
+  let admits_cone c cone =
+    cone_tp_width c cone <= 8
+    &&
+    let sub, _ = Analysis.Lightcone.restrict c cone in
+    Analysis.Classify.support_bound ~cap:(support_cap + 1) sub <= support_cap
+
+  let make = basis
+  let work_counter = "sparse_amps_peak_total"
+  let work = peak_support
+end
+
+(* Stabilizer rank: gates that split into at most two Clifford branches;
+   at most 8 non-Clifford gates per cone (2^k Pauli frames, and a
+   tracepoint costs O(4^tp * 4^k) tableau expectations), a tracepoint
+   of at most 4 qubits, and a cone that fits the 62-bit frame masks. *)
+module Rank_backend = struct
+  include Rank
+
+  let name = "rank"
+  let admits_gate = Analysis.Classify.gate_rank_decomposable
+
+  let admits_cone c cone =
+    cone_width cone <= 62
+    && cone_tp_width c cone <= 4
+    &&
+    let sub, _ = Analysis.Lightcone.restrict c cone in
+    Analysis.Classify.non_clifford_count sub <= 8
+
+  let work_counter = "rank_branches_total"
+  let work = branch_count
+end
+
+let backend : route -> (module BACKEND) = function
+  | `Stabilizer -> (module Tableau_backend)
+  | `Sparse -> (module Sparse_backend)
+  | `Rank -> (module Rank_backend)
+
+let route_name route =
+  let (module B) = backend route in
+  B.name
+
+(* [applicable route c] — every tracepoint state of [c] is computable on
+   the backend from a computational-basis start: no measurement, reset
+   or feedback (one pass is exact), every gate admitted, every
+   tracepoint cone within the caps. Purely static, so routing never
+   depends on runtime values. *)
+let applicable route c =
+  let (module B) = backend route in
   is_deterministic c
   && List.for_all
-       (function
-         | Circuit.Instr.Gate g | Circuit.Instr.If_gate { gate = g; _ } -> (
-             match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
-             | "swap", [ _; _ ] -> g.Circuit.Gate.controls = []
-             | _, [ _ ] -> true
-             | _ -> false)
-         | _ -> true)
+       (function Circuit.Instr.Gate g -> B.admits_gate g | _ -> true)
        (Circuit.instrs c)
-  && List.for_all
-       (fun cone ->
-         cone_tp_width c cone <= tp_cap
-         &&
-         let sub, _ = Analysis.Lightcone.restrict c cone in
-         Analysis.Classify.support_bound ~cap:(support_cap + 1) sub
-         <= support_cap)
-       (Analysis.Lightcone.cones c)
-
-(* [rank_applicable c] — every gate splits into at most two Clifford
-   branches and every tracepoint cone stays within the frame and width
-   caps. *)
-let rank_applicable ?(cutoff = rank_cutoff) ?(tp_cap = rank_tp_cap) c =
-  is_deterministic c
-  && List.for_all
-       (function
-         | Circuit.Instr.Gate g | Circuit.Instr.If_gate { gate = g; _ } ->
-             Analysis.Classify.gate_rank_decomposable g
-         | _ -> true)
-       (Circuit.instrs c)
-  && List.for_all
-       (fun cone ->
-         List.length cone.Analysis.Lightcone.qubits <= rank_cone_cap
-         && cone_tp_width c cone <= tp_cap
-         &&
-         let sub, _ = Analysis.Lightcone.restrict c cone in
-         Analysis.Classify.non_clifford_count sub <= cutoff)
-       (Analysis.Lightcone.cones c)
-
-(* Dense-amplitude wall: [`Auto] considers the scalable engines only
-   when one dense pass would exceed this many amplitude updates
-   (default 2^22 — a few-ms dense run). A ref, like
-   [Statevec.parallel_threshold], so tests can force routing on small
-   circuits. *)
-let dense_amp_wall = ref (Float.ldexp 1. 22)
+  && List.for_all (B.admits_cone c) (Analysis.Lightcone.cones c)
 
 let count_routed engine =
   if Obs.enabled () then
     Obs.Metrics.counter_add
       ~labels:[ ("engine", engine) ]
       "sim_engine_routed_total" 1
-
-(* The static routing decision for ideal, [|0...0>]-started programs:
-   Clifford programs keep the PR 4 stabilizer route; otherwise nothing
-   is routed below the dense wall (dense is exact and fast there), and
-   above it the sparse engine is preferred when its static cost model
-   wins by 4x (sparse entries cost a few dense amplitude updates each),
-   with the stabilizer-rank engine as the near-Clifford fallback. *)
-let auto_route ?wall c =
-  let wall = match wall with Some w -> w | None -> !dense_amp_wall in
-  if stabilizer_applicable c then Some `Stabilizer
-  else begin
-    let dense = Cost.dense_sim_ops c in
-    if dense <= wall then None
-    else if sparse_applicable c && 4. *. Cost.sparse_sim_ops c <= dense then
-      Some `Sparse
-    else if rank_applicable c && Cost.rank_sim_ops c <= dense then Some `Rank
-    else None
-  end
-
-(* estimated simulation class, for diagnostics (MQ018): the routing
-   preference order without the dense wall *)
-type sim_class = Class_dense | Class_sparse | Class_stabilizer | Class_rank of int
-
-let sim_class c =
-  if stabilizer_applicable c then Class_stabilizer
-  else if sparse_applicable c then Class_sparse
-  else if rank_applicable c then
-    Class_rank (Analysis.Classify.non_clifford_count c)
-  else Class_dense
 
 (* local prep index for a cone: bit [local] set when the cone's
    [global] qubit is set in [prep] *)
@@ -314,60 +285,108 @@ let local_prep prep qubits =
     (0, 0) qubits
   |> fst
 
-(* [sparse_traces ?prep c] — every tracepoint's reduced density on the
-   sparse engine, one lightcone-restricted pass per tracepoint from the
-   basis state [prep]. Only valid when [sparse_applicable c]. *)
-let sparse_traces ?(prep = 0) ?meter c =
-  Obs.Span.with_ ~name:"engine.sparse_traces" @@ fun () ->
+(* The one cone driver: one lightcone-restricted run per tracepoint from
+   the basis state [prep] (bit q = X on qubit q — a product state, so
+   restricting to the cone is sound). Cost depends on the cone, never on
+   the full register width. *)
+let cone_traces ?(prep = 0) ?meter route c =
+  let (module B) = backend route in
+  Obs.Span.with_ ~name:("engine." ^ B.name ^ "_traces") @@ fun () ->
   (match meter with
   | Some m -> Cost.record_circuit m c ~shots:1
   | None -> ());
-  count_routed "sparse";
+  count_routed B.name;
   List.map
     (fun cone ->
       let sub, qubits = Analysis.Lightcone.restrict c cone in
-      let st = Sparse.basis (Circuit.num_qubits sub) (local_prep prep qubits) in
-      let peak = ref 1 in
+      let st = B.make (Circuit.num_qubits sub) (local_prep prep qubits) in
       let tp_qubits = ref [] in
       List.iter
         (function
-          | Circuit.Instr.Gate g ->
-              Sparse.apply_gate g st;
-              peak := max !peak (Sparse.support st)
+          | Circuit.Instr.Gate g -> B.apply_gate g st
           | Circuit.Instr.Tracepoint { qubits; _ } -> tp_qubits := qubits
           | Circuit.Instr.Barrier _ -> ()
-          | _ -> invalid_arg "Engine.sparse_traces: non-deterministic program")
+          | _ -> invalid_arg "Engine.cone_traces: non-deterministic program")
         (Circuit.instrs sub);
-      if Obs.enabled () then
-        Obs.Metrics.counter_add "sparse_amps_peak_total" !peak;
-      (cone.Analysis.Lightcone.id, Sparse.reduced_density st !tp_qubits))
+      if Obs.enabled () then Obs.Metrics.counter_add B.work_counter (B.work st);
+      (cone.Analysis.Lightcone.id, B.reduced_density st !tp_qubits))
     (Analysis.Lightcone.cones c)
 
-(* [rank_traces ?prep c] — every tracepoint's reduced density on the
-   sum-over-stabilizers engine, exact for near-Clifford cones. Only
-   valid when [rank_applicable c]. *)
-let rank_traces ?(prep = 0) ?meter c =
-  Obs.Span.with_ ~name:"engine.rank_traces" @@ fun () ->
-  (match meter with
-  | Some m -> Cost.record_circuit m c ~shots:1
-  | None -> ());
-  count_routed "rank";
-  List.map
-    (fun cone ->
-      let sub, qubits = Analysis.Lightcone.restrict c cone in
-      let st = Rank.make (Circuit.num_qubits sub) (local_prep prep qubits) in
-      let tp_qubits = ref [] in
+(* Dense-amplitude wall: [`Auto] considers the sparse and rank routes
+   only when one dense pass would exceed this many amplitude updates
+   (2^22 — a few-ms dense run). *)
+let dense_amp_wall = Float.ldexp 1. 22
+
+(* The routing table, in preference order. The tableau route carries no
+   cost rule: Clifford programs take it whatever their size. The others
+   fire only past the dense wall and when their static cost model beats
+   one dense pass — sparse by 4x, since a sparse entry costs a few dense
+   amplitude updates. *)
+let routes : (route * (Circuit.t -> float) option) list =
+  [
+    (`Stabilizer, None);
+    (`Sparse, Some (fun c -> 4. *. Cost.sparse_sim_ops c));
+    (`Rank, Some Cost.rank_sim_ops);
+  ]
+
+(* The static routing decision for ideal, [|0...0>]-started programs.
+   The wall test runs before any sparse or rank analysis: below it dense
+   is exact and fast. *)
+let auto_route ?(wall = dense_amp_wall) c =
+  let dense = lazy (Cost.dense_sim_ops c) in
+  List.find_map
+    (fun (route, cost) ->
+      let take =
+        match cost with
+        | None -> applicable route c
+        | Some cost ->
+            let dense = Lazy.force dense in
+            dense > wall && applicable route c && cost c <= dense
+      in
+      if take then Some route else None)
+    routes
+
+(* estimated simulation class, for diagnostics (MQ018): the routing
+   preference order without the dense wall or the cost rules. The rank
+   exponent is the largest per-cone non-Clifford count — the count the
+   rank backend admits on, since each cone runs separately. *)
+let sim_class c =
+  match List.find_opt (fun (route, _) -> applicable route c) routes with
+  | None -> "dense"
+  | Some (`Stabilizer, _) -> "stabilizer"
+  | Some (`Sparse, _) -> "sparse"
+  | Some (`Rank, _) ->
+      let k =
+        List.fold_left
+          (fun k cone ->
+            let sub, _ = Analysis.Lightcone.restrict c cone in
+            max k (Analysis.Classify.non_clifford_count sub))
+          0 (Analysis.Lightcone.cones c)
+      in
+      Printf.sprintf "stabilizer-rank 2^%d" k
+
+(* per-trajectory trace lists averaged: first-seen id order, adds in
+   trajectory order, one final rescale *)
+let average_traces trajectories per_traj =
+  let acc = Hashtbl.create 8 in
+  let order = ref [] in
+  Array.iter
+    (fun traces ->
       List.iter
-        (function
-          | Circuit.Instr.Gate g -> Rank.apply_gate g st
-          | Circuit.Instr.Tracepoint { qubits; _ } -> tp_qubits := qubits
-          | Circuit.Instr.Barrier _ -> ()
-          | _ -> invalid_arg "Engine.rank_traces: non-deterministic program")
-        (Circuit.instrs sub);
-      if Obs.enabled () then
-        Obs.Metrics.counter_add "rank_branches_total" (Rank.branch_count st);
-      (cone.Analysis.Lightcone.id, Rank.reduced_density st !tp_qubits))
-    (Analysis.Lightcone.cones c)
+        (fun (id, m) ->
+          match Hashtbl.find_opt acc id with
+          | None ->
+              order := id :: !order;
+              Hashtbl.add acc id m
+          | Some prev -> Hashtbl.replace acc id (Linalg.Cmat.add prev m))
+        traces)
+    per_traj;
+  List.rev_map
+    (fun id ->
+      ( id,
+        Linalg.Cmat.rscale (1. /. float_of_int trajectories) (Hashtbl.find acc id)
+      ))
+    !order
 
 let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
     ?initial ?(engine = `Auto) ?meter ?wall c =
@@ -375,26 +394,16 @@ let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
   let route =
     match engine with
     | `Statevec -> None
-    | `Stabilizer ->
-        if not (ideal_start && stabilizer_applicable c) then
-          invalid_arg "Engine.tracepoint_states: stabilizer engine inapplicable";
-        Some `Stabilizer
-    | `Sparse ->
-        if not (ideal_start && sparse_applicable c) then
-          invalid_arg "Engine.tracepoint_states: sparse engine inapplicable";
-        Some `Sparse
-    | `Rank ->
-        if not (ideal_start && rank_applicable c) then
-          invalid_arg "Engine.tracepoint_states: rank engine inapplicable";
-        Some `Rank
     | `Auto -> if ideal_start then auto_route ?wall c else None
+    | #route as route ->
+        if not (ideal_start && applicable route c) then
+          invalid_arg
+            ("Engine.tracepoint_states: " ^ route_name route
+           ^ " engine inapplicable");
+        Some route
   in
   let engine_name =
-    match route with
-    | Some `Stabilizer -> "stabilizer"
-    | Some `Sparse -> "sparse"
-    | Some `Rank -> "rank"
-    | None -> "statevec"
+    match route with Some route -> route_name route | None -> "statevec"
   in
   if Obs.Log.enabled Obs.Log.Debug then
     Obs.Log.emit Obs.Log.Debug "engine.route"
@@ -407,42 +416,16 @@ let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
     ~attrs:[ ("engine", engine_name) ]
   @@ fun () ->
   match route with
-  | Some `Stabilizer -> stabilizer_traces ?meter c
-  | Some `Sparse -> sparse_traces ?meter c
-  | Some `Rank -> rank_traces ?meter c
+  | Some route -> cone_traces ?meter route c
   | None ->
-  if is_deterministic c && Noise.is_ideal noise then begin
-    count_routed "statevec";
-    (run ?rng ~noise ?initial ?meter c).traces
-  end
-  else begin
-    count_routed "statevec";
-    let rng = match rng with Some r -> r | None -> default_rng () in
-    let per_traj =
-      fan_out (get_pool pool) rng ~meter ~count:trajectories
-        (fun rng m -> (run ~rng ~noise ?initial ?meter:m c).traces)
-    in
-    (* commutative trace merge, in trajectory order *)
-    let acc = Hashtbl.create 8 in
-    let order = ref [] in
-    Array.iter
-      (fun traces ->
-        List.iter
-          (fun (id, m) ->
-            match Hashtbl.find_opt acc id with
-            | None ->
-                order := id :: !order;
-                Hashtbl.add acc id m
-            | Some prev -> Hashtbl.replace acc id (Linalg.Cmat.add prev m))
-          traces)
-      per_traj;
-    List.rev_map
-      (fun id ->
-        ( id,
-          Linalg.Cmat.rscale (1. /. float_of_int trajectories) (Hashtbl.find acc id)
-        ))
-      !order
-  end
+      count_routed "statevec";
+      if is_deterministic c && Noise.is_ideal noise then
+        (run ?rng ~noise ?initial ?meter c).traces
+      else
+        let rng = match rng with Some r -> r | None -> default_rng () in
+        fan_out (get_pool pool) rng ~meter ~count:trajectories (fun rng m ->
+            (run ~rng ~noise ?initial ?meter:m c).traces)
+        |> average_traces trajectories
 
 let sample_counts ?pool ?rng ?(noise = Noise.ideal) ?initial ?meter ~shots c =
   Obs.Span.with_ ~name:"engine.sample_counts" @@ fun () ->

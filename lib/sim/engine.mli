@@ -33,94 +33,86 @@ val run :
     states. *)
 val is_deterministic : Circuit.t -> bool
 
-(** [stabilizer_applicable ?cap c] — true when every tracepoint state of
-    [c] can be computed on the stabilizer tableau: no measurement, reset or
-    feedback, all gates Clifford ({!Analysis.Classify}), and every
-    tracepoint's lightcone at most [cap] (default 12) qubits wide. The
-    check is purely static. *)
-val stabilizer_applicable : ?cap:int -> Circuit.t -> bool
+(** The three lightcone-restricted engines past the dense wall: the
+    stabilizer tableau, the sparse coordinate engine ({!Sparse}) and the
+    sum-over-stabilizers engine ({!Rank}). *)
+type route = [ `Stabilizer | `Sparse | `Rank ]
 
-(** [stabilizer_traces ?prep ?meter c] computes every tracepoint's reduced
-    density matrix on the stabilizer tableau, lightcone-restricted: one
-    tableau run per tracepoint over only its cone qubits, so the cost is
-    independent of the full register width. [prep] (default 0) prepares the
-    computational-basis state with bit [q] of [prep] on qubit [q].
-    Precondition: {!stabilizer_applicable}. *)
-val stabilizer_traces :
-  ?prep:int -> ?meter:Cost.t -> Circuit.t -> (int * Linalg.Cmat.t) list
+(** [applicable route c] — every tracepoint state of [c] is computable on
+    [route] from a computational-basis start: no measurement, reset or
+    feedback, every gate admitted by the backend, and every tracepoint
+    cone within its caps. [`Stabilizer]: Clifford gates
+    ({!Analysis.Classify}), cones of at most 12 qubits. [`Sparse]:
+    single-target gates and uncontrolled swaps, each cone's static
+    [Analysis.Classify.support_bound] at most [2^16], tracepoints at most
+    8 qubits. [`Rank]: rank-decomposable gates
+    ({!Analysis.Classify.gate_rank_decomposable}), at most 8 non-Clifford
+    gates and 62 qubits per cone, tracepoints at most 4 qubits. Purely
+    static. *)
+val applicable : route -> Circuit.t -> bool
 
-(** [sparse_applicable ?support_cap ?tp_cap c] — true when every
-    tracepoint of [c] is computable on the sparse coordinate engine
-    within the caps: deterministic, sparse-dispatchable gates, every
-    cone's static [Analysis.Classify.support_bound] at most
-    [support_cap] (default [2^16]) and every tracepoint at most
-    [tp_cap] (default 8) qubits wide. Purely static. *)
-val sparse_applicable : ?support_cap:int -> ?tp_cap:int -> Circuit.t -> bool
-
-(** [rank_applicable ?cutoff ?tp_cap c] — true when every gate is
-    rank-decomposable ({!Analysis.Classify.gate_rank_decomposable}) and
-    every tracepoint cone has at most [cutoff] (default 8) non-Clifford
-    gates, at most 62 qubits, and a tracepoint at most [tp_cap]
-    (default 4) qubits wide. Purely static. *)
-val rank_applicable : ?cutoff:int -> ?tp_cap:int -> Circuit.t -> bool
+(** [cone_traces ?prep ?meter route c] computes every tracepoint's reduced
+    density matrix on [route], one lightcone-restricted run per
+    tracepoint over only its cone qubits, so the cost is independent of
+    the full register width. [prep] (default 0) prepares the
+    computational-basis state with bit [q] of [prep] on qubit [q];
+    [meter] accounts one execution with one shot. Runs under the span
+    [engine.<route>_traces] and, with observability on, adds one
+    [sim_engine_routed_total] and a per-cone work count
+    ([stabilizer_routed_total], [sparse_amps_peak_total] or
+    [rank_branches_total]). Precondition: {!applicable}. *)
+val cone_traces :
+  ?prep:int ->
+  ?meter:Cost.t ->
+  route ->
+  Circuit.t ->
+  (int * Linalg.Cmat.t) list
 
 (** The dense-amplitude wall: [`Auto] considers the sparse and
-    stabilizer-rank engines only when one dense pass would exceed this
-    many amplitude updates (default [2^22]). Mutable so tests and
-    benchmarks can force or disable the routing. *)
-val dense_amp_wall : float ref
+    stabilizer-rank routes only when one dense pass would exceed this
+    many amplitude updates ([2^22]). Callers that need another wall pass
+    [?wall]. *)
+val dense_amp_wall : float
 
 (** [auto_route ?wall c] is the static routing decision for an ideal
-    program started from [|0...0>]: [`Stabilizer] for Clifford programs
-    (the PR 4 route, unchanged), and above the wall [`Sparse] when the
-    support-bound cost model beats dense by 4x, else [`Rank] for
-    near-Clifford programs; [None] means the dense engines. [wall]
-    (default [!dense_amp_wall]) is an explicit parameter so concurrent
-    callers — e.g. server requests — never race on the global ref. *)
-val auto_route : ?wall:float -> Circuit.t -> [ `Stabilizer | `Sparse | `Rank ] option
+    program started from [|0...0>]: [`Stabilizer] whenever applicable,
+    and above [wall] (default {!dense_amp_wall}) [`Sparse] when its
+    support-bound cost model beats dense by 4x, else [`Rank] when its
+    frame-count cost model beats dense; [None] means the dense engines.
+    The wall test runs before any sparse or rank analysis. *)
+val auto_route : ?wall:float -> Circuit.t -> route option
 
-(** Estimated simulation class for diagnostics (lint MQ018): the
-    routing preference order, ignoring the dense wall. *)
-type sim_class = Class_dense | Class_sparse | Class_stabilizer | Class_rank of int
+(** [sim_class c] is the estimated simulation class for diagnostics (lint
+    MQ018): the routing preference order, ignoring the dense wall and
+    the cost models — ["stabilizer"], ["sparse"],
+    ["stabilizer-rank 2^k"] with [k] the largest per-cone non-Clifford
+    count, or ["dense"]. *)
+val sim_class : Circuit.t -> string
 
-val sim_class : Circuit.t -> sim_class
-
-(** [sparse_traces ?prep ?meter c] — every tracepoint's reduced density
-    matrix on the sparse engine, one lightcone-restricted pass per
-    tracepoint from basis state [prep]. Cost scales with the occupied
-    support, not [2^n]. Precondition: {!sparse_applicable}. *)
-val sparse_traces :
-  ?prep:int -> ?meter:Cost.t -> Circuit.t -> (int * Linalg.Cmat.t) list
-
-(** [rank_traces ?prep ?meter c] — every tracepoint's reduced density
-    matrix on the sum-over-stabilizers engine (exact, no sampling), one
-    lightcone-restricted pass per tracepoint from basis state [prep].
-    [k] non-Clifford gates in a cone cost at most [2^k] weighted
-    tableau frames. Precondition: {!rank_applicable}. *)
-val rank_traces :
-  ?prep:int -> ?meter:Cost.t -> Circuit.t -> (int * Linalg.Cmat.t) list
+(** [average_traces trajectories per_traj] averages per-trajectory
+    tracepoint lists: ids in first-seen order, sums in trajectory order,
+    one final [1/trajectories] rescale. *)
+val average_traces :
+  int -> (int * Linalg.Cmat.t) list array -> (int * Linalg.Cmat.t) list
 
 (** [tracepoint_states ?pool ?rng ?noise ?trajectories ?initial ?engine
-    ?meter c] returns the expected reduced density matrix at every
+    ?meter ?wall c] returns the expected reduced density matrix at every
     tracepoint. [`Auto] (default) applies {!auto_route} to ideal
-    programs starting from [|0...0>] — Clifford programs go to
-    {!stabilizer_traces}, and past {!dense_amp_wall} low-occupancy
-    programs go to {!sparse_traces} and near-Clifford programs to
-    {!rank_traces}; other deterministic ideal circuits use one
+    programs starting from [|0...0>] and runs the chosen route through
+    {!cone_traces}; other deterministic ideal circuits use one
     state-vector pass; everything else averages [trajectories] (default
     64) runs fanned out over [pool] (default [Parallel.Pool.global ()])
     with one [Stats.Rng.split] child per trajectory and an in-order
     merge — results are bit-identical for any domain count under a
-    fixed seed. [`Stabilizer]/[`Sparse]/[`Rank] force their route and
-    raise [Invalid_argument] when inapplicable; [`Statevec] disables
-    the routing entirely. *)
+    fixed seed. A forced [route] raises [Invalid_argument] when
+    inapplicable; [`Statevec] disables the routing entirely. *)
 val tracepoint_states :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->
   ?noise:Noise.t ->
   ?trajectories:int ->
   ?initial:Qstate.Statevec.t ->
-  ?engine:[ `Auto | `Statevec | `Stabilizer | `Sparse | `Rank ] ->
+  ?engine:[ `Auto | `Statevec | route ] ->
   ?meter:Cost.t ->
   ?wall:float ->
   Circuit.t ->

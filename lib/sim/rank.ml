@@ -29,7 +29,7 @@ open Linalg
 
 let max_qubits = 62
 let prune = 1e-24
-let default_branch_cap = 4096
+let branch_cap = 4096
 
 type t = {
   n : int;
@@ -151,7 +151,7 @@ let left_mul axis q (c, x, z) =
       let c = if x land bit <> 0 then Cx.neg c else c in
       (c, x lxor bit, z lxor bit)
 
-let merge_branches ~cap branches =
+let merge_branches branches =
   let arr = Array.of_list branches in
   Array.sort
     (fun (_, x1, z1) (_, x2, z2) ->
@@ -175,11 +175,11 @@ let merge_branches ~cap branches =
     if Cx.norm2 !acc > prune then out := (!acc, x, z) :: !out
   done;
   let out = Array.of_list (List.rev !out) in
-  if Array.length out > cap then
+  if Array.length out > branch_cap then
     invalid_arg "Rank: branch cap exceeded";
   out
 
-let apply_gate ?(cap = default_branch_cap) (g : Circuit.Gate.t) t =
+let apply_gate (g : Circuit.Gate.t) t =
   if Analysis.Classify.gate_is_clifford g then begin
     t.branches <- Array.map (conj_gate g) t.branches;
     Stabilizer.Tableau.apply_gate g t.tab
@@ -196,7 +196,7 @@ let apply_gate ?(cap = default_branch_cap) (g : Circuit.Gate.t) t =
               (Cx.mul beta c', x', z') :: (Cx.mul alpha c, x, z) :: acc)
             [] t.branches
         in
-        t.branches <- merge_branches ~cap (List.rev split)
+        t.branches <- merge_branches (List.rev split)
     | _ ->
         invalid_arg
           ("Rank: gate not rank-decomposable: " ^ g.Circuit.Gate.name)

@@ -14,9 +14,6 @@
 
 type t
 
-val default_branch_cap : int
-(** Default bound on the frame list (4096 = 2^12 splits). *)
-
 (** [make n input] is basis state [|input>] on [n] qubits (one frame). *)
 val make : int -> int -> t
 
@@ -25,10 +22,10 @@ val num_qubits : t -> int
 (** Current number of weighted Pauli frames. *)
 val branch_count : t -> int
 
-(** [apply_gate ?cap g t] applies a Clifford or rank-decomposable gate
-    in place; raises [Invalid_argument] on any other gate or when the
-    merged frame list exceeds [cap]. *)
-val apply_gate : ?cap:int -> Circuit.Gate.t -> t -> unit
+(** [apply_gate g t] applies a Clifford or rank-decomposable gate in
+    place; raises [Invalid_argument] on any other gate or when the
+    merged frame list exceeds 4096 frames (2^12 splits). *)
+val apply_gate : Circuit.Gate.t -> t -> unit
 
 (** [reduced_density t keep] — exact reduced density matrix on [keep]
     (bit [j] of the reduced index is [List.nth keep j]) via the Pauli

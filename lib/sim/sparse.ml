@@ -15,12 +15,7 @@
    Memory and time scale with the occupied support, not 2^n, so
    low-occupancy programs (Bernstein-Vazirani, QRAM reads, lock
    circuits) run at 28+ qubits where the dense engine cannot even
-   allocate. Indices are OCaml ints: up to 62 qubits.
-
-   [run] carries the densify escape hatch: if the live support grows
-   past the expected bound on a register small enough for the dense
-   representation, it switches to [Qstate.Statevec] mid-run rather than
-   paying the sparse overhead on a dense state. *)
+   allocate. Indices are OCaml ints: up to 62 qubits. *)
 
 open Linalg
 
@@ -30,6 +25,7 @@ type t = {
   mutable idx : int array;
   mutable re : float array;
   mutable im : float array;
+  mutable peak : int;  (* largest support since [basis] *)
 }
 
 let cutoff = 1e-12
@@ -40,18 +36,10 @@ let basis n k =
     invalid_arg "Sparse.basis: unsupported qubit count";
   if k < 0 || (n < max_qubits && k lsr n <> 0) then
     invalid_arg "Sparse.basis: index out of range";
-  { n; size = 1; idx = [| k |]; re = [| 1. |]; im = [| 0. |] }
+  { n; size = 1; idx = [| k |]; re = [| 1. |]; im = [| 0. |]; peak = 1 }
 
-let num_qubits t = t.n
 let support t = t.size
-
-let copy t =
-  {
-    t with
-    idx = Array.sub t.idx 0 t.size;
-    re = Array.sub t.re 0 t.size;
-    im = Array.sub t.im 0 t.size;
-  }
+let peak_support t = t.peak
 
 (* position of basis index [k] among the occupied entries, or -1 *)
 let find t k =
@@ -76,13 +64,6 @@ let amplitude t k =
 let entries t =
   List.init t.size (fun p -> (t.idx.(p), Cx.make t.re.(p) t.im.(p)))
 
-let norm t =
-  let s = ref 0. in
-  for p = 0 to t.size - 1 do
-    s := !s +. (t.re.(p) *. t.re.(p)) +. (t.im.(p) *. t.im.(p))
-  done;
-  sqrt !s
-
 let to_statevec t =
   let st = Qstate.Statevec.zero t.n in
   Qstate.Statevec.set_amplitude st 0 Cx.zero;
@@ -90,33 +71,6 @@ let to_statevec t =
     Qstate.Statevec.set_amplitude st t.idx.(p) (Cx.make t.re.(p) t.im.(p))
   done;
   st
-
-let of_statevec st =
-  let n = Qstate.Statevec.num_qubits st in
-  let d = Qstate.Statevec.dim st in
-  let size = ref 0 in
-  for k = 0 to d - 1 do
-    if Cx.norm2 (Qstate.Statevec.amplitude st k) > cutoff then incr size
-  done;
-  let t =
-    {
-      n;
-      size = 0;
-      idx = Array.make (max !size 1) 0;
-      re = Array.make (max !size 1) 0.;
-      im = Array.make (max !size 1) 0.;
-    }
-  in
-  for k = 0 to d - 1 do
-    let a = Qstate.Statevec.amplitude st k in
-    if Cx.norm2 a > cutoff then begin
-      t.idx.(t.size) <- k;
-      t.re.(t.size) <- Cx.re a;
-      t.im.(t.size) <- Cx.im a;
-      t.size <- t.size + 1
-    end
-  done;
-  t
 
 (* scratch output buffer: entries are emitted pair-by-pair (unsorted),
    pruned at the cutoff, then sorted back into coordinate order *)
@@ -258,7 +212,7 @@ let apply_gate (g : Circuit.Gate.t) t =
     Obs.Metrics.counter_add
       ~labels:[ ("kind", g.Circuit.Gate.name) ]
       "sparse_gates_total" 1;
-  match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
+  (match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
   | "swap", [ a; b ] ->
       if g.Circuit.Gate.controls <> [] then
         invalid_arg "Sparse: controlled swap unsupported";
@@ -268,68 +222,45 @@ let apply_gate (g : Circuit.Gate.t) t =
       if Analysis.Classify.gate_is_diagonal g then
         apply_diagonal ~controls:g.Circuit.Gate.controls u tgt t
       else apply1 ~controls:g.Circuit.Gate.controls u tgt t
-  | _ -> invalid_arg "Sparse: malformed gate"
+  | _ -> invalid_arg "Sparse: malformed gate");
+  t.peak <- max t.peak t.size
 
-(* ----------------------- measurement & sampling ----------------------- *)
+let run c ~input =
+  let t = basis (Circuit.num_qubits c) input in
+  List.iter
+    (function
+      | Circuit.Instr.Gate g -> apply_gate g t
+      | Circuit.Instr.Tracepoint _ | Circuit.Instr.Barrier _ -> ()
+      | _ -> invalid_arg "Sparse.run: non-unitary instruction")
+    (Circuit.instrs c);
+  t
 
-(* entries are index-sorted, so summing occupied amplitudes in storage
-   order reproduces the dense engine's ascending-index accumulation
-   (skipped entries contribute exact zeros there) *)
-let prob1 t q =
-  check_q t q;
-  let bit = 1 lsl q in
-  let p = ref 0. in
-  for i = 0 to t.size - 1 do
-    if t.idx.(i) land bit <> 0 then
-      p := !p +. (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i))
-  done;
-  !p
-
-let project t q outcome =
-  if outcome <> 0 && outcome <> 1 then
-    invalid_arg "Sparse.project: outcome must be 0 or 1";
-  let bit = 1 lsl q in
-  let p = if outcome = 1 then prob1 t q else 1. -. prob1 t q in
-  if p <= 1e-15 then 0.
-  else begin
-    let f = 1. /. sqrt p in
-    let w = ref 0 in
-    for i = 0 to t.size - 1 do
-      let k = t.idx.(i) in
-      let keep = if outcome = 1 then k land bit <> 0 else k land bit = 0 in
-      if keep then begin
-        t.idx.(!w) <- k;
-        t.re.(!w) <- f *. t.re.(i);
-        t.im.(!w) <- f *. t.im.(i);
-        incr w
-      end
-    done;
-    t.size <- !w;
-    p
-  end
-
-(* same draw-then-compare convention as [Statevec.measure], so a
-   trajectory consumes the generator stream identically *)
-let measure rng t q =
-  let p1 = prob1 t q in
-  let outcome = if Stats.Rng.float rng 1. < p1 then 1 else 0 in
-  ignore (project t q outcome);
-  outcome
-
-let sample rng t =
-  let r = ref (Stats.Rng.float rng 1.) in
-  let result = ref (if t.size > 0 then t.idx.(t.size - 1) else 0) in
-  (try
-     for i = 0 to t.size - 1 do
-       let p = (t.re.(i) *. t.re.(i)) +. (t.im.(i) *. t.im.(i)) in
-       r := !r -. p;
-       if !r < 0. then begin
-         result := t.idx.(i);
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
+(* phase factor taken from the largest amplitude of [a], then every
+   entry of either state compared under it *)
+let equal ?(eps = 1e-9) a b =
+  a.n = b.n
+  &&
+  let best = ref None in
+  List.iter
+    (fun (k, v) ->
+      match !best with
+      | Some (_, bv) when Cx.norm2 bv >= Cx.norm2 v -> ()
+      | _ -> best := Some (k, v))
+    (entries a);
+  match !best with
+  | None -> b.size = 0
+  | Some (k, va) ->
+      let vb = amplitude b k in
+      Cx.norm vb > eps
+      &&
+      let phase = Cx.div va vb in
+      Float.abs (Cx.norm phase -. 1.) < 1e-6
+      && List.for_all
+           (fun (k, va) -> Cx.equal ~eps va (Cx.mul phase (amplitude b k)))
+           (entries a)
+      && List.for_all
+           (fun (k, vb) -> Cx.equal ~eps (amplitude a k) (Cx.mul phase vb))
+           (entries b)
 
 (* ------------------------- reduced densities -------------------------- *)
 
@@ -390,107 +321,3 @@ let reduced_density t keep =
     i := !j
   done;
   rho
-
-(* ------------------------------- runs --------------------------------- *)
-
-type final = Sparse_state of t | Dense_state of Qstate.Statevec.t
-
-type result = {
-  final : final;
-  clbits : int array;
-  traces : (int * Cmat.t) list;
-  peak_support : int;
-}
-
-(* minimal dense gate applier for the densify escape hatch ([Engine]
-   sits above this module, so its applier cannot be reused here) *)
-let dense_swap_matrix =
-  Cmat.init 4 4 (fun i j ->
-      let swapped = ((j land 1) lsl 1) lor ((j lsr 1) land 1) in
-      if i = swapped then Cx.one else Cx.zero)
-
-let dense_apply_gate (g : Circuit.Gate.t) st =
-  match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
-  | "swap", [ a; b ] ->
-      if g.Circuit.Gate.controls <> [] then
-        invalid_arg "Sparse: controlled swap unsupported";
-      Qstate.Statevec.apply2 dense_swap_matrix a b st
-  | name, [ tgt ] ->
-      let u = Qstate.Gates.by_name name g.Circuit.Gate.params in
-      Qstate.Statevec.apply_controlled ~controls:g.Circuit.Gate.controls u tgt st
-  | _ -> invalid_arg "Sparse: malformed gate"
-
-let default_densify_limit = 1 lsl 16
-
-let run ?rng ?(input = 0) ?(densify_limit = default_densify_limit) c =
-  let rng = match rng with Some r -> r | None -> Stats.Rng.make 0xC0FFEE in
-  let n = Circuit.num_qubits c in
-  let state = ref (Sparse_state (basis n input)) in
-  let clbits = Array.make (Circuit.num_clbits c) 0 in
-  let traces = ref [] in
-  let peak = ref 1 in
-  (* densify once the support crosses both the caller's limit and a
-     quarter of the dense dimension — past that point the dense kernels
-     are cheaper and the register is small enough to allocate *)
-  let densify_at =
-    if n <= 26 then min densify_limit (max 1 ((1 lsl n) / 4)) else max_int
-  in
-  let maybe_densify () =
-    match !state with
-    | Sparse_state t when t.size > densify_at ->
-        if Obs.enabled () then Obs.Metrics.counter_add "sparse_densified_total" 1;
-        state := Dense_state (to_statevec t)
-    | _ -> ()
-  in
-  List.iter
-    (fun instr ->
-      match instr with
-      | Circuit.Instr.Gate g ->
-          (match !state with
-          | Sparse_state t ->
-              apply_gate g t;
-              peak := max !peak t.size
-          | Dense_state st -> dense_apply_gate g st);
-          maybe_densify ()
-      | Circuit.Instr.Tracepoint { id; qubits } ->
-          let rho =
-            match !state with
-            | Sparse_state t -> reduced_density t qubits
-            | Dense_state st -> Qstate.Statevec.reduced_density st qubits
-          in
-          traces := (id, rho) :: !traces
-      | Circuit.Instr.Measure { qubit; clbit } ->
-          let outcome =
-            match !state with
-            | Sparse_state t -> measure rng t qubit
-            | Dense_state st -> Qstate.Statevec.measure rng st qubit
-          in
-          clbits.(clbit) <- outcome
-      | Circuit.Instr.Reset q -> (
-          match !state with
-          | Sparse_state t ->
-              if measure rng t q = 1 then
-                apply_gate (Circuit.Gate.make "x" [ q ]) t
-          | Dense_state st ->
-              if Qstate.Statevec.measure rng st q = 1 then
-                Qstate.Statevec.apply1 Qstate.Gates.x q st)
-      | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
-          let read =
-            List.fold_left
-              (fun (acc, k) b -> (acc lor (clbits.(b) lsl k), k + 1))
-              (0, 0) cbs
-            |> fst
-          in
-          if read = value then begin
-            (match !state with
-            | Sparse_state t ->
-                apply_gate gate t;
-                peak := max !peak t.size
-            | Dense_state st -> dense_apply_gate gate st);
-            maybe_densify ()
-          end
-      | Circuit.Instr.Barrier _ -> ())
-    (Circuit.instrs c);
-  if Obs.enabled () then
-    Obs.Metrics.counter_add "sparse_amps_peak_total" !peak;
-  { final = !state; clbits; traces = List.rev !traces; peak_support = !peak }

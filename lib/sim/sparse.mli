@@ -1,88 +1,49 @@
 (** Sparse statevector engine: sorted-coordinate (index, amplitude) runs
-    with eager pruning at {!cutoff}. Memory and time scale with the
+    with eager pruning of amplitudes whose squared magnitude is at most
+    [1e-12]. Memory and time scale with the
     occupied support instead of [2^n], so low-occupancy programs
     (Bernstein-Vazirani, QRAM reads, lock circuits) simulate at 28+
     qubits where the dense engine cannot allocate; up to 62 qubits
     (indices are OCaml ints).
 
-    [Sim.Engine]'s [`Auto] routing sends a circuit here only when
-    [Analysis.Classify.support_bound] proves the support stays small;
-    {!run} additionally carries a densify escape hatch for direct
-    callers whose support outgrows the sparse representation on a
-    register the dense engine can hold. *)
+    One of the three cone backends of [Sim.Engine]: [`Auto] routing
+    sends a circuit here only when [Analysis.Classify.support_bound]
+    proves every tracepoint cone's support stays small. {!run} and
+    {!equal} serve the automata-style equivalence baseline
+    ([Baselines.Automa]). *)
 
 type t
-
-(** Amplitudes with squared magnitude at or below this ([1e-12]) are
-    pruned. *)
-val cutoff : float
 
 (** [basis n k] is the computational basis state [|k>] on [n] qubits
     (support 1). *)
 val basis : int -> int -> t
 
-val num_qubits : t -> int
-
 (** Number of occupied (above-cutoff) basis states. *)
 val support : t -> int
 
-val copy : t -> t
+(** Largest {!support} reached since {!basis}, counting the state after
+    every {!apply_gate}. *)
+val peak_support : t -> int
 
-(** [amplitude t k] — [O(log support)] binary search; zero when absent. *)
-val amplitude : t -> int -> Linalg.Cx.t
-
-(** Occupied entries in ascending index order. *)
-val entries : t -> (int * Linalg.Cx.t) list
-
-val norm : t -> float
-
-(** Dense conversions (bounded by [Statevec]'s qubit cap). *)
+(** Dense conversion (bounded by [Statevec]'s qubit cap). *)
 val to_statevec : t -> Qstate.Statevec.t
-
-val of_statevec : Qstate.Statevec.t -> t
 
 (** [apply_gate g t] applies a gate in place: diagonal gates rotate
     phases without re-sorting, x/y/swap/general 1q gates pair occupied
     indices with their (possibly unoccupied) partners and re-sort. *)
 val apply_gate : Circuit.Gate.t -> t -> unit
 
-val prob1 : t -> int -> float
+(** [run c ~input] pushes the basis state [|input>] through every gate
+    of [c], skipping tracepoints and barriers; raises [Invalid_argument]
+    on measurement, reset or feedback. *)
+val run : Circuit.t -> input:int -> t
 
-(** [project t q outcome] — same convention as [Statevec.project]:
-    returns the outcome probability, leaves the state unchanged when it
-    is below [1e-15]. *)
-val project : t -> int -> int -> float
-
-(** [measure rng t q] — one [rng] draw, then collapse; identical stream
-    consumption to [Statevec.measure]. *)
-val measure : Stats.Rng.t -> t -> int -> int
-
-(** [sample rng t] draws one basis index from the Born distribution. *)
-val sample : Stats.Rng.t -> t -> int
+(** [equal ?eps a b] compares two states up to a global phase, entry by
+    entry within [eps] (default [1e-9]). *)
+val equal : ?eps:float -> t -> t -> bool
 
 (** [reduced_density t keep] — the reduced density matrix on [keep]
     (bit [j] of the reduced index is [List.nth keep j], as in
     [Statevec.reduced_density]), via one outer product per contiguous
     environment group: [O(support^2)] worst case, independent of [n]. *)
 val reduced_density : t -> int list -> Linalg.Cmat.t
-
-type final = Sparse_state of t | Dense_state of Qstate.Statevec.t
-
-type result = {
-  final : final;
-  clbits : int array;
-  traces : (int * Linalg.Cmat.t) list;
-  peak_support : int;  (** maximum live support over the run *)
-}
-
-val default_densify_limit : int
-(** Support threshold of {!run}'s densify escape hatch, [2^16]. *)
-
-(** [run ?rng ?input ?densify_limit c] executes a full program —
-    gates, tracepoints, measurement, reset and classical feedback —
-    from basis state [input], switching to the dense engine mid-run if
-    the live support crosses [densify_limit] (and the register fits
-    densely). Same measurement conventions as [Sim.Engine.run] under
-    the ideal noise model. *)
-val run :
-  ?rng:Stats.Rng.t -> ?input:int -> ?densify_limit:int -> Circuit.t -> result

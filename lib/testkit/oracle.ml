@@ -37,10 +37,10 @@ let statevec_vs_tableau circ =
 let statevec_vs_sparse ?(input = 0) circ =
   let c = Gen.build circ in
   let input = input mod (1 lsl Circuit.num_qubits c) in
-  let sparse = Baselines.Sparse_sim.run c ~input in
+  let sparse = Sim.Sparse.run c ~input in
   let initial = Qstate.Statevec.basis (Circuit.num_qubits c) input in
   let dense = (Sim.Engine.run ~initial c).Sim.Engine.state in
-  Qstate.Statevec.fidelity_pure (Baselines.Sparse_sim.to_statevec sparse) dense
+  Qstate.Statevec.fidelity_pure (Sim.Sparse.to_statevec sparse) dense
   >= 1.0 -. eps
 
 let gates_agree (a : Circuit.Gate.t) (b : Circuit.Gate.t) =
@@ -249,25 +249,11 @@ let lightcone_restrict_matches circ =
       | _ -> false)
     (Analysis.Lightcone.cones c)
 
-let stabilizer_traces_agree circ =
+let route_vs_statevec route circ =
   let c = Gen.build circ in
-  (not (Sim.Engine.stabilizer_applicable c))
+  (not (Sim.Engine.applicable route c))
   || traces_match
-       (Sim.Engine.stabilizer_traces c)
-       (Sim.Engine.run c).Sim.Engine.traces
-
-let sparse_vs_statevec circ =
-  let c = Gen.build circ in
-  (not (Sim.Engine.sparse_applicable c))
-  || traces_match
-       (Sim.Engine.sparse_traces c)
-       (Sim.Engine.run c).Sim.Engine.traces
-
-let rank_vs_statevec circ =
-  let c = Gen.build circ in
-  (not (Sim.Engine.rank_applicable c))
-  || traces_match
-       (Sim.Engine.rank_traces c)
+       (Sim.Engine.cone_traces route c)
        (Sim.Engine.run c).Sim.Engine.traces
 
 let samples_agree ?(bitwise = false) (a : Morphcore.Characterize.t)
@@ -310,7 +296,7 @@ let characterize_auto_unchanged ?pool ?(kind = Clifford.Sampling.Clifford) circ 
    meter, traces within eps *)
 let characterize_stabilizer_route ?pool circ =
   let c = Gen.build circ in
-  (not (Sim.Engine.stabilizer_applicable c))
+  (not (Sim.Engine.applicable `Stabilizer c))
   ||
   let run engine =
     Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99)

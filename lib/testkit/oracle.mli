@@ -9,6 +9,8 @@
     - {!statevec_vs_tableau} — Clifford circuits: full density matrix and
       per-qubit stabilizer [<Z>] expectations.
     - {!statevec_vs_sparse} — pure circuits from any basis input.
+    - {!route_vs_statevec} — each lightcone-restricted cone backend
+      against the dense engine, where the backend applies.
     - {!qasm_roundtrip} — any program: [parse (to_string c)] is [c].
     - {!transpile_preserves} — pure circuits: each peephole pass keeps the
       unitary (up to global phase). *)
@@ -112,22 +114,11 @@ val prune_idempotent : Gen.circ -> bool
     {!eps}. *)
 val lightcone_restrict_matches : Gen.circ -> bool
 
-(** [stabilizer_traces_agree c] — on circuits where
-    [Sim.Engine.stabilizer_applicable] holds, the lightcone-restricted
-    tableau traces agree with the state-vector engine within {!eps};
-    vacuously true otherwise. *)
-val stabilizer_traces_agree : Gen.circ -> bool
-
-(** [sparse_vs_statevec c] — on circuits where
-    [Sim.Engine.sparse_applicable] holds, the lightcone-restricted
-    sparse-coordinate traces agree with the state-vector engine within
-    {!eps}; vacuously true otherwise. *)
-val sparse_vs_statevec : Gen.circ -> bool
-
-(** [rank_vs_statevec c] — on circuits where [Sim.Engine.rank_applicable]
-    holds, the sum-over-stabilizers traces agree with the state-vector
+(** [route_vs_statevec route c] — on circuits where
+    [Sim.Engine.applicable route] holds, the lightcone-restricted
+    {!Sim.Engine.cone_traces} on [route] agree with the state-vector
     engine within {!eps}; vacuously true otherwise. *)
-val rank_vs_statevec : Gen.circ -> bool
+val route_vs_statevec : Sim.Engine.route -> Gen.circ -> bool
 
 (** [characterize_auto_unchanged ?pool ?kind c] — the pinned regression for
     stabilizer auto-routing: on any program where the routing does not fire
@@ -144,8 +135,7 @@ val characterize_auto_unchanged :
 val characterize_stabilizer_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
 
 (** [characterize_scale_route ?pool c] — with the dense-amplitude wall
-    forced to zero via [Characterize.run ~wall:0.] (the global
-    [Sim.Engine.dense_amp_wall] is never touched) so the scalable routes
+    forced to zero via [Characterize.run ~wall:0.] so the scalable routes
     fire on small circuits: whenever [auto_route ~wall:0.] picks
     [`Sparse] or [`Rank], [Basis]-kind characterization under [`Auto]
     matches [`Sequential] (identical cost meters, traces within {!eps});

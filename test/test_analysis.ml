@@ -264,7 +264,8 @@ let test_stabilizer_engine_matches () =
       empty 4 |> h 0 |> cx 0 1 |> cx 1 2 |> tracepoint 1 [ 0; 2 ]
       |> s 2 |> tracepoint 2 [ 2; 3 ])
   in
-  Alcotest.(check bool) "applicable" true (Sim.Engine.stabilizer_applicable c);
+  Alcotest.(check bool) "applicable" true
+    (Sim.Engine.applicable `Stabilizer c);
   let auto = Sim.Engine.tracepoint_states c in
   let sv = Sim.Engine.tracepoint_states ~engine:`Statevec c in
   Alcotest.(check bool) "auto = statevec" true (Oracle.traces_match auto sv)
@@ -272,7 +273,7 @@ let test_stabilizer_engine_matches () =
 let test_stabilizer_engine_rejects () =
   let c = Circuit.(empty 1 |> t_gate 0 |> tracepoint 1 [ 0 ]) in
   Alcotest.(check bool) "not applicable" false
-    (Sim.Engine.stabilizer_applicable c);
+    (Sim.Engine.applicable `Stabilizer c);
   match Sim.Engine.tracepoint_states ~engine:`Stabilizer c with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
@@ -293,7 +294,8 @@ let prop_restrict_matches =
 
 let prop_stabilizer_traces =
   QCheck.Test.make ~name:"stabilizer_traces ~ statevec (clifford)" ~count
-    (Gen.clifford ()) Oracle.stabilizer_traces_agree
+    (Gen.clifford ())
+    (Oracle.route_vs_statevec `Stabilizer)
 
 let prop_classify_clifford_gen =
   QCheck.Test.make ~name:"clifford generator classifies Clifford" ~count

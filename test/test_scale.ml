@@ -97,69 +97,23 @@ let prop_expectation_pauli =
 
 let test_sparse_bv () =
   let c = Benchmarks.Bv.circuit ~secret:0b10110 6 in
-  let r = Sim.Sparse.run ~densify_limit:256 c in
+  let st = Sim.Sparse.run c ~input:0 in
   let dense = Sim.Engine.run c in
-  let final =
-    match r.Sim.Sparse.final with
-    | Sim.Sparse.Sparse_state st -> Sim.Sparse.to_statevec st
-    | Sim.Sparse.Dense_state st -> st
-  in
   Alcotest.(check bool) "final state" true
-    (Qstate.Statevec.fidelity_pure final dense.Sim.Engine.state >= 1. -. 1e-9);
+    (Qstate.Statevec.fidelity_pure (Sim.Sparse.to_statevec st)
+       dense.Sim.Engine.state
+    >= 1. -. 1e-9);
   (* the H layer grows the live support well past the single basis state *)
-  Alcotest.(check bool) "peak support grew" true (r.Sim.Sparse.peak_support >= 64);
-  check_traces "traces" r.Sim.Sparse.traces dense.Sim.Engine.traces
-
-let test_sparse_densify () =
-  (* uniform superposition outgrows the limit and falls back densely *)
-  let c = ref (Circuit.empty 8) in
-  for q = 0 to 7 do
-    c := Circuit.h q !c
-  done;
-  let c = Circuit.(!c |> t_gate 0 |> tracepoint 1 [ 0 ]) in
-  let r = Sim.Sparse.run ~densify_limit:4 c in
-  (match r.Sim.Sparse.final with
-  | Sim.Sparse.Dense_state st ->
-      Alcotest.(check bool) "dense final" true
-        (Qstate.Statevec.fidelity_pure st (Sim.Engine.run c).Sim.Engine.state
-        >= 1. -. 1e-9)
-  | Sim.Sparse.Sparse_state _ -> Alcotest.fail "expected densify");
-  check_traces "traces" r.Sim.Sparse.traces (Sim.Engine.run c).Sim.Engine.traces
-
-let sparse_dispatchable c =
-  List.for_all
-    (function
-      | Circuit.Instr.Gate g | Circuit.Instr.If_gate { gate = g; _ } -> (
-          match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
-          | "swap", [ _; _ ] -> g.Circuit.Gate.controls = []
-          | _, [ _ ] -> true
-          | _ -> false)
-      | _ -> true)
-    (Circuit.instrs c)
-
-(* full programs (measure / reset / feedback): same generator stream as
-   the dense engine, so clbits are bit-identical and states agree *)
-let prop_sparse_program =
-  QCheck.Test.make ~name:"Sparse.run ~ Engine.run (programs)" ~count
-    (Gen.program ())
-    (fun circ ->
-      let c = Gen.build circ in
-      (not (sparse_dispatchable c))
-      ||
-      let a = Sim.Sparse.run ~rng:(Stats.Rng.make 42) c in
-      let b = Sim.Engine.run ~rng:(Stats.Rng.make 42) c in
-      let final =
-        match a.Sim.Sparse.final with
-        | Sim.Sparse.Sparse_state st -> Sim.Sparse.to_statevec st
-        | Sim.Sparse.Dense_state st -> st
-      in
-      a.Sim.Sparse.clbits = b.Sim.Engine.clbits
-      && Oracle.traces_match a.Sim.Sparse.traces b.Sim.Engine.traces
-      && Qstate.Statevec.fidelity_pure final b.Sim.Engine.state >= 1. -. 1e-9)
+  Alcotest.(check bool) "peak support grew" true
+    (Sim.Sparse.peak_support st >= 64);
+  check_traces "traces"
+    (Sim.Engine.cone_traces `Sparse c)
+    dense.Sim.Engine.traces
 
 let prop_sparse_traces =
   QCheck.Test.make ~name:"sparse_traces ~ statevec (pure)" ~count
-    (Gen.pure ()) Oracle.sparse_vs_statevec
+    (Gen.pure ())
+    (Oracle.route_vs_statevec `Sparse)
 
 (* ------------------------- stabilizer-rank engine --------------------- *)
 
@@ -168,8 +122,9 @@ let test_rank_small () =
     Circuit.(
       empty 3 |> h 0 |> cx 0 1 |> t_gate 1 |> cx 1 2 |> tracepoint 1 [ 1; 2 ])
   in
-  Alcotest.(check bool) "applicable" true (Sim.Engine.rank_applicable c);
-  check_traces "traces" (Sim.Engine.rank_traces c)
+  Alcotest.(check bool) "applicable" true (Sim.Engine.applicable `Rank c);
+  check_traces "traces"
+    (Sim.Engine.cone_traces `Rank c)
     (Sim.Engine.run c).Sim.Engine.traces
 
 let test_rank_branches () =
@@ -184,9 +139,99 @@ let test_rank_branches () =
 
 let prop_rank_traces =
   QCheck.Test.make ~name:"rank_traces ~ statevec (near-clifford)" ~count
-    (Gen.near_clifford ()) Oracle.rank_vs_statevec
+    (Gen.near_clifford ())
+    (Oracle.route_vs_statevec `Rank)
 
 (* ------------------------------ routing ------------------------------- *)
+
+(* the end-to-end scale programs: routed by the golden table below and
+   characterized past the dense wall further down *)
+let bv28_secret = 0b1 lor (0b1011 lsl 10)
+let bv28 = Benchmarks.Bv.circuit ~trace_qubits:[ 0; 1 ] ~secret:bv28_secret 28
+let lock_key = 0b10
+
+let lock32 =
+  (Benchmarks.Quantum_lock.make ~key_tracepoint:false ~key:lock_key 31)
+    .Benchmarks.Quantum_lock.circuit
+
+let qram28 =
+  (Benchmarks.Qram.make_cells ~addr_tracepoint:false
+     ~cells:[ (1, 0.3); (5, 1.1) ]
+     27)
+    .Benchmarks.Qram.s_circuit
+
+let ghz24_t6 =
+  Circuit.(ghz ~ts:[ 3; 7; 11; 15; 19; 23 ] 24 |> tracepoint 1 [ 22; 23 ])
+
+let families =
+  [
+    ("bv-28", bv28);
+    ("lock-32", lock32);
+    ("qram-28", qram28);
+    ("ghz-t6-24", ghz24_t6);
+  ]
+
+(* MQ018 rank exponents that changed once [sim_class] counted
+   non-Clifford gates per cone instead of per program: the GHZ chain's
+   T gates all follow its last cx, so the [22; 23] cone holds only the
+   T on qubit 23 *)
+let rank_exponent_fixes =
+  [ ("family/ghz-t6-24", "stabilizer-rank 2^6", "stabilizer-rank 2^1") ]
+
+let golden_circuit row =
+  match String.split_on_char '/' row with
+  | [ "example"; name ] ->
+      Qasm.parse_file (Printf.sprintf "../examples/qasm/%s.qasm" name)
+  | [ "family"; name ] -> List.assoc name families
+  | [ cls; seed ] ->
+      let gen =
+        match cls with
+        | "pure" -> Gen.gen_pure ()
+        | "clifford" -> Gen.gen_clifford ()
+        | "near_clifford" -> Gen.gen_near_clifford ()
+        | "program" -> Gen.gen_program ()
+        | _ -> Alcotest.failf "unknown generator class %S" cls
+      in
+      Gen.build
+        (QCheck.Gen.generate1
+           ~rand:(Random.State.make [| int_of_string seed |])
+           gen)
+  | _ -> Alcotest.failf "malformed golden row %S" row
+
+let route_name = function
+  | None -> "-"
+  | Some `Stabilizer -> "stabilizer"
+  | Some `Sparse -> "sparse"
+  | Some `Rank -> "rank"
+
+(* every row of route_golden.txt: the route at the default wall, the
+   route at [~wall:0.] and the MQ018 class *)
+let check_route_golden () =
+  let rows =
+    In_channel.with_open_text "route_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check bool) "golden rows" true (List.length rows > 200);
+  List.iter
+    (fun line ->
+      match String.split_on_char '\t' line with
+      | [ row; route; route0; cls ] ->
+          let c = golden_circuit row in
+          let cls =
+            match List.find_opt (fun (r, _, _) -> r = row) rank_exponent_fixes with
+            | Some (_, recorded, fixed) ->
+                Alcotest.(check string) (row ^ " recorded class") recorded cls;
+                fixed
+            | None -> cls
+          in
+          Alcotest.(check string) (row ^ " route") route
+            (route_name (Sim.Engine.auto_route c));
+          Alcotest.(check string) (row ^ " route at wall 0") route0
+            (route_name (Sim.Engine.auto_route ~wall:0. c));
+          Alcotest.(check string) (row ^ " class") cls (Sim.Engine.sim_class c)
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    rows
 
 let test_auto_route () =
   let clifford = Circuit.(empty 2 |> h 0 |> cx 0 1 |> tracepoint 1 [ 0 ]) in
@@ -207,7 +252,8 @@ let test_auto_route () =
   Alcotest.(check bool) "near-clifford -> rank" true
     (Sim.Engine.auto_route ~wall:0.
        Circuit.(ghz ~ts:[ 17 ] 18 |> tracepoint 1 [ 17 ])
-    = Some `Rank)
+    = Some `Rank);
+  check_route_golden ()
 
 let test_forced_engines_reject () =
   (match
@@ -234,11 +280,11 @@ let with_metrics f =
   Obs.Metrics.reset ();
   Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) f
 
+let counter ?labels name =
+  Option.value ~default:0 (Obs.Metrics.counter_value ?labels name)
+
 let routed_count engine =
-  Option.value ~default:0
-    (Obs.Metrics.counter_value
-       ~labels:[ ("engine", engine) ]
-       "sim_engine_routed_total")
+  counter ~labels:[ ("engine", engine) ] "sim_engine_routed_total"
 
 let basis_index st =
   let d = Qstate.Statevec.dim st in
@@ -257,8 +303,7 @@ let basis_index st =
    even allocate 2^28 amplitudes — and the traced qubits must read
    [input xor secret] exactly *)
 let test_bv28_characterize () =
-  let secret = 0b1 lor (0b1011 lsl 10) in
-  let c = Benchmarks.Bv.circuit ~trace_qubits:[ 0; 1 ] ~secret 28 in
+  let secret = bv28_secret and c = bv28 in
   Alcotest.(check bool) "routes stabilizer" true
     (Sim.Engine.auto_route c = Some `Stabilizer);
   with_metrics @@ fun () ->
@@ -271,6 +316,8 @@ let test_bv28_characterize () =
   Alcotest.(check int) "stabilizer routed per sample" 3
     (routed_count "stabilizer");
   Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
+  (* one cone per sample *)
+  Alcotest.(check int) "stabilizer cones" 3 (counter "stabilizer_routed_total");
   Array.iter
     (fun (s : Morphcore.Characterize.sample) ->
       let b = basis_index s.Morphcore.Characterize.input_state in
@@ -298,9 +345,7 @@ let test_bv28_characterize () =
    support bound is 2 and the sparse route carries every sample. The
    probe must read 1 exactly on the secret key. *)
 let test_lock32_characterize () =
-  let key = 0b10 in
-  let t = Benchmarks.Quantum_lock.make ~key_tracepoint:false ~key 31 in
-  let c = t.Benchmarks.Quantum_lock.circuit in
+  let key = lock_key and c = lock32 in
   Alcotest.(check int) "32 qubits" 32 (Circuit.num_qubits c);
   Alcotest.(check bool) "routes sparse" true
     (Sim.Engine.auto_route c = Some `Sparse);
@@ -314,6 +359,8 @@ let test_lock32_characterize () =
   in
   Alcotest.(check int) "sparse routed per sample" 3 (routed_count "sparse");
   Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
+  (* summed over the three samples' cones *)
+  Alcotest.(check int) "sparse peak support" 6 (counter "sparse_amps_peak_total");
   Array.iter
     (fun (s : Morphcore.Characterize.sample) ->
       let b = basis_index s.Morphcore.Characterize.input_state in
@@ -340,9 +387,7 @@ let test_lock32_characterize () =
    engine; the traced pair of a (phased) GHZ state is the exact
    half-half classical mixture *)
 let test_rank24_characterize () =
-  let c =
-    Circuit.(ghz ~ts:[ 3; 7; 11; 15; 19; 23 ] 24 |> tracepoint 1 [ 22; 23 ])
-  in
+  let c = ghz24_t6 in
   Alcotest.(check bool) "routes rank" true
     (Sim.Engine.auto_route c = Some `Rank);
   with_metrics @@ fun () ->
@@ -354,6 +399,8 @@ let test_rank24_characterize () =
   in
   Alcotest.(check int) "rank routed per sample" 2 (routed_count "rank");
   Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
+  (* the cone's single T gate splits each sample into two frames *)
+  Alcotest.(check int) "rank frames" 4 (counter "rank_branches_total");
   Array.iter
     (fun (s : Morphcore.Characterize.sample) ->
       let m = List.assoc 1 s.Morphcore.Characterize.traces in
@@ -385,12 +432,22 @@ let prop_scale_route =
 (* ------------------------------- MQ018 -------------------------------- *)
 
 (* same wiring as the CLI: the router lives above the analysis layer *)
-let classify c =
-  match Sim.Engine.sim_class c with
-  | Sim.Engine.Class_dense -> "dense"
-  | Sim.Engine.Class_sparse -> "sparse"
-  | Sim.Engine.Class_stabilizer -> "stabilizer"
-  | Sim.Engine.Class_rank k -> Printf.sprintf "stabilizer-rank 2^%d" k
+let classify = Sim.Engine.sim_class
+
+(* two disjoint 18-qubit GHZ chains, each with a T gate right after
+   every fourth cx and a tracepoint at its end: each cone holds five
+   non-Clifford gates, the program ten *)
+let two_cone_ghz_t () =
+  let c = ref (Circuit.empty 36) in
+  List.iter
+    (fun base ->
+      c := Circuit.h base !c;
+      for k = 1 to 17 do
+        c := Circuit.cx (base + k - 1) (base + k) !c;
+        if k mod 4 = 1 then c := Circuit.t_gate (base + k) !c
+      done)
+    [ 0; 18 ];
+  Circuit.(!c |> tracepoint 1 [ 17 ] |> tracepoint 2 [ 35 ])
 
 (* a program no scalable engine accepts: a controlled non-Clifford
    rotation (not rank-decomposable) under a register-wide tracepoint *)
@@ -420,6 +477,11 @@ let test_mq018 () =
   Alcotest.(check string) "rank class"
     "estimated simulation class: stabilizer-rank 2^1"
     (info_of Circuit.(ghz ~ts:[ 17 ] 18 |> tracepoint 1 [ 17 ]));
+  (* the rank backend runs each cone separately and admits on the
+     per-cone count, so that is the exponent reported *)
+  Alcotest.(check string) "rank class, two cones"
+    "estimated simulation class: stabilizer-rank 2^5"
+    (info_of (two_cone_ghz_t ()));
   (* measurement makes every scalable route refuse: Info only, no
      warning on a narrow register *)
   Alcotest.(check string) "dense class (small)"
@@ -459,7 +521,6 @@ let () =
       ( "sparse",
         [
           Alcotest.test_case "bv end state" `Quick test_sparse_bv;
-          Alcotest.test_case "densify hatch" `Quick test_sparse_densify;
         ] );
       ( "rank",
         [
@@ -492,7 +553,6 @@ let () =
         List.map qtest
           [
             prop_expectation_pauli;
-            prop_sparse_program;
             prop_sparse_traces;
             prop_rank_traces;
             prop_scale_route;
