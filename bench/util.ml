@@ -86,25 +86,13 @@ let bench_rows : bench_row list ref = ref []
    the work done by its own experiment *)
 let counter_baseline : (string, int) Hashtbl.t = Hashtbl.create 64
 
-let flat_counter_name (e : Obs.Metrics.entry) =
-  match e.labels with
-  | [] -> e.name
-  | labels ->
-      Printf.sprintf "%s{%s}" e.name
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels))
-
 let counter_delta () =
   List.filter_map
-    (fun (e : Obs.Metrics.entry) ->
-      match e.data with
-      | Obs.Metrics.Counter v ->
-          let key = flat_counter_name e in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt counter_baseline key) in
-          Hashtbl.replace counter_baseline key v;
-          if v > prev then Some (key, v - prev) else None
-      | _ -> None)
-    (Obs.Metrics.snapshot ())
+    (fun (key, v) ->
+      let prev = Option.value ~default:0 (Hashtbl.find_opt counter_baseline key) in
+      Hashtbl.replace counter_baseline key v;
+      if v > prev then Some (key, v - prev) else None)
+    (Obs.Metrics.counters ())
 
 (* re-running an experiment REPLACES its row (keyed by [name]) rather
    than growing duplicates across driver invocations in one process *)
@@ -120,56 +108,44 @@ let prev_path path =
     Filename.chop_suffix path ".json" ^ ".prev.json"
   else path ^ ".prev"
 
+let row_json
+    { name; seconds; samples; speedup; domains; cases; ops; metrics } =
+  let num x = Jsonx.Num x in
+  let pair (ka, kb) = function
+    | Some (a, b) -> [ (ka, Jsonx.int a); (kb, Jsonx.int b) ]
+    | None -> []
+  in
+  Jsonx.Obj
+    ([ ("name", Jsonx.Str name); ("seconds", num seconds) ]
+    @ (if samples = [] then []
+       else [ ("samples", Jsonx.List (List.map num samples)) ])
+    @ [
+        ("speedup", Option.fold ~none:Jsonx.Null ~some:num speedup);
+        ("domains", Jsonx.int domains);
+      ]
+    @ pair ("passed", "failed") cases
+    @ pair ("ops_before", "ops_after") ops
+    @ [
+        ("obs_schema", Jsonx.Str Obs.Metrics.schema);
+        ( "metrics",
+          Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.int v)) metrics) );
+      ])
+
 let write_bench_json path =
-  let rows = List.rev !bench_rows in
   (* keep the previous run around so [bench check] can compare the last
      two runs for statistically significant regressions *)
   if Sys.file_exists path then Sys.rename path (prev_path path);
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"morphqpv-bench-v2\",\n  \"default_domains\": %d,\n  \"results\": [\n"
-    (Parallel.Pool.env_domains ());
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i { name; seconds; samples; speedup; domains; cases; ops; metrics } ->
-      let samples_field =
-        match samples with
-        | [] -> ""
-        | _ ->
-            Printf.sprintf ", \"samples\": [%s]"
-              (String.concat ", "
-                 (List.map (Printf.sprintf "%.6f") samples))
-      in
-      let cases_field =
-        match cases with
-        | Some (passed, failed) ->
-            Printf.sprintf ", \"passed\": %d, \"failed\": %d" passed failed
-        | None -> ""
-      in
-      let ops_field =
-        match ops with
-        | Some (before, after) ->
-            Printf.sprintf ", \"ops_before\": %d, \"ops_after\": %d" before
-              after
-        | None -> ""
-      in
-      let metrics_field =
-        Printf.sprintf ", \"obs_schema\": %S, \"metrics\": {%s}"
-          Obs.Metrics.schema
-          (String.concat ", "
-             (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) metrics))
-      in
-      Printf.fprintf oc
-        "    {\"name\": %S, \"seconds\": %.6f%s, \"speedup\": %s, \"domains\": %d%s%s%s}%s\n"
-        name seconds samples_field
-        (match speedup with
-        | Some s -> Printf.sprintf "%.3f" s
-        | None -> "null")
-        domains cases_field ops_field metrics_field
-        (if i = last then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
+  let doc =
+    Jsonx.Obj
+      [
+        ("schema", Jsonx.Str "morphqpv-bench-v2");
+        ("default_domains", Jsonx.int (Parallel.Pool.env_domains ()));
+        ("results", Jsonx.List (List.rev_map row_json !bench_rows));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Jsonx.to_string doc);
+      output_char oc '\n')
 
 let mean = Stats.Describe.mean
 

@@ -390,21 +390,8 @@ let profile_cmd file shots count seed trace_out metrics_out prom_out =
         Format.printf "note: %d span events dropped (ring full)@." dropped;
       Format.printf "@.counters:@.";
       List.iter
-        (fun e ->
-          match e.Obs.Metrics.data with
-          | Obs.Metrics.Counter v ->
-              let labels =
-                match e.Obs.Metrics.labels with
-                | [] -> ""
-                | ls ->
-                    "{"
-                    ^ String.concat ","
-                        (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-                    ^ "}"
-              in
-              Format.printf "  %-40s %d@." (e.Obs.Metrics.name ^ labels) v
-          | _ -> ())
-        (Obs.Metrics.snapshot ());
+        (fun (key, v) -> Format.printf "  %-40s %d@." key v)
+        (Obs.Metrics.counters ());
       (match trace_out with
       | Some path ->
           if path <> "-" then Format.printf "@.";

@@ -189,7 +189,7 @@ let disk_read t ~ns key =
 let log_lookup outcome ~ns ~tier =
   if Obs.Log.enabled Obs.Log.Debug then
     Obs.Log.emit Obs.Log.Debug outcome
-      [ ("ns", Obs.Log.S ns); ("tier", Obs.Log.S tier) ]
+      [ ("ns", Jsonx.Str ns); ("tier", Jsonx.Str tier) ]
 
 let find t ~ns key =
   let full = ns ^ "\x00" ^ key in

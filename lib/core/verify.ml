@@ -288,9 +288,9 @@ let seq_counters ~cap ~used ~early =
   if early then
     Obs.Log.emit Obs.Log.Info "verify.early_stop"
       [
-        ("cap", Obs.Log.I cap);
-        ("shots", Obs.Log.I used);
-        ("saved", Obs.Log.I (cap - used));
+        ("cap", Jsonx.int cap);
+        ("shots", Jsonx.int used);
+        ("saved", Jsonx.int (cap - used));
       ]
 
 let check_counts ?(budget = `Fixed 2048) ?rng ?noise program

@@ -1,8 +1,11 @@
-(* Minimal JSON for the line-delimited RPC protocol — hand-rolled (the
-   protocol must not pull in dependencies) and small: values, a
-   recursive-descent parser, and a writer that always emits one line
-   (control characters in strings are escaped, so any payload — QASM
-   sources included — survives the line framing). *)
+(* The program's one JSON module: values, a recursive-descent parser, and
+   a writer that always emits one line (control characters in strings are
+   escaped, so any payload — QASM sources included — survives the line
+   framing of the daemon protocol and of JSONL files). Hand-rolled and
+   dependency-free so every layer, down to observability, can link it.
+
+   The parser is total and bounded: any input returns [Ok] or [Error]
+   (never raises), and nesting deeper than [max_depth] is rejected. *)
 
 type t =
   | Null
@@ -69,6 +72,8 @@ let to_string v =
 
 exception Bad of string
 
+let max_depth = 128
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -114,9 +119,18 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let h = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    h
+    let digit = function
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let h = ref 0 in
+    for _ = 1 to 4 do
+      h := (!h lsl 4) lor digit s.[!pos];
+      advance ()
+    done;
+    !h
   in
   let parse_string () =
     expect '"';
@@ -149,7 +163,11 @@ let parse s =
                   let lo = hex4 () in
                   if lo >= 0xDC00 && lo <= 0xDFFF then
                     0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
-                  else u
+                  else begin
+                    (* not a pair: keep both code units *)
+                    utf8_of_code buf u;
+                    lo
+                  end
                 end
                 else u
               in
@@ -178,10 +196,12 @@ let parse s =
     | Some x -> Num x
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '"' -> Str (parse_string ())
     | Some '{' ->
         advance ();
@@ -196,7 +216,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -218,7 +238,7 @@ let parse s =
         end
         else begin
           let rec elements acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -237,7 +257,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input";
     v

@@ -1,5 +1,9 @@
-(** Minimal JSON values for the line-delimited RPC protocol. The writer
-    always emits a single line (control characters are escaped). *)
+(** The program's one JSON module: the daemon protocol, the obs exporters
+    and logs, and the bench results file are all built as {!t} and printed
+    by {!to_string}. The writer always emits a single line (control
+    characters are escaped); non-finite numbers print as [null], integers
+    below 1e15 without an exponent, every other number as [%.17g], which
+    reads back to the same float. *)
 
 type t =
   | Null
@@ -11,6 +15,8 @@ type t =
 
 val to_string : t -> string
 val parse : string -> (t, string) result
+(** Total: every input yields [Ok] or [Error "... at offset N"], never an
+    exception. Nesting deeper than 128 arrays/objects is an [Error]. *)
 
 val member : string -> t -> t option
 val to_str : t -> string option

@@ -1,40 +1,34 @@
-(* Exporters: Chrome trace_event JSONL for spans, JSON for metrics.
+(* Exporters: Chrome trace_event JSONL for spans, Prometheus text for
+   metrics.
 
    One event per line, each a complete [ph:"B"/"E"] duration record that
    `chrome://tracing` / Perfetto accept directly (wrap the lines in a JSON
    array, or load the file as-is — both UIs tolerate newline-delimited
    event streams). [pid] is fixed at 1; [tid] is the recording domain. *)
 
-let ph_string = function Span.B -> "B" | Span.E -> "E"
-
 let event_json (ev : Span.event) =
-  let args =
+  Jsonx.Obj
+    ([
+       ("name", Jsonx.Str ev.name);
+       ("cat", Jsonx.Str "morphqpv");
+       ("ph", Jsonx.Str (match ev.ph with Span.B -> "B" | Span.E -> "E"));
+       ("ts", Jsonx.Num ev.ts_us);
+       ("pid", Jsonx.int 1);
+       ("tid", Jsonx.int ev.tid);
+     ]
+    @
     match ev.attrs with
-    | [] -> ""
-    | attrs -> Printf.sprintf ",\"args\":%s" (Metrics.labels_json attrs)
-  in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"morphqpv\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}"
-    (Metrics.json_escape ev.Span.name)
-    (ph_string ev.Span.ph) ev.Span.ts_us ev.Span.tid args
+    | [] -> []
+    | attrs -> [ ("args", Metrics.labels_json attrs) ])
 
 let trace_jsonl ?since ?until () =
   let b = Buffer.create 4096 in
   List.iter
     (fun ev ->
-      Buffer.add_string b (event_json ev);
+      Buffer.add_string b (Jsonx.to_string (event_json ev));
       Buffer.add_char b '\n')
     (Span.events ?since ?until ());
   Buffer.contents b
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
-let write_trace ?since ?until path = write_file path (trace_jsonl ?since ?until ())
-let write_metrics path = write_file path (Metrics.snapshot_json () ^ "\n")
 
 (* --------------------- Prometheus text exposition --------------------- *)
 
@@ -140,5 +134,3 @@ let prometheus () =
   Buffer.add_string b
     (Printf.sprintf "%s %d\n" dropped_name (Span.dropped ()));
   Buffer.contents b
-
-let write_prometheus path = write_file path (prometheus ())

@@ -36,8 +36,6 @@ let level_of_string s =
   | "error" -> Some Error
   | _ -> None
 
-type value = S of string | I of int | F of float | B of bool
-
 type sink =
   [ `Stderr | `Stdout | `File of string | `Fn of string -> unit | `Off ]
 
@@ -79,46 +77,21 @@ let configure ?(level = Info) sink =
 
 (* ------------------------------ lines -------------------------------- *)
 
-let add_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_field b (k, v) =
-  Buffer.add_char b ',';
-  add_escaped b k;
-  Buffer.add_char b ':';
-  match v with
-  | S s -> add_escaped b s
-  | I i -> Buffer.add_string b (string_of_int i)
-  | F x ->
-      Buffer.add_string b
-        (if Float.is_finite x then Printf.sprintf "%.9g" x else "null")
-  | B v -> Buffer.add_string b (if v then "true" else "false")
-
 let line level event fields =
-  let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "{\"ts\":%.6f" (Unix.gettimeofday ()));
-  add_field b ("level", S (level_name level));
-  add_field b ("event", S event);
-  (match Context.current () with
-  | Some req when not (List.mem_assoc "req" fields) ->
-      add_field b ("req", S req)
-  | _ -> ());
-  List.iter (add_field b) fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let req =
+    match Context.current () with
+    | Some req when not (List.mem_assoc "req" fields) ->
+        [ ("req", Jsonx.Str req) ]
+    | _ -> []
+  in
+  Jsonx.to_string
+    (Jsonx.Obj
+       ([
+          ("ts", Jsonx.Num (Unix.gettimeofday ()));
+          ("level", Jsonx.Str (level_name level));
+          ("event", Jsonx.Str event);
+        ]
+       @ req @ fields))
 
 let emit level event fields =
   if enabled level then begin

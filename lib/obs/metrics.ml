@@ -133,79 +133,74 @@ let snapshot () =
          if a.name <> b.name then compare a.name b.name
          else compare a.labels b.labels)
 
+(* the flat [name{k=v,...}] counter key: flight-recorder summaries,
+   bench result rows and the profile table all spell counters this way *)
+let flat_name name = function
+  | [] -> name
+  | labels ->
+      name ^ "{"
+      ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+      ^ "}"
+
+let counters () =
+  List.filter_map
+    (fun e ->
+      match e.data with
+      | Counter v -> Some (flat_name e.name e.labels, v)
+      | _ -> None)
+    (snapshot ())
+
 (* ------------------------------- JSON -------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let labels_json labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+  Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) labels)
 
 let schema = "morphqpv-obs-v1"
 
 let snapshot_json () =
   let entries = snapshot () in
-  let pick f = List.filter_map f entries in
-  let counters =
-    pick (fun e ->
-        match e.data with
-        | Counter v ->
-            Some
-              (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%d}"
-                 (json_escape e.name) (labels_json e.labels) v)
-        | _ -> None)
+  let pick f =
+    Jsonx.List
+      (List.filter_map
+         (fun e ->
+           Option.map
+             (fun fields ->
+               Jsonx.Obj
+                 (("name", Jsonx.Str e.name)
+                 :: ("labels", labels_json e.labels)
+                 :: fields))
+             (f e.data))
+         entries)
   in
-  let gauges =
-    pick (fun e ->
-        match e.data with
-        | Gauge v ->
-            Some
-              (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s,\"value\":%.9g}"
-                 (json_escape e.name) (labels_json e.labels) v)
-        | _ -> None)
+  let bucket h i count =
+    let le =
+      if i < Array.length h.hbounds then Jsonx.Num h.hbounds.(i)
+      else Jsonx.Str "+inf"
+    in
+    Jsonx.Obj [ ("le", le); ("count", Jsonx.int count) ]
   in
-  let histograms =
-    pick (fun e ->
-        match e.data with
-        | Histogram h ->
-            let buckets =
-              List.init
-                (Array.length h.hcounts)
-                (fun i ->
-                  let le =
-                    if i < Array.length h.hbounds then
-                      Printf.sprintf "%.9g" h.hbounds.(i)
-                    else "\"+inf\""
-                  in
-                  Printf.sprintf "{\"le\":%s,\"count\":%d}" le h.hcounts.(i))
-            in
-            let count = Array.fold_left ( + ) 0 h.hcounts in
-            Some
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"labels\":%s,\"buckets\":[%s],\"sum\":%.9g,\"count\":%d}"
-                 (json_escape e.name) (labels_json e.labels)
-                 (String.concat "," buckets) h.hsum count)
-        | _ -> None)
-  in
-  Printf.sprintf
-    "{\"schema\":\"%s\",\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}"
-    schema
-    (String.concat "," counters)
-    (String.concat "," gauges)
-    (String.concat "," histograms)
+  Jsonx.to_string
+    (Jsonx.Obj
+       [
+         ("schema", Jsonx.Str schema);
+         ( "counters",
+           pick (function
+             | Counter v -> Some [ ("value", Jsonx.int v) ]
+             | _ -> None) );
+         ( "gauges",
+           pick (function
+             | Gauge v -> Some [ ("value", Jsonx.Num v) ]
+             | _ -> None) );
+         ( "histograms",
+           pick (function
+             | Histogram h ->
+                 Some
+                   [
+                     ( "buckets",
+                       Jsonx.List
+                         (List.mapi (bucket h) (Array.to_list h.hcounts)) );
+                     ("sum", Jsonx.Num h.hsum);
+                     ("count", Jsonx.int (Array.fold_left ( + ) 0 h.hcounts));
+                   ]
+             | _ -> None) );
+       ])

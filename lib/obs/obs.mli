@@ -105,8 +105,17 @@ module Metrics : sig
   val snapshot : unit -> entry list
   (** Stable snapshot, sorted by (name, labels). *)
 
+  val flat_name : string -> labels -> string
+  (** The flat counter key [name{k=v,...}] ([name] when unlabelled), as
+      flight-recorder summaries, bench result rows and the profile table
+      spell it. *)
+
+  val counters : unit -> (string * int) list
+  (** Every counter in the snapshot under its {!flat_name} key. *)
+
   val snapshot_json : unit -> string
-  (** The snapshot as one JSON object (schema [morphqpv-obs-v1]). *)
+  (** The snapshot as one JSON object (schema [morphqpv-obs-v1]), printed
+      by {!Jsonx.to_string}: non-finite gauges and sums are [null]. *)
 
   val schema : string
 
@@ -119,11 +128,9 @@ module Export : sig
       ([ph:"B"/"E"], [ts] in microseconds), loadable in
       [chrome://tracing] / Perfetto. *)
 
-  val event_json : Span.event -> string
-  (** One span event as a single Chrome [trace_event] JSON object. *)
-
-  val write_trace : ?since:int -> ?until:int -> string -> unit
-  val write_metrics : string -> unit
+  val event_json : Span.event -> Jsonx.t
+  (** One span event as a single Chrome [trace_event] object; the daemon's
+      [trace] RPC serves the same objects. *)
 
   val prometheus : unit -> string
   (** The metrics registry in Prometheus text exposition format 0.0.4:
@@ -131,8 +138,6 @@ module Export : sig
       metric, histograms with cumulative [le] buckets plus [_sum] and
       [_count], and {!Span.dropped} synthesized at scrape time as
       [morphqpv_obs_span_dropped_total]. *)
-
-  val write_prometheus : string -> unit
 end
 
 (** Structured, leveled logging: one flat JSON object per line to a
@@ -142,7 +147,6 @@ end
     and [MORPHQPV_LOG_LEVEL], or {!Log.configure}. *)
 module Log : sig
   type level = Debug | Info | Warn | Error
-  type value = S of string | I of int | F of float | B of bool
 
   type sink =
     [ `Stderr | `Stdout | `File of string | `Fn of string -> unit | `Off ]
@@ -155,10 +159,10 @@ module Log : sig
   (** Route lines to [sink], keeping those at or above [level]
       (default [Info]). [`Off] disables logging entirely. *)
 
-  val emit : level -> string -> (string * value) list -> unit
+  val emit : level -> string -> (string * Jsonx.t) list -> unit
   (** [emit level event fields] writes one JSONL line
-      [{"ts":...,"level":...,"event":event,"req":...,fields...}].
-      No-op below the threshold. *)
+      [{"ts":...,"level":...,"event":event,"req":...,fields...}], printed
+      by {!Jsonx.to_string}. No-op below the threshold. *)
 
   val level_of_string : string -> level option
 end

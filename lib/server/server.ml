@@ -22,8 +22,8 @@
 open Morphcore
 
 (* [server] is this library's main module: siblings are invisible
-   outside unless re-exported here; [Spec] now lives in core and stays
-   reachable under its old path *)
+   outside unless re-exported here; [Jsonx] (its own library) and [Spec]
+   (in core) stay reachable under their old paths *)
 module Jsonx = Jsonx
 module Spec = Spec
 module Recorder = Recorder
@@ -246,10 +246,10 @@ let verify_request state ~emit ~id ~rid params =
       in
       Obs.Log.emit Obs.Log.Error "certify.fail"
         [
-          ("code", Obs.Log.S "MQ021");
-          ("reason", Obs.Log.S msg);
+          ("code", Jsonx.Str "MQ021");
+          ("reason", Jsonx.Str msg);
           ( "steps",
-            Obs.Log.I report.Verify.cert_summary.Transpile.Certify.chain_steps );
+            Jsonx.int report.Verify.cert_summary.Transpile.Certify.chain_steps );
         ];
       failf "MQ021: %s" msg
   | Error (Pipeline.Bad_spec e) -> raise (Fail e)
@@ -261,25 +261,6 @@ let verify_request state ~emit ~id ~rid params =
 
 (* ------------------------- request summaries --------------------------- *)
 
-(* flat [name{k=v,...}] keys, matching the bench harness's counter-delta
-   naming so a recorder summary reads like a BENCH_results entry *)
-let flat_counter_name name labels =
-  match labels with
-  | [] -> name
-  | ls ->
-      name ^ "{"
-      ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-      ^ "}"
-
-let counter_entries () =
-  List.filter_map
-    (fun (e : Obs.Metrics.entry) ->
-      match e.Obs.Metrics.data with
-      | Obs.Metrics.Counter v ->
-          Some (flat_counter_name e.Obs.Metrics.name e.Obs.Metrics.labels, v)
-      | _ -> None)
-    (Obs.Metrics.snapshot ())
-
 let counter_delta before after =
   List.filter_map
     (fun (name, v) ->
@@ -290,26 +271,6 @@ let counter_delta before after =
 (* RED latency histogram edges (seconds): a warm cache hit lands in the
    first buckets, a cold multi-qubit characterization in the last *)
 let latency_buckets = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.; 10. |]
-
-let trace_event_jsonx (ev : Obs.Span.event) =
-  let args =
-    match ev.Obs.Span.attrs with
-    | [] -> []
-    | attrs ->
-        [ ("args", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) attrs)) ]
-  in
-  Jsonx.Obj
-    ([
-       ("name", Jsonx.Str ev.Obs.Span.name);
-       ("cat", Jsonx.Str "morphqpv");
-       ( "ph",
-         Jsonx.Str
-           (match ev.Obs.Span.ph with Obs.Span.B -> "B" | Obs.Span.E -> "E") );
-       ("ts", Jsonx.Num ev.Obs.Span.ts_us);
-       ("pid", Jsonx.int 1);
-       ("tid", Jsonx.int ev.Obs.Span.tid);
-     ]
-    @ args)
 
 let summary_jsonx (s : Recorder.summary) =
   Jsonx.Obj
@@ -392,7 +353,7 @@ let trace_request state ~emit ~id ~rid params =
                 ("events", Jsonx.int (List.length s.Recorder.events));
                 ( "trace",
                   Jsonx.List
-                    (List.map trace_event_jsonx s.Recorder.events) );
+                    (List.map Obs.Export.event_json s.Recorder.events) );
               ]))
 
 let dispatch state ~emit ~id ~rid meth params =
@@ -436,9 +397,9 @@ let dispatch state ~emit ~id ~rid meth params =
 let handle_request state ~emit ~id ~rid ~verb meth params =
   let t0 = Unix.gettimeofday () in
   let mark0 = Obs.Span.mark () in
-  let counters0 = if Obs.enabled () then counter_entries () else [] in
+  let counters0 = if Obs.enabled () then Obs.Metrics.counters () else [] in
   Obs.Log.emit Obs.Log.Info "request.start"
-    [ ("req", Obs.Log.S rid); ("verb", Obs.Log.S verb) ];
+    [ ("req", Jsonx.Str rid); ("verb", Jsonx.Str verb) ];
   let failed = ref None in
   let ret =
     Obs.Context.with_request rid (fun () ->
@@ -459,7 +420,8 @@ let handle_request state ~emit ~id ~rid ~verb meth params =
   let mark1 = Obs.Span.mark () in
   let ok = Option.is_none !failed in
   let counters =
-    if Obs.enabled () then counter_delta counters0 (counter_entries ()) else []
+    if Obs.enabled () then counter_delta counters0 (Obs.Metrics.counters ())
+    else []
   in
   bump_verb state verb ~ok;
   Obs.Metrics.counter_add ~labels:[ ("verb", verb) ] "requests_total" 1;
@@ -486,16 +448,16 @@ let handle_request state ~emit ~id ~rid ~verb meth params =
     (if ok then Obs.Log.Info else Obs.Log.Warn)
     "request.finish"
     ([
-       ("req", Obs.Log.S rid);
-       ("verb", Obs.Log.S verb);
-       ("ok", Obs.Log.B ok);
-       ("seconds", Obs.Log.F seconds);
-       ("events", Obs.Log.I (List.length events));
+       ("req", Jsonx.Str rid);
+       ("verb", Jsonx.Str verb);
+       ("ok", Jsonx.Bool ok);
+       ("seconds", Jsonx.Num seconds);
+       ("events", Jsonx.int (List.length events));
      ]
     @
     match !failed with
     | None -> []
-    | Some e -> [ ("error", Obs.Log.S e) ]);
+    | Some e -> [ ("error", Jsonx.Str e) ]);
   ret
 
 let handle_line state ~emit line =

@@ -23,7 +23,7 @@
     zero characterization shots, and the [result.cache] object (per-
     request hit/miss/store deltas) makes that observable to clients. *)
 
-module Jsonx : module type of Jsonx
+module Jsonx = Jsonx
 module Spec : module type of Morphcore.Spec
 module Recorder : module type of Recorder
 

@@ -408,9 +408,9 @@ let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
   if Obs.Log.enabled Obs.Log.Debug then
     Obs.Log.emit Obs.Log.Debug "engine.route"
       [
-        ("engine", Obs.Log.S engine_name);
-        ("qubits", Obs.Log.I (Circuit.num_qubits c));
-        ("gates", Obs.Log.I (Circuit.gate_count c));
+        ("engine", Jsonx.Str engine_name);
+        ("qubits", Jsonx.int (Circuit.num_qubits c));
+        ("gates", Jsonx.int (Circuit.gate_count c));
       ];
   Obs.Span.with_ ~name:"engine.tracepoint_states"
     ~attrs:[ ("engine", engine_name) ]

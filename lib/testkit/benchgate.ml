@@ -1,8 +1,6 @@
 (* Bench-regression gate over the machine-readable results files — see
    the mli for the statistical contract. *)
 
-module Jsonx = Server.Jsonx
-
 (* --------------------------- schema binding --------------------------- *)
 
 type row = {

@@ -23,7 +23,7 @@ type row = {
 type run = { schema : string; rows : row list }
 
 (** [parse_run src] reads a [morphqpv-bench-v2] results document from a
-    string with the RPC protocol's JSON reader ({!Server.Jsonx}). *)
+    string with the program's one JSON reader ({!Jsonx}). *)
 val parse_run : string -> (run, string) result
 
 (** [load path] is {!parse_run} on the file's contents. *)

@@ -708,13 +708,23 @@ let test_server_trace_rpc () =
 
 let gen_jsonx : Jsonx.t QCheck.Gen.t =
   let open QCheck.Gen in
-  (* dyadic rationals: finite by construction, exactly representable, so
-     the writer's %.17g/%.0f output parses back to the identical float *)
+  (* any finite double — dyadic rationals, moderate magnitudes and raw
+     bit patterns (subnormals, extremes): the writer's %.0f/%.17g output
+     parses back to the identical float *)
   let finite_float =
-    map2
-      (fun m e -> Float.ldexp (float_of_int m) e)
-      (int_range (-1_000_000) 1_000_000)
-      (int_range (-20) 20)
+    oneof
+      [
+        map2
+          (fun m e -> Float.ldexp (float_of_int m) e)
+          (int_range (-1_000_000) 1_000_000)
+          (int_range (-20) 20);
+        float;
+        map
+          (fun bits ->
+            let x = Int64.float_of_bits bits in
+            if Float.is_finite x then x else Float.max_float)
+          ui64;
+      ]
   in
   let any_string = string_size ~gen:char (int_range 0 12) in
   let scalar =
@@ -751,6 +761,59 @@ let prop_jsonx_roundtrip =
     (QCheck.make ~print:Jsonx.to_string gen_jsonx)
     (fun v -> parse_exn (Jsonx.to_string v) = v)
 
+(* the parser never raises, whatever the bytes: random strings (over all
+   bytes and over JSON's own alphabet), and truncations and single-byte
+   mutations of the writer's output all return Ok or Error *)
+let prop_jsonx_parse_total =
+  let total s = match Jsonx.parse s with Ok _ | Error _ -> true in
+  let json_alphabet =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl (List.of_seq (String.to_seq "{}[]\":,\\/u0aF9e.-+ tfnl")))
+        (int_range 0 40))
+  in
+  QCheck.Test.make ~name:"jsonx: parse never raises" ~count
+    QCheck.(
+      quad
+        (make ~print:Jsonx.to_string gen_jsonx)
+        string (make ~print:Fun.id json_alphabet)
+        (pair small_nat char))
+    (fun (v, junk, near_json, (at, byte)) ->
+      let s = Jsonx.to_string v in
+      let n = String.length s in
+      let mutated =
+        String.mapi (fun i c -> if i = at mod n then byte else c) s
+      in
+      total junk && total near_json && total mutated
+      && List.for_all total (List.init (n + 1) (fun k -> String.sub s 0 k)))
+
+let test_jsonx_hostile () =
+  let rejected what s =
+    match Jsonx.parse s with
+    | Error e ->
+        Alcotest.(check bool) (what ^ ": error names an offset") true
+          (contains ~sub:" at offset " e)
+    | Ok v -> Alcotest.failf "%s parsed as %s" what (Jsonx.to_string v)
+  in
+  rejected "non-hex \\u digits" {|"\uZZZZ"|};
+  rejected "underscored \\u digits" {|"\u0_4_1"|};
+  rejected "signed \\u digits" {|"\u+041"|};
+  rejected "truncated \\u escape" {|"\u04|};
+  let nest k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool)
+    "128 levels parse" true
+    (Result.is_ok (Jsonx.parse (nest 128)));
+  rejected "129 levels" (nest 129);
+  rejected "a million open brackets" (String.make 1_000_000 '[');
+  rejected "deep objects"
+    (String.concat "" (List.init 1_000 (fun _ -> {|{"a":|})));
+  Alcotest.(check bool) "upper-case hex" true
+    (parse_exn {|"\u00E9\u00e9"|} = Jsonx.Str "\xc3\xa9\xc3\xa9");
+  Alcotest.(check bool) "surrogate pair" true
+    (parse_exn {|"\ud83d\ude00"|} = Jsonx.Str "\xf0\x9f\x98\x80");
+  Alcotest.(check bool) "unpaired high surrogate keeps the next escape" true
+    (parse_exn {|"\ud800\u0041"|} = Jsonx.Str "\xed\xa0\x80A")
+
 let test_jsonx_escaping () =
   Alcotest.(check string)
     "control chars and quotes escape" {|"a\"b\\c\nd\te\u0001\r"|}
@@ -768,6 +831,27 @@ let prop_server_obs_transparent =
     ~count:(max 5 (count / 10))
     (Gen.program ())
     Oracle.server_obs_transparent
+
+(* hostile lines a client can send: each gets exactly one error line,
+   the connection carries on, and the next request is still served *)
+let test_server_hostile_lines () =
+  let state = Server.make_state () in
+  List.iter
+    (fun line ->
+      let out, k = drive state [ line; {|{"id":7,"method":"ping"}|} ] in
+      Alcotest.(check bool) "continues" true (k = `Continue);
+      match out with
+      | [ err; pong ] ->
+          Alcotest.(check bool) "one error line" true
+            (Jsonx.member "error" err <> None);
+          Alcotest.(check (option int)) "ping still answered" (Some 7)
+            (Jsonx.mem_int "id" pong);
+          Alcotest.(check bool) "pong" true (Jsonx.member "result" pong <> None)
+      | _ -> Alcotest.failf "expected 2 lines, got %d" (List.length out))
+    [
+      {|{"id":1,"method":"ping","params":{"x":"\uZZZZ"}}|};
+      String.make 1_000_000 '[';
+    ]
 
 let test_server_shutdown () =
   let state = Server.make_state () in
@@ -1015,6 +1099,8 @@ let () =
           Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
           Alcotest.test_case "jsonx escaping" `Quick test_jsonx_escaping;
           qtest prop_jsonx_roundtrip;
+          qtest prop_jsonx_parse_total;
+          Alcotest.test_case "jsonx hostile input" `Quick test_jsonx_hostile;
           Alcotest.test_case "ping + errors" `Quick test_server_ping_and_errors;
           Alcotest.test_case "request ids" `Quick test_server_request_ids;
           Alcotest.test_case "metrics rpc" `Quick test_server_metrics_rpc;
@@ -1024,6 +1110,7 @@ let () =
           Alcotest.test_case "verify certified" `Quick
             test_server_verify_certify;
           Alcotest.test_case "shutdown" `Quick test_server_shutdown;
+          Alcotest.test_case "hostile lines" `Quick test_server_hostile_lines;
           Alcotest.test_case "socket smoke" `Quick test_serve_socket_smoke;
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
           Alcotest.test_case "spec errors" `Quick test_server_spec_error;

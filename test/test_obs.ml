@@ -155,6 +155,18 @@ let test_counter_roundtrip () =
   Alcotest.(check (option int)) "unknown counter reads None" None
     (Obs.Metrics.counter_value "absent")
 
+let test_flat_counter_keys () =
+  Obs.Metrics.counter_add ~labels:[ ("kind", "h") ] "g_total" 2;
+  Obs.Metrics.counter_add ~labels:[ ("b", "2"); ("a", "1") ] "multi" 1;
+  Obs.Metrics.counter_add "plain" 4;
+  Obs.Metrics.gauge_set "not_a_counter" 1.;
+  Alcotest.(check (list (pair string int)))
+    "name{k=v,...} keys, labels sorted, counters only"
+    [ ("g_total{kind=h}", 2); ("multi{a=1,b=2}", 1); ("plain", 4) ]
+    (Obs.Metrics.counters ());
+  Alcotest.(check string) "unlabelled key is the name" "x"
+    (Obs.Metrics.flat_name "x" [])
+
 let test_snapshot_json_shape () =
   Obs.Metrics.counter_add "c" 7;
   Obs.Metrics.gauge_set "g" 1.5;
@@ -223,21 +235,123 @@ let test_trace_jsonl_golden () =
     String.concat ""
       [
         Printf.sprintf
-          "{\"name\":\"outer\",\"cat\":\"morphqpv\",\"ph\":\"B\",\"ts\":0.000,\"pid\":1,\"tid\":%d,\"args\":{\"k\":\"v\",\"n\":\"2\"}}\n"
+          "{\"name\":\"outer\",\"cat\":\"morphqpv\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":%d,\"args\":{\"k\":\"v\",\"n\":\"2\"}}\n"
           tid;
         Printf.sprintf
-          "{\"name\":\"in\\\"ner\",\"cat\":\"morphqpv\",\"ph\":\"B\",\"ts\":1.000,\"pid\":1,\"tid\":%d}\n"
+          "{\"name\":\"in\\\"ner\",\"cat\":\"morphqpv\",\"ph\":\"B\",\"ts\":1,\"pid\":1,\"tid\":%d}\n"
           tid;
         Printf.sprintf
-          "{\"name\":\"in\\\"ner\",\"cat\":\"morphqpv\",\"ph\":\"E\",\"ts\":2.000,\"pid\":1,\"tid\":%d}\n"
+          "{\"name\":\"in\\\"ner\",\"cat\":\"morphqpv\",\"ph\":\"E\",\"ts\":2,\"pid\":1,\"tid\":%d}\n"
           tid;
         Printf.sprintf
-          "{\"name\":\"outer\",\"cat\":\"morphqpv\",\"ph\":\"E\",\"ts\":3.000,\"pid\":1,\"tid\":%d}\n"
+          "{\"name\":\"outer\",\"cat\":\"morphqpv\",\"ph\":\"E\",\"ts\":3,\"pid\":1,\"tid\":%d}\n"
           tid;
       ]
   in
   Alcotest.(check string) "chrome trace_event JSONL" expect
     (Obs.Export.trace_jsonl ~since ())
+
+(* [event_json] is also what the daemon's [trace] RPC serves, so these
+   bytes are protocol: a timestamp that needs all 17 digits and a request
+   id holding a quote, a tab and a two-byte UTF-8 character *)
+let test_event_json_pin () =
+  let ev =
+    {
+      Obs.Span.seq = 0;
+      ts_us = 1234.1;
+      name = "server.request";
+      ph = Obs.Span.B;
+      tid = 0;
+      span = 0;
+      parent = -1;
+      attrs = [ ("req", "pin\"\t\xc3\xa9"); ("verb", "ping") ];
+    }
+  in
+  Alcotest.(check string)
+    "trace event bytes"
+    {|{"name":"server.request","cat":"morphqpv","ph":"B","ts":1234.0999999999999,"pid":1,"tid":0,"args":{"req":"pin\"\té","verb":"ping"}}|}
+    (Jsonx.to_string (Obs.Export.event_json ev))
+
+(* every document the obs layer writes must read back through the one
+   parser — including the values JSON cannot spell (NaN, +inf) and
+   strings full of bytes that need escaping *)
+let nasty = "q\"b\\s\x01\x1f\n\t\xc3\xa9\xff"
+
+let parse_ok what s =
+  match Jsonx.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s does not parse (%s): %s" what e s
+
+let field what k v =
+  match Jsonx.member k v with
+  | Some x -> x
+  | None -> Alcotest.failf "%s: no %S in %s" what k (Jsonx.to_string v)
+
+let first_of what k v =
+  match Jsonx.to_list (field what k v) with
+  | Some (x :: _) -> x
+  | _ -> Alcotest.failf "%s: %S is not a non-empty list" what k
+
+let jsonx =
+  Alcotest.testable
+    (fun f v -> Format.pp_print_string f (Jsonx.to_string v))
+    ( = )
+
+let test_obs_documents_parse () =
+  Obs.set_clock_for_testing (Some (tick_clock ()));
+  Obs.Metrics.counter_add ~labels:[ ("k", nasty) ] "c" 2;
+  Obs.Metrics.gauge_set "g" Float.nan;
+  Obs.Metrics.observe ~buckets:[| 0.5 |] "h" Float.infinity;
+  let snap = parse_ok "snapshot" (Obs.Metrics.snapshot_json ()) in
+  Alcotest.(check (option string))
+    "schema" (Some Obs.Metrics.schema) (Jsonx.mem_str "schema" snap);
+  let c = first_of "counters" "counters" snap in
+  Alcotest.check jsonx "counter labels" (Jsonx.Obj [ ("k", Jsonx.Str nasty) ])
+    (field "counter" "labels" c);
+  Alcotest.check jsonx "counter value" (Jsonx.int 2) (field "counter" "value" c);
+  Alcotest.check jsonx "NaN gauge is null" Jsonx.Null
+    (field "gauge" "value" (first_of "gauges" "gauges" snap));
+  let h = first_of "histograms" "histograms" snap in
+  Alcotest.check jsonx "+inf sum is null" Jsonx.Null (field "hist" "sum" h);
+  Alcotest.check jsonx "+inf lands in the last bucket"
+    (Jsonx.List
+       [
+         Jsonx.Obj [ ("le", Jsonx.Num 0.5); ("count", Jsonx.int 0) ];
+         Jsonx.Obj [ ("le", Jsonx.Str "+inf"); ("count", Jsonx.int 1) ];
+       ])
+    (field "hist" "buckets" h);
+  let since = Obs.Span.mark () in
+  Obs.Span.with_ ~name:nasty ~attrs:[ (nasty, nasty) ] (fun () -> ());
+  let lines =
+    String.split_on_char '\n' (Obs.Export.trace_jsonl ~since ())
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "one line per event" 2 (List.length lines);
+  List.iter
+    (fun l ->
+      let ev = parse_ok "trace line" l in
+      Alcotest.(check (option string)) "span name" (Some nasty)
+        (Jsonx.mem_str "name" ev))
+    lines;
+  Alcotest.check jsonx "attrs survive"
+    (Jsonx.Obj [ (nasty, Jsonx.Str nasty) ])
+    (field "trace" "args" (parse_ok "trace line" (List.hd lines)));
+  let logged = ref [] in
+  Obs.Log.configure ~level:Obs.Log.Info (`Fn (fun l -> logged := l :: !logged));
+  Fun.protect ~finally:(fun () -> Obs.Log.configure `Off) (fun () ->
+      Obs.Log.emit Obs.Log.Info nasty
+        [ (nasty, Jsonx.Str nasty); ("inf", Jsonx.Num Float.infinity) ]);
+  match !logged with
+  | [ l ] ->
+      let v = parse_ok "log line" l in
+      Alcotest.(check (option string)) "event" (Some nasty)
+        (Jsonx.mem_str "event" v);
+      Alcotest.(check (option string)) "field" (Some nasty)
+        (Jsonx.mem_str nasty v);
+      Alcotest.check jsonx "inf field is null" Jsonx.Null (field "log" "inf" v);
+      Alcotest.(check bool) "ts is a number" true
+        (Option.is_some (Option.bind (Jsonx.member "ts" v) Jsonx.to_num))
+  | ls -> Alcotest.failf "expected one log line, got %d" (List.length ls)
 
 (* ---------------- scoped reads and mark-based reclaim ---------------- *)
 
@@ -320,11 +434,11 @@ let test_log_jsonl () =
   Obs.Log.emit Obs.Log.Debug "below.threshold" [];
   Obs.Log.emit Obs.Log.Info "hello"
     [
-      ("n", Obs.Log.I 3);
-      ("s", Obs.Log.S "a\"b\nc");
-      ("f", Obs.Log.F 1.5);
-      ("nan", Obs.Log.F Float.nan);
-      ("b", Obs.Log.B true);
+      ("n", Jsonx.int 3);
+      ("s", Jsonx.Str "a\"b\nc");
+      ("f", Jsonx.Num 1.5);
+      ("nan", Jsonx.Num Float.nan);
+      ("b", Jsonx.Bool true);
     ];
   match !lines with
   | [ line ] ->
@@ -478,6 +592,8 @@ let () =
             (with_obs test_counter_roundtrip);
           Alcotest.test_case "snapshot json shape" `Quick
             (with_obs test_snapshot_json_shape);
+          Alcotest.test_case "flat counter keys" `Quick
+            (with_obs test_flat_counter_keys);
           Alcotest.test_case "counters identical across 1/2/4 domains" `Slow
             (with_obs test_counter_determinism_across_domains);
         ] );
@@ -485,6 +601,9 @@ let () =
         [
           Alcotest.test_case "trace_event JSONL golden" `Quick
             (with_obs test_trace_jsonl_golden);
+          Alcotest.test_case "trace event byte pin" `Quick test_event_json_pin;
+          Alcotest.test_case "every obs document parses" `Quick
+            (with_obs test_obs_documents_parse);
           Alcotest.test_case "prometheus exposition" `Quick
             (with_obs test_prometheus_exposition);
         ] );
