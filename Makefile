@@ -1,4 +1,4 @@
-.PHONY: build test test-fast test-full lint certify bench bench-smoke bench-check profile clean
+.PHONY: build test test-fast test-full lint certify examples bench bench-smoke bench-check profile clean
 
 build:
 	dune build
@@ -37,6 +37,17 @@ certify: build
 	  echo "certify: FAILED — zero obligations discharged (vacuous run)" >&2; \
 	  rm -f certify.out; exit 1; \
 	fi
+
+# End-to-end run of the paper's case studies (lock, QRAM, QNN pruning,
+# teleport, Grover, QEC, ...): every example executable must exit 0.
+EXAMPLES = quickstart quantum_lock_debug qnn_pruning qram_debug teleport_qasm \
+  grover_assert transpile_verify qec_threshold
+
+examples: build
+	@set -e; for e in $(EXAMPLES); do \
+	  echo "== examples/$$e"; \
+	  dune exec examples/$$e.exe; \
+	done; echo "examples: all $(words $(EXAMPLES)) exited 0"
 
 bench: build
 	dune exec bench/main.exe

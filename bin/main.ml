@@ -95,12 +95,6 @@ let sample_cmd file count kind seed =
       1
   | Ok c ->
       let rng = Stats.Rng.make seed in
-      let kind =
-        match kind with
-        | "basis" -> Clifford.Sampling.Basis
-        | "haar" -> Clifford.Sampling.Haar
-        | _ -> Clifford.Sampling.Clifford
-      in
       let program = Program.make c in
       let ch = Characterize.run ~rng ~kind program ~count in
       let approx = Approx.of_characterization ch in
@@ -210,11 +204,11 @@ let print_verify_event ~file = function
 (* exit 0 iff every guarantee and every expect pragma held *)
 let verify_cmd file assumes guarantees count solver seed budget use_cache
     certify =
-  match (read_full file, Spec.parse_budget budget) with
-  | Error e, _ | _, Error e ->
+  match (read_full file, Spec.parse_budget budget, Spec.parse_solver solver) with
+  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
       prerr_endline e;
       1
-  | Ok full, Ok budget -> (
+  | Ok full, Ok budget, Ok solver -> (
       (* --cache forces an in-memory cache even without the env vars;
          MORPHQPV_CACHE_DIR / MORPHQPV_CACHE alone also enable it *)
       let cache =
@@ -225,7 +219,7 @@ let verify_cmd file assumes guarantees count solver seed budget use_cache
       in
       let request =
         { Pipeline.full; name = file; assumes; guarantees; count; seed;
-          solver = Spec.parse_solver solver; budget;
+          solver; budget;
           mode = Characterize.Exact; certify; cache }
       in
       match Pipeline.run ~emit:(print_verify_event ~file) request with
@@ -766,7 +760,14 @@ let simulate_term =
 let sample_term =
   let count = Arg.(value & opt int 8 & info [ "count" ] ~doc:"number of sampled inputs") in
   let kind =
-    Arg.(value & opt string "clifford" & info [ "kind" ] ~doc:"basis | clifford | haar")
+    Arg.(
+      value
+      & opt
+          (enum
+             Clifford.Sampling.
+               [ ("basis", Basis); ("clifford", Clifford); ("haar", Haar) ])
+          Clifford.Sampling.Clifford
+      & info [ "kind" ] ~doc:"basis | clifford | haar")
   in
   Term.(const sample_cmd $ file_arg $ count $ kind $ seed_arg)
 

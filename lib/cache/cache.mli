@@ -1,10 +1,11 @@
 (** Content-addressed result cache for incremental verification.
 
     [Cache.t] (the store itself, see {!Store}) memoizes the expensive
-    layers of the pipeline — segment block operators, per-tracepoint
-    characterizations, tomography estimates and probe verdicts — keyed by
-    {!Canon} content hashes so that re-verifying an edited program only
-    re-runs tracepoints whose backward cone actually changed. *)
+    layers of the pipeline — per-tracepoint and whole-result
+    characterizations, verdicts and certified segment plans, each through
+    {!Store.memo} — keyed by {!Canon} content hashes so that re-verifying
+    an edited program only re-runs tracepoints whose backward cone
+    actually changed. *)
 
 module Fnv : module type of Fnv
 module Canon : module type of Canon

@@ -232,6 +232,14 @@ let find_value t ~ns key =
 
 let store_value t ~ns key v = store t ~ns key (Marshal.to_string v [])
 
+let memo t ~ns ?(valid = fun _ -> true) key compute =
+  match find_value t ~ns key with
+  | Some v when valid v -> v
+  | _ ->
+      let v = compute () in
+      store_value t ~ns key v;
+      v
+
 let drop_memory t =
   with_lock t (fun () ->
       Hashtbl.reset t.tbl;

@@ -1,6 +1,6 @@
 (** Byte-bounded LRU store with optional on-disk persistence — the shared
-    backend behind every memo layer (segments, characterizations,
-    tomography estimates, verdicts). *)
+    backend behind every memo layer (characterizations, verdicts,
+    certified segment plans). *)
 
 type t
 
@@ -44,6 +44,13 @@ val find_value : t -> ns:string -> string -> 'a option
 
 val store_value : t -> ns:string -> string -> 'a -> unit
 (** [Marshal] encode + [store]. Values must be closure-free pure data. *)
+
+val memo :
+  t -> ns:string -> ?valid:('a -> bool) -> string -> (unit -> 'a) -> 'a
+(** [memo t ~ns ?valid key compute] is the value stored under [key] when
+    one decodes and satisfies [valid] (default: any value), otherwise
+    [compute ()], stored under [key] before it is returned. The one memo
+    idiom of every cached layer; typing as for {!find_value}. *)
 
 val drop_memory : t -> unit
 (** Forget the resident tier (persistence-reload testing); disk entries

@@ -81,7 +81,6 @@ let mcz qubits c =
   | [] -> Cerror.error "MQ015" "Circuit.mcz: empty qubit list"
   | tgt :: rev_controls -> gate ~controls:(List.rev rev_controls) "z" [ tgt ] c
 
-let mcp l controls tgt c = gate ~params:[ l ] ~controls "p" [ tgt ] c
 let mcrx th controls tgt c = gate ~params:[ th ] ~controls "rx" [ tgt ] c
 let mcry th controls tgt c = gate ~params:[ th ] ~controls "ry" [ tgt ] c
 let tracepoint id qubits c = add (Instr.Tracepoint { id; qubits }) c

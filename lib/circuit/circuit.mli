@@ -86,7 +86,6 @@ val mcx : int list -> int -> t -> t
     taken as target and the rest as controls. *)
 val mcz : int list -> t -> t
 
-val mcp : float -> int list -> int -> t -> t
 val mcrx : float -> int list -> int -> t -> t
 val mcry : float -> int list -> int -> t -> t
 

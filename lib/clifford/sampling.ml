@@ -2,11 +2,6 @@ open Qstate
 
 type kind = Basis | Clifford | Haar
 
-let kind_to_string = function
-  | Basis -> "basis"
-  | Clifford -> "clifford"
-  | Haar -> "haar"
-
 let one_qubit_cliffords = [ []; [ "h" ]; [ "s" ]; [ "h"; "s" ]; [ "s"; "h" ]; [ "h"; "s"; "h" ] ]
 
 let entangling_layer rng n c =

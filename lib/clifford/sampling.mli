@@ -13,8 +13,6 @@
 
 type kind = Basis | Clifford | Haar
 
-val kind_to_string : kind -> string
-
 (** [prep_circuit rng kind n ~index] builds the preparation circuit of the
     [index]-th sampled input on [n] qubits. [Basis] enumerates bitstrings in
     order; [Clifford] and [Haar] draw fresh random circuits. *)

@@ -23,9 +23,6 @@ type t = {
   samples : sample array;
   mode : mode;
   cost : Sim.Cost.t;
-  obs : Obs.Span.summary;
-      (** per-phase span summary of this run (empty unless observability
-          was enabled — [MORPHQPV_OBS=1] or [Obs.configure]) *)
 }
 
 (** Execution engine selection. [`Batched] compiles the program once into
@@ -61,25 +58,25 @@ type engine = [ `Auto | `Batched | `Sequential ]
     variance-matched to the [max_shots] fixed equivalent, recording the
     saving in [verify_shots_saved_total].
 
-    [cache] switches to the content-addressed incremental path. Ideal,
-    deterministic programs are characterized one backward cone at a time:
-    each tracepoint's unit (its cone plus the input qubits, in canonical
-    qubit order — {!Cache.Canon.cone_unit}) is keyed by canonical bytes,
-    input fingerprint, entry-generator fingerprint and mode, so a warm
-    re-verification performs zero simulation and zero tomography shots,
-    and an edited program re-characterizes only tracepoints whose cone
-    hash changed. Every cached value is a pure function of its key —
-    tomography degradation draws from a generator derived from (key,
-    sample index), never the caller's stream — so hits are
-    bit-indistinguishable from recomputation, across eviction and
+    [cache] memoizes the characterization through {!Cache.memo}. Ideal,
+    deterministic programs whose every cone unit is at most 22 qubits
+    wide are characterized one backward cone at a time (this wins over
+    [engine]): each tracepoint's unit (its cone plus the input qubits, in
+    canonical qubit order — {!Cache.Canon.cone_unit}) is keyed by
+    canonical bytes, input fingerprint, entry-generator fingerprint and
+    mode, so a warm re-verification performs zero simulation and zero
+    tomography shots, and an edited program re-characterizes only
+    tracepoints whose cone hash changed. Every cached value is a pure
+    function of its key — tomography degradation draws from a generator
+    derived from (key, sample index), never the caller's stream — so hits
+    are bit-indistinguishable from recomputation, across eviction and
     persistence reload. The caller's generator is consumed exactly as on
     the uncached path (sampled inputs + one split child per sample) even
     on full hits, so downstream draws are position-independent of cache
-    state. Stochastic, noisy or wider-than-cacheable programs (a cone
-    unit wider than 22 qubits) are not characterized per unit: those the
-    [`Auto] route takes run uncached, the rest fall back to a
-    whole-result memo keyed by the exact circuit bytes. Without [cache]
-    the behavior is byte-for-byte the pre-cache one.
+    state. Other programs run the uncached engine decision: routed runs
+    stay unmemoized, batched and sequential ones are memoized whole,
+    keyed by the exact circuit bytes. Without [cache] the behavior is
+    byte-for-byte the pre-cache one.
 
     [wall] replaces {!Sim.Engine.dense_amp_wall} in this run's routing
     decision. *)

@@ -25,20 +25,7 @@ let embed p input =
   if Statevec.num_qubits input <> k then
     invalid_arg "Program.embed: input size mismatch";
   if k = n && p.input_qubits = List.init n (fun q -> q) then Statevec.copy input
-  else begin
-    let qs = Array.of_list p.input_qubits in
-    let full = Statevec.zero n in
-    Statevec.set_amplitude full 0 Linalg.Cx.zero;
-    let d_in = Statevec.dim input in
-    for a = 0 to d_in - 1 do
-      let idx = ref 0 in
-      Array.iteri
-        (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-        qs;
-      Statevec.set_amplitude full !idx (Statevec.amplitude input a)
-    done;
-    full
-  end
+  else Statevec.embed n (Array.of_list p.input_qubits) input
 
 let run_traces ?pool ?rng ?noise ?trajectories ?meter p ~input =
   let initial = embed p input in

@@ -143,7 +143,8 @@ let parse_mode s =
 
 let parse_solver s =
   match String.trim s with
-  | "sgd" -> `Adam
-  | "anneal" -> `Anneal
-  | "genetic" -> `Genetic
-  | _ -> `Qp
+  | "qp" -> Ok `Qp
+  | "sgd" -> Ok `Adam
+  | "anneal" -> Ok `Anneal
+  | "genetic" -> Ok `Genetic
+  | _ -> Error (Printf.sprintf "bad solver %S (qp | sgd | anneal | genetic)" s)

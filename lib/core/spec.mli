@@ -6,7 +6,8 @@
     [pure:T], [equals:A,B], [equals-basis:T,K], [diag:T,K,LO,HI],
     [expect-ge:T,PAULI,V], [expect-le:T,PAULI,V], [purity-ge:T,V].
     Budget specs: [fixed:N] | [seq:ALPHA,BETA,MAX].
-    Mode specs: [exact] | [tomo:SHOTS] | [probs:SHOTS]. *)
+    Mode specs: [exact] | [tomo:SHOTS] | [probs:SHOTS].
+    Solver names: [qp] | [sgd] | [anneal] | [genetic]. *)
 
 val qubits_of_tracepoint : Circuit.t -> int -> int option
 (** Width of tracepoint [tp]'s recorded state; [None] for the reserved
@@ -23,5 +24,5 @@ val parse_predicate :
 val parse_budget : string -> (Stats.Tests.budget, string) result
 val parse_mode : string -> (Characterize.mode, string) result
 
-val parse_solver : string -> Optimize.Solvers.method_
-(** [sgd]/[anneal]/[genetic], anything else is the QP default. *)
+val parse_solver : string -> (Optimize.Solvers.method_, string) result
+(** Exactly [qp], [sgd], [anneal] or [genetic]. *)

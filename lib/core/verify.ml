@@ -186,7 +186,7 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
 let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion =
   match cache with
   | None -> validate_direct ~options ?rng ?confirm approx assertion
-  | Some cache -> (
+  | Some cache ->
       let rng = match rng with Some r -> r | None -> Stats.Rng.make 11 in
       let confirm_fp =
         match confirm with
@@ -212,20 +212,8 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
                confirm_fp;
              ])
       in
-      match Cache.find_value cache ~ns:"verdict" key with
-      | Some v -> v
-      | None ->
-          let v = validate_direct ~options ~rng ?confirm approx assertion in
-          Cache.store_value cache ~ns:"verdict" key v;
-          v)
-
-(* Like [validate], but also returns the span-tree summary of the
-   verification's own work (solver spans included). Kept separate so the
-   [verdict] type — and every pattern match on it — stays unchanged. *)
-let validate_traced ?options ?rng ?confirm ?cache approx assertion =
-  let since = Obs.Span.mark () in
-  let verdict = validate ?options ?rng ?confirm ?cache approx assertion in
-  (verdict, Obs.Span.summary ~since ())
+      Cache.memo cache ~ns:"verdict" key (fun () ->
+          validate_direct ~options ~rng ?confirm approx assertion)
 
 let check_on_program ?rng ?tol program assertion ~input =
   let traces = Program.run_traces ?rng program ~input in

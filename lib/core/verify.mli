@@ -57,19 +57,6 @@ val validate :
   Assertion.t ->
   verdict
 
-(** [validate_traced] is {!validate} plus the span-tree summary of the
-    verification's own work (solver spans included). The summary is empty
-    unless observability is enabled ([MORPHQPV_OBS=1] or
-    [Obs.configure]). *)
-val validate_traced :
-  ?options:options ->
-  ?rng:Stats.Rng.t ->
-  ?confirm:Program.t ->
-  ?cache:Cache.t ->
-  Approx.t ->
-  Assertion.t ->
-  verdict * Obs.Span.summary
-
 (** [check_on_program ?rng ?tol program assertion ~input] executes the
     program on one concrete input and evaluates the assertion on the true
     tracepoint states — used to confirm counter-examples and as the

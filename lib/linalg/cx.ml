@@ -16,7 +16,6 @@ let scale c (z : t) : t = { Complex.re = c *. z.Complex.re; im = c *. z.Complex.
 let norm = Complex.norm
 let norm2 = Complex.norm2
 let arg = Complex.arg
-let polar = Complex.polar
 let exp_i theta : t = { Complex.re = cos theta; im = sin theta }
 let of_float x : t = { Complex.re = x; im = 0. }
 

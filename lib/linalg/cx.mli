@@ -36,9 +36,6 @@ val norm2 : t -> float
 (** [arg z] is the argument (phase) of [z] in (-pi, pi]. *)
 val arg : t -> float
 
-(** [polar r theta] is [r * exp(i * theta)]. *)
-val polar : float -> float -> t
-
 (** [exp_i theta] is [exp(i * theta)]. *)
 val exp_i : float -> t
 

@@ -136,7 +136,3 @@ let project_psd ?(unit_trace = true) a =
         (1. /. float_of_int (fst (Cmat.dims a)))
         (Cmat.identity (fst (Cmat.dims a)))
     else Cmat.rscale (1. /. t) clipped
-
-let max_eigenvalue a =
-  let w, _ = hermitian a in
-  w.(Array.length w - 1)

@@ -23,6 +23,3 @@ val sqrtm_psd : Cmat.t -> Cmat.t
     true (default) the result is renormalized to trace one, which makes it a
     valid density matrix. *)
 val project_psd : ?unit_trace:bool -> Cmat.t -> Cmat.t
-
-(** [max_eigenvalue a] is the largest eigenvalue of the Hermitian matrix [a]. *)
-val max_eigenvalue : Cmat.t -> float

@@ -690,10 +690,6 @@ let read_file path =
 
 let parse_file_full path = parse_full (read_file path)
 
-let parse_file_with_locs path =
-  let f = parse_file_full path in
-  (f.circuit, f.locs)
-
 let parse_file path = (parse_file_full path).circuit
 
 (* ---------------- printer ---------------- *)

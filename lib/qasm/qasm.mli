@@ -46,8 +46,6 @@ val parse_file : string -> Circuit.t
     location. Used by [Analysis.Lint] to report [file:line:col]. *)
 val parse_with_locs : string -> Circuit.t * (int * int) array
 
-val parse_file_with_locs : string -> Circuit.t * (int * int) array
-
 (** One [expect] pragma, purely syntactic: [(basis index, probability)]
     pairs and the optional significance. Semantic validation (probability
     and index ranges, duplicates, mass sum) is the job of

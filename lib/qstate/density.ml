@@ -40,8 +40,6 @@ let mix parts =
 let num_qubits rho = rho.n
 let mat rho = rho.m
 
-let evolve u rho = { rho with m = Cmat.mul3 u rho.m (Cmat.adjoint u) }
-
 (* Left-multiply by (K on qubit q): mixes row pairs for every column. *)
 let op_rows k q rho_m dim =
   let k00 = Cmat.get k 0 0 and k01 = Cmat.get k 0 1 in
@@ -130,57 +128,6 @@ let apply_kraus ks q rho =
     ks;
   { rho with m = !acc }
 
-(* 4x4 analogues for two-qubit channels; q0 is the least significant bit of
-   the pair. *)
-let op_rows2 k q0 q1 rho_m dim =
-  let out = Cmat.copy rho_m in
-  let b0 = 1 lsl q0 and b1 = 1 lsl q1 in
-  for i = 0 to dim - 1 do
-    if i land b0 = 0 && i land b1 = 0 then begin
-      let idx = [| i; i lor b0; i lor b1; i lor b0 lor b1 |] in
-      for c = 0 to dim - 1 do
-        for a = 0 to 3 do
-          let s = ref Cx.zero in
-          for b = 0 to 3 do
-            s := Cx.add !s (Cx.mul (Cmat.get k a b) (Cmat.get rho_m idx.(b) c))
-          done;
-          Cmat.set out idx.(a) c !s
-        done
-      done
-    end
-  done;
-  out
-
-let op_cols2 k q0 q1 rho_m dim =
-  let out = Cmat.copy rho_m in
-  let b0 = 1 lsl q0 and b1 = 1 lsl q1 in
-  for i = 0 to dim - 1 do
-    if i land b0 = 0 && i land b1 = 0 then begin
-      let idx = [| i; i lor b0; i lor b1; i lor b0 lor b1 |] in
-      for r = 0 to dim - 1 do
-        for a = 0 to 3 do
-          let s = ref Cx.zero in
-          for b = 0 to 3 do
-            s :=
-              Cx.add !s
-                (Cx.mul (Cmat.get rho_m r idx.(b)) (Cx.conj (Cmat.get k a b)))
-          done;
-          Cmat.set out r idx.(a) !s
-        done
-      done
-    end
-  done;
-  out
-
-let apply_kraus2 ks q0 q1 rho =
-  let d = 1 lsl rho.n in
-  let acc = ref (Cmat.create d d) in
-  List.iter
-    (fun k ->
-      acc := Cmat.add !acc (op_cols2 k q0 q1 (op_rows2 k q0 q1 rho.m d) d))
-    ks;
-  { rho with m = !acc }
-
 let prob1 rho q =
   let d = 1 lsl rho.n in
   let bit = 1 lsl q in
@@ -215,13 +162,6 @@ let measure_qubit rho q =
     end
   in
   (branch 0 p0, branch 1 p1)
-
-let dephase_qubit rho q =
-  let (p0, r0), (p1, r1) = measure_qubit rho q in
-  let parts =
-    (if p0 > 0. then [ (p0, r0) ] else []) @ if p1 > 0. then [ (p1, r1) ] else []
-  in
-  mix parts
 
 let partial_trace ~keep rho =
   let k = List.length keep in

@@ -28,9 +28,6 @@ val mix : (float * t) list -> t
 val num_qubits : t -> int
 val mat : t -> Linalg.Cmat.t
 
-(** [evolve u rho] is [u rho u^dagger] for a full-dimension unitary. *)
-val evolve : Linalg.Cmat.t -> t -> t
-
 (** [apply1 u q rho] applies a 2 x 2 unitary to qubit [q]. *)
 val apply1 : Linalg.Cmat.t -> int -> t -> t
 
@@ -41,18 +38,10 @@ val apply_controlled : controls:int list -> Linalg.Cmat.t -> int -> t -> t
     2 x 2 Kraus operators acting on qubit [q]. *)
 val apply_kraus : Linalg.Cmat.t list -> int -> t -> t
 
-(** [apply_kraus2 ks q0 q1 rho] applies 4 x 4 Kraus operators to a qubit
-    pair ([q0] least significant). *)
-val apply_kraus2 : Linalg.Cmat.t list -> int -> int -> t -> t
-
 (** [measure_qubit rho q] returns both post-measurement branches
     [((p0, rho0), (p1, rho1))]; a zero-probability branch carries the
     maximally mixed placeholder. *)
 val measure_qubit : t -> int -> (float * t) * (float * t)
-
-(** [dephase_qubit rho q] applies full phase damping on qubit [q]
-    (measurement without recording the outcome). *)
-val dephase_qubit : t -> int -> t
 
 (** [partial_trace ~keep rho] is the reduced state over the listed qubits. *)
 val partial_trace : keep:int list -> t -> t

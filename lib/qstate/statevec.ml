@@ -26,6 +26,20 @@ let set_amplitude st k z =
   st.re.(k) <- Cx.re z;
   st.im.(k) <- Cx.im z
 
+let embed_index positions a =
+  let idx = ref 0 in
+  Array.iteri
+    (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
+    positions;
+  !idx
+
+let embed n positions input =
+  let st = zero n in
+  for a = 0 to dim input - 1 do
+    set_amplitude st (embed_index positions a) (amplitude input a)
+  done;
+  st
+
 let norm st =
   let s = ref 0. in
   for k = 0 to dim st - 1 do

@@ -21,6 +21,17 @@ val dim : t -> int
 val copy : t -> t
 val amplitude : t -> int -> Linalg.Cx.t
 val set_amplitude : t -> int -> Linalg.Cx.t -> unit
+
+(** [embed_index positions a] places bit [j] of the index [a] on qubit
+    [positions.(j)]: the basis index, in a larger register, of input basis
+    state [a]. *)
+val embed_index : int array -> int -> int
+
+(** [embed n positions input] lifts [input] into an [n]-qubit register,
+    input qubit [j] on qubit [positions.(j)] ({!embed_index}), every other
+    qubit [|0>]. *)
+val embed : int -> int array -> t -> t
+
 val norm : t -> float
 val normalize : t -> unit
 

@@ -184,7 +184,9 @@ let verify_request state ~emit ~id ~rid params =
   let seed = Option.value ~default:2024 (Jsonx.mem_int "seed" params) in
   let count = Option.value ~default:0 (Jsonx.mem_int "count" params) in
   let solver =
-    Spec.parse_solver (Option.value ~default:"qp" (Jsonx.mem_str "solver" params))
+    get_or_fail
+      (Spec.parse_solver
+         (Option.value ~default:"qp" (Jsonx.mem_str "solver" params)))
   in
   let budget =
     get_or_fail

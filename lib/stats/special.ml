@@ -145,7 +145,6 @@ let erf x =
 let erfc x =
   if x >= 0. then gammainc_q 0.5 (x *. x) else 2. -. gammainc_q 0.5 (x *. x)
 
-(* standard normal CDF, with the symmetric erfc form that keeps extreme
-   tails exact instead of rounding to 0/1 *)
-let norm_cdf x = 0.5 *. erfc (-.x /. sqrt 2.)
+(* standard normal survival function, with the erfc form that keeps the
+   extreme tail exact instead of rounding to 0 *)
 let norm_sf x = 0.5 *. erfc (x /. sqrt 2.)

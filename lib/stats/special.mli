@@ -31,9 +31,6 @@ val erf : float -> float
     (does not round to 0 until x ~ 27). *)
 val erfc : float -> float
 
-(** [norm_cdf x] is the standard normal CDF Phi(x). *)
-val norm_cdf : float -> float
-
 (** [norm_sf x] is the standard normal survival function 1 - Phi(x),
     tail-exact. *)
 val norm_sf : float -> float

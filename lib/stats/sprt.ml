@@ -31,6 +31,5 @@ let decide t =
   else if t.log_lr <= t.log_b then Accept_h0
   else Continue
 
-let observations t = t.n
 let log_lr t = t.log_lr
 let boundaries t = (t.log_b, t.log_a)

@@ -28,9 +28,6 @@ val observe_bernoulli : p0:float -> p1:float -> t -> bool -> t
 
 val decide : t -> verdict
 
-(** Number of observations folded so far. *)
-val observations : t -> int
-
 (** Current running log-likelihood ratio. *)
 val log_lr : t -> float
 

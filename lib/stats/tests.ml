@@ -89,44 +89,6 @@ let chi2_gof ?(ddof = 0) ~expected observed =
   if df <= 0. then invalid_arg "Tests.chi2_gof: non-positive df";
   { statistic = !stat; pvalue = chi2_sf !stat df; df }
 
-let chi2_homogeneity rows =
-  let r = Array.length rows in
-  if r < 2 then invalid_arg "Tests.chi2_homogeneity: need at least 2 rows";
-  let c = Array.length rows.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> c then
-        invalid_arg "Tests.chi2_homogeneity: ragged table")
-    rows;
-  (* drop all-zero columns: they carry no information and would divide
-     by a zero expected count *)
-  let col_tot = Array.make c 0. in
-  Array.iter (Array.iteri (fun j x -> col_tot.(j) <- col_tot.(j) +. x)) rows;
-  let cols = ref [] in
-  for j = c - 1 downto 0 do
-    if col_tot.(j) > 0. then cols := j :: !cols
-  done;
-  let cols = Array.of_list !cols in
-  let c' = Array.length cols in
-  if c' < 2 then invalid_arg "Tests.chi2_homogeneity: fewer than 2 live columns";
-  let row_tot = Array.map (fun row -> Array.fold_left ( +. ) 0. row) rows in
-  let grand = Array.fold_left ( +. ) 0. row_tot in
-  if grand <= 0. then invalid_arg "Tests.chi2_homogeneity: empty table";
-  let stat = ref 0. in
-  Array.iteri
-    (fun i row ->
-      Array.iter
-        (fun j ->
-          let e = row_tot.(i) *. col_tot.(j) /. grand in
-          if e > 0. then begin
-            let d = row.(j) -. e in
-            stat := !stat +. (d *. d /. e)
-          end)
-        cols)
-    rows;
-  let df = float_of_int ((r - 1) * (c' - 1)) in
-  { statistic = !stat; pvalue = chi2_sf !stat df; df }
-
 (* ----------------------- Kolmogorov–Smirnov ------------------------ *)
 
 (* Asymptotic Kolmogorov survival function Q(lambda) =

@@ -55,11 +55,6 @@ val t_two_sample :
     [ddof]. Raises [Invalid_argument] on a non-positive expected count. *)
 val chi2_gof : ?ddof:int -> expected:float array -> float array -> result
 
-(** [chi2_homogeneity rows] tests whether the rows of a contingency table
-    are draws from one distribution; expected counts from the marginals,
-    df = (r - 1)(c - 1) after dropping all-zero columns. *)
-val chi2_homogeneity : float array array -> result
-
 (** {1 Kolmogorov–Smirnov} *)
 
 (** [ks_one_sample ~cdf xs] is the two-sided one-sample KS test of [xs]

@@ -379,13 +379,21 @@ let samples_traces_close (a : Morphcore.Characterize.t)
    tomography degradation draws from key-derived generators), and with
    the uncached run within the engine tolerance (the incremental path
    simulates lightcone-restricted units, the same ~1e-15 reordering as
-   batched-vs-sequential). *)
+   batched-vs-sequential). Every run leaves the caller's generator where
+   the uncached run left it, hits included. *)
 let cache_transparent ?pool ?dir circ =
   let c = Gen.build circ in
   let program = Morphcore.Program.make c in
+  (* the caller's generator after each run *)
+  let rng_after = ref [] in
   let run ?cache () =
-    Morphcore.Characterize.run ?pool ?cache ~rng:(Stats.Rng.make 2718)
-      ~trajectories:4 program ~count:3
+    let rng = Stats.Rng.make 2718 in
+    let ch =
+      Morphcore.Characterize.run ?pool ?cache ~rng ~trajectories:4 program
+        ~count:3
+    in
+    rng_after := Stats.Rng.fingerprint rng :: !rng_after;
+    ch
   in
   let uncached = run () in
   let cache = Cache.create ?dir () in
@@ -398,12 +406,12 @@ let cache_transparent ?pool ?dir circ =
       let twarm = run ~cache:tiny () in
       samples_traces_identical cold tcold
       && samples_traces_identical tcold twarm)
-  &&
-  match dir with
-  | None -> true
-  | Some _ ->
-      Cache.drop_memory cache;
-      samples_traces_identical cold (run ~cache ())
+  && (match dir with
+     | None -> true
+     | Some _ ->
+         Cache.drop_memory cache;
+         samples_traces_identical cold (run ~cache ()))
+  && List.length (List.sort_uniq compare !rng_after) = 1
 
 (* ---- observability transparency ---- *)
 

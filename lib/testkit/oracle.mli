@@ -147,7 +147,8 @@ val characterize_scale_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
     characterizations agree bit-for-bit, the cached path agrees with the
     uncached one within {!eps}, and — when [dir] names a cache
     directory — so does a persistence reload ([Cache.drop_memory], then
-    re-read from disk). *)
+    re-read from disk). Every run leaves the caller's generator with the
+    fingerprint the uncached run left it with. *)
 val cache_transparent : ?pool:Parallel.Pool.t -> ?dir:string -> Gen.circ -> bool
 
 (** [characterize_engines_agree ?pool c] — [Morphcore.Characterize.run]

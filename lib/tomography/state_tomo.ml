@@ -79,7 +79,7 @@ let setting_key p =
       | Qstate.Pauli.X -> 'X'
       | Qstate.Pauli.Y -> 'Y')
 
-let run_direct ?(project = true) ?budget rng ~shots ~truth () =
+let run ?(project = true) ?budget rng ~shots ~truth () =
   Obs.Span.with_ ~name:"tomography.run" @@ fun () ->
   let d, dc = Cmat.dims truth in
   if d <> dc then invalid_arg "State_tomo.run: non-square state";
@@ -138,33 +138,6 @@ let run_direct ?(project = true) ?budget rng ~shots ~truth () =
         Obs.Metrics.counter_add "tomography_shots_total" used;
       seq_counters ~cap:(settings * cap) ~used ~early:(used < settings * cap);
       { rho; settings; shots_used = used }
-
-(* Estimate memo: [cache] is the store plus a caller context string (the
-   characterization layer passes its unit key; standalone callers pass any
-   stable tag). A hit returns the stored estimate without advancing [rng]
-   or recording [tomography_shots_total] — the estimate is a pure function
-   of (context, truth, shots, project, budget, generator fingerprint). *)
-let run ?project ?budget ?cache rng ~shots ~truth () =
-  match cache with
-  | None -> run_direct ?project ?budget rng ~shots ~truth ()
-  | Some (cache, ctx) -> (
-      let key =
-        Cache.Fnv.hex
-          (String.concat "\x00"
-             [
-               "tomo-v1";
-               ctx;
-               Marshal.to_string (truth : Cmat.t) [];
-               Marshal.to_string (shots, project, budget) [];
-               string_of_int (Stats.Rng.fingerprint rng);
-             ])
-      in
-      match Cache.find_value cache ~ns:"tomography" key with
-      | Some r -> r
-      | None ->
-          let r = run_direct ?project ?budget rng ~shots ~truth () in
-          Cache.store_value cache ~ns:"tomography" key r;
-          r)
 
 let probs_only ?budget rng ~shots ~truth () =
   Obs.Span.with_ ~name:"tomography.probs_only" @@ fun () ->

@@ -43,16 +43,10 @@ val reconstruct : int -> (Qstate.Pauli.t * float) list -> Linalg.Cmat.t
     recorded in the [verify_shots_saved_total] / [verify_early_stop_total]
     counters; [result.shots_used] reports actual spend (per-setting max
     over the Pauli strings the setting covers). The fixed path is
-    bit-identical to the pre-budget code.
-
-    [cache] is a store plus a caller context string: the estimate is
-    memoized as a pure function of (context, truth, shots, project,
-    budget, generator fingerprint). A hit returns the stored estimate
-    without advancing [rng] or recording shot counters. *)
+    bit-identical to the pre-budget code. *)
 val run :
   ?project:bool ->
   ?budget:Stats.Tests.budget ->
-  ?cache:Cache.t * string ->
   Stats.Rng.t ->
   shots:int ->
   truth:Linalg.Cmat.t ->

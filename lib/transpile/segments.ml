@@ -198,49 +198,26 @@ let compile_direct_cert ?(cutoff = default_cutoff)
   in
   (plan, step)
 
-let compile_direct ?cutoff ?block_cutoff ?clifford_direct c =
+let compile ?cutoff ?block_cutoff ?clifford_direct c =
   fst (compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c)
 
-(* Plan memo: keyed by the exact circuit bytes (barriers and fences are
-   semantically load-bearing here, so no canonicalization) plus the
-   cutoffs. A plan is pure data (fused operators, direct gates, fence
-   instructions), so a cached plan is the compiled plan. *)
-let plan_key ~tag ?cutoff ?block_cutoff ?clifford_direct c =
-  Cache.Canon.digest
-    (String.concat "\x00"
-       [
-         tag;
-         Cache.Canon.exact_bytes c;
-         Marshal.to_string (cutoff, block_cutoff, clifford_direct) [];
-       ])
-
-let compile ?cutoff ?block_cutoff ?clifford_direct ?cache c =
-  match cache with
-  | None -> compile_direct ?cutoff ?block_cutoff ?clifford_direct c
-  | Some cache -> (
-      let key = plan_key ~tag:"plan-v1" ?cutoff ?block_cutoff ?clifford_direct c in
-      match Cache.find_value cache ~ns:"segments" key with
-      | Some plan -> plan
-      | None ->
-          let plan = compile_direct ?cutoff ?block_cutoff ?clifford_direct c in
-          Cache.store_value cache ~ns:"segments" key plan;
-          plan)
-
-(* Certified plans live under their own key prefix: a plain "plan-v1"
-   entry carries no certificate, so a certified request can never be
-   served an uncertified plan — the lookups are disjoint by construction. *)
+(* Certified plan memo: keyed by the exact circuit bytes (barriers and
+   fences are semantically load-bearing here, so no canonicalization)
+   plus the cutoffs. A plan and its certificate are pure data (fused
+   operators, direct gates, fence instructions, obligations), so a cached
+   pair is the compiled pair. *)
 let compile_cert ?cutoff ?block_cutoff ?clifford_direct ?cache c =
+  let direct () = compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c in
   match cache with
-  | None -> compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c
-  | Some cache -> (
+  | None -> direct ()
+  | Some cache ->
       let key =
-        plan_key ~tag:"plan-cert-v1" ?cutoff ?block_cutoff ?clifford_direct c
+        Cache.Canon.digest
+          (String.concat "\x00"
+             [
+               "plan-cert-v1";
+               Cache.Canon.exact_bytes c;
+               Marshal.to_string (cutoff, block_cutoff, clifford_direct) [];
+             ])
       in
-      match Cache.find_value cache ~ns:"segments" key with
-      | Some pair -> pair
-      | None ->
-          let pair =
-            compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c
-          in
-          Cache.store_value cache ~ns:"segments" key pair;
-          pair)
+      Cache.memo cache ~ns:"segments" key direct

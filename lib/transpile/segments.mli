@@ -49,15 +49,11 @@ val default_block_cutoff : int
     same plan as before, cheaper compile. With [clifford_direct] (default
     [false]) segments classified Clifford by [Analysis.Classify] also skip
     dense fusion: their sparse kernels are cheap and keeping them as plain
-    gates preserves the option of running them on the stabilizer tableau.
-
-    [cache] memoizes the whole plan, keyed by the exact circuit bytes
-    (barriers fence fusion, so no canonicalization) and the cutoffs. *)
+    gates preserves the option of running them on the stabilizer tableau. *)
 val compile :
   ?cutoff:int ->
   ?block_cutoff:int ->
   ?clifford_direct:bool ->
-  ?cache:Cache.t ->
   Circuit.t ->
   Sim.Batch.plan
 
@@ -66,10 +62,9 @@ val compile :
     {!Certify.step} relating the circuit to the plan: each [Block] is a
     [Local_equiv] group over the instructions it fused, [Direct] gates and
     [Fence] instructions are mapped untouched, and dropped barriers carry
-    [Barrier_elim] obligations. With [cache], certified plans are memoized
-    under their own key prefix ([plan-cert-v1]), disjoint from {!compile}'s
-    — a certified request is never served a plan that was cached without
-    its certificate. *)
+    [Barrier_elim] obligations. [cache] memoizes the plan together with
+    its certificate ([plan-cert-v1]), keyed by the exact circuit bytes
+    (barriers fence fusion, so no canonicalization) and the cutoffs. *)
 val compile_cert :
   ?cutoff:int ->
   ?block_cutoff:int ->

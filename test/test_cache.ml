@@ -185,7 +185,63 @@ let test_store_persistence () =
     "corrupt files read as misses" true
     (Cache.find_value corrupted ~ns:"t" "key" = (None : float array option))
 
+let test_store_memo () =
+  let cache = Cache.create () in
+  let calls = ref 0 in
+  let compute v () =
+    incr calls;
+    v
+  in
+  Alcotest.(check (array (float 0.)))
+    "miss computes" [| 1.5 |]
+    (Cache.memo cache ~ns:"t" "k" (compute [| 1.5 |]));
+  Alcotest.(check (array (float 0.)))
+    "hit returns the stored value" [| 1.5 |]
+    (Cache.memo cache ~ns:"t" "k" (compute [| 9. |]));
+  Alcotest.(check int) "computed once" 1 !calls;
+  let s = Cache.stats cache in
+  Alcotest.(check (pair int int)) "one miss, one hit" (1, 1)
+    (s.Cache.misses, s.Cache.hits)
+
+let test_store_memo_invalid () =
+  let cache = Cache.create () in
+  Cache.store_value cache ~ns:"t" "k" [| 1.5 |];
+  let valid arr = Array.length arr = 2 in
+  Alcotest.(check (array (float 0.)))
+    "rejected value recomputed" [| 2.5; 3.5 |]
+    (Cache.memo cache ~ns:"t" ~valid "k" (fun () -> [| 2.5; 3.5 |]));
+  Alcotest.(check (array (float 0.)))
+    "recomputed value replaced the stored one" [| 2.5; 3.5 |]
+    (Cache.memo cache ~ns:"t" ~valid "k" (fun () ->
+         Alcotest.fail "valid stored value recomputed"))
+
+let test_store_memo_undecodable () =
+  let cache = Cache.create () in
+  Cache.store cache ~ns:"t" "k" "garbage";
+  Alcotest.(check (array (float 0.)))
+    "undecodable entry recomputed" [| 4.5 |]
+    (Cache.memo cache ~ns:"t" "k" (fun () -> [| 4.5 |]));
+  Alcotest.(check bool)
+    "recomputed value stored" true
+    (Cache.find_value cache ~ns:"t" "k" = Some [| 4.5 |])
+
 (* --------------------------- memo layers -------------------------------- *)
+
+(* run [f] with obs enabled against fresh rings/registry, restoring the
+   caller's setting — spans and the metrics/trace RPCs only have content
+   under obs *)
+let with_obs_enabled f =
+  let was = Obs.enabled () in
+  Obs.Span.reset ();
+  Obs.Metrics.reset ();
+  Obs.configure ~enabled:true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.configure ~enabled:was;
+      Obs.Span.reset ();
+      Obs.Metrics.reset ())
+    f
+
 
 let three_cone_circuit theta =
   Circuit.(
@@ -273,6 +329,27 @@ let test_whole_result_memo () =
     "warm samples identical" true
     (traces_of cold = traces_of warm)
 
+(* a cold whole-result miss opens [characterize.run] once, so span
+   tables and daemon traces count the layer once *)
+let test_one_characterize_span () =
+  let c =
+    Circuit.(
+      empty ~clbits:1 2 |> h 0 |> cx 0 1 |> measure 0 0
+      |> tracepoint 1 [ 1 ])
+  in
+  with_obs_enabled (fun () ->
+      let since = Obs.Span.mark () in
+      ignore
+        (Characterize.run ~cache:(Cache.create ()) ~trajectories:3
+           (Program.make c) ~count:3);
+      let opened =
+        List.filter
+          (fun (ev : Obs.Span.event) ->
+            ev.name = "characterize.run" && ev.ph = Obs.Span.B)
+          (Obs.Span.events ~since ())
+      in
+      Alcotest.(check int) "characterize.run spans" 1 (List.length opened))
+
 let test_verdict_memo () =
   let cache = Cache.create () in
   let validate () =
@@ -294,40 +371,6 @@ let test_verdict_memo () =
   let after = Cache.stats cache in
   Alcotest.(check int) "verdict hit" (before.Cache.hits + 1) after.Cache.hits;
   Alcotest.(check bool) "verdicts identical" true (cold = warm)
-
-let test_segments_memo () =
-  let c = Gen.build (QCheck.Gen.generate1 ~rand:(Config.rand ()) (Gen.gen_pure ())) in
-  let cache = Cache.create () in
-  let cold = Transpile.Segments.compile ~cache c in
-  let before = Cache.stats cache in
-  let warm = Transpile.Segments.compile ~cache c in
-  let after = Cache.stats cache in
-  Alcotest.(check int) "plan hit" (before.Cache.hits + 1) after.Cache.hits;
-  Alcotest.(check bool) "plans identical" true (cold = warm);
-  (* a different cutoff is a different key *)
-  let _ = Transpile.Segments.compile ~cutoff:2 ~cache c in
-  Alcotest.(check bool)
-    "cutoff in the key" true
-    ((Cache.stats cache).Cache.misses > after.Cache.misses)
-
-let test_tomo_memo () =
-  let truth =
-    let v = Qstate.Statevec.to_cvec (Qstate.Statevec.zero 2) in
-    Linalg.Cmat.outer v v
-  in
-  let cache = Cache.create () in
-  let run () =
-    Tomography.State_tomo.run
-      ~cache:(cache, "test-ctx")
-      (Stats.Rng.make 9) ~shots:16 ~truth ()
-  in
-  let cold = run () in
-  let before = Cache.stats cache in
-  let warm = run () in
-  Alcotest.(check int)
-    "estimate hit" (before.Cache.hits + 1)
-    (Cache.stats cache).Cache.hits;
-  Alcotest.(check bool) "estimates identical" true (cold = warm)
 
 (* cached and uncached paths agree bit-for-bit across cold/warm/eviction,
    and across a persistence reload *)
@@ -589,20 +632,6 @@ let test_server_request_ids () =
         "and are errors" true
         (Jsonx.member "error" e <> None)
   | _ -> Alcotest.failf "expected 3 lines, got %d" (List.length out)
-
-(* run [f] with obs enabled against fresh rings/registry, restoring the
-   caller's setting — the metrics/trace RPCs only have content under obs *)
-let with_obs_enabled f =
-  let was = Obs.enabled () in
-  Obs.Span.reset ();
-  Obs.Metrics.reset ();
-  Obs.configure ~enabled:true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.configure ~enabled:was;
-      Obs.Span.reset ();
-      Obs.Metrics.reset ())
-    f
 
 let test_server_metrics_rpc () =
   with_obs_enabled (fun () ->
@@ -1003,6 +1032,16 @@ let test_spec_grammar () =
   (match ok (Server.Spec.parse_mode "exact") with
   | Characterize.Exact -> ()
   | _ -> Alcotest.fail "exact mode");
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check bool) name true (ok (Server.Spec.parse_solver name) = want))
+    [ ("qp", `Qp); ("sgd", `Adam); ("anneal", `Anneal); ("genetic", `Genetic) ];
+  List.iter
+    (fun name ->
+      match Server.Spec.parse_solver name with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "solver %S must not parse" name)
+    [ "sgdd"; "nonsense"; "QP"; "adam"; "" ];
   (* range checks against the program: each of these used to pass the
      parser and fail later with an uncaught exception *)
   let teleport = Qasm.parse_file (Filename.concat examples_dir "teleport.qasm") in
@@ -1061,7 +1100,29 @@ let test_server_spec_error () =
           Alcotest.(check (option string))
             spec (Some want) (Jsonx.mem_str "error" last)
       | [] -> Alcotest.fail "no response")
-    [ "pure:9"; "diag:1,99,0,1"; "expect-ge:1,ZZ,0" ]
+    [ "pure:9"; "diag:1,99,0,1"; "expect-ge:1,ZZ,0" ];
+  (* an unknown solver is one error line, not a silent QP run *)
+  let line =
+    Jsonx.to_string
+      (Jsonx.Obj
+         [
+           ("id", Jsonx.int 2);
+           ("method", Jsonx.Str "verify");
+           ( "params",
+             Jsonx.Obj
+               [
+                 ("qasm", Jsonx.Str (Qasm.to_string ghz3));
+                 ("guarantee", Jsonx.Str "pure:1");
+                 ("solver", Jsonx.Str "nonsense");
+               ] );
+         ])
+  in
+  match fst (drive state [ line ]) with
+  | [ only ] ->
+      Alcotest.(check (option string))
+        "solver" (Some "bad solver \"nonsense\" (qp | sgd | anneal | genetic)")
+        (Jsonx.mem_str "error" only)
+  | out -> Alcotest.failf "expected one line, got %d" (List.length out)
 
 let () =
   Alcotest.run "cache"
@@ -1079,6 +1140,11 @@ let () =
           Alcotest.test_case "lru byte bound" `Quick test_store_lru;
           Alcotest.test_case "namespaces" `Quick test_store_namespaces;
           Alcotest.test_case "persistence" `Quick test_store_persistence;
+          Alcotest.test_case "memo miss then hit" `Quick test_store_memo;
+          Alcotest.test_case "memo rejects invalid" `Quick
+            test_store_memo_invalid;
+          Alcotest.test_case "memo undecodable entry" `Quick
+            test_store_memo_undecodable;
         ] );
       ( "memo",
         [
@@ -1086,9 +1152,9 @@ let () =
             test_incremental_warm_and_edited;
           Alcotest.test_case "whole-result fallback" `Quick
             test_whole_result_memo;
+          Alcotest.test_case "one characterize.run span" `Quick
+            test_one_characterize_span;
           Alcotest.test_case "verdict" `Quick test_verdict_memo;
-          Alcotest.test_case "segments" `Quick test_segments_memo;
-          Alcotest.test_case "tomography" `Quick test_tomo_memo;
           qtest prop_cache_transparent;
         ] );
       ( "lint",
