@@ -163,37 +163,26 @@ let measure_qubit rho q =
   in
   (branch 0 p0, branch 1 p1)
 
+(* the environment sum runs in ascending base order for every entry, as
+   [Statevec.reduced_density] does *)
 let partial_trace ~keep rho =
-  let k = List.length keep in
   let keep_arr = Array.of_list keep in
   let keep_mask = Array.fold_left (fun m q -> m lor (1 lsl q)) 0 keep_arr in
-  let rest = ref [] in
-  for q = rho.n - 1 downto 0 do
-    if keep_mask land (1 lsl q) = 0 then rest := q :: !rest
-  done;
-  let rest_arr = Array.of_list !rest in
-  let dk = 1 lsl k and dr = 1 lsl Array.length rest_arr in
-  let compose a e =
-    let idx = ref 0 in
-    Array.iteri
-      (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-      keep_arr;
-    Array.iteri
-      (fun j q -> if (e lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-      rest_arr;
-    !idx
-  in
+  let dk = 1 lsl Array.length keep_arr and d = 1 lsl rho.n in
+  let offset = Array.init dk (Statevec.embed_index keep_arr) in
   let out = Cmat.create dk dk in
-  for a = 0 to dk - 1 do
-    for b = 0 to dk - 1 do
-      let s = ref Cx.zero in
-      for e = 0 to dr - 1 do
-        s := Cx.add !s (Cmat.get rho.m (compose a e) (compose b e))
-      done;
-      Cmat.set out a b !s
-    done
-  done;
-  { n = k; m = out }
+  let ore = out.Cmat.re and oim = out.Cmat.im in
+  let mre = rho.m.Cmat.re and mim = rho.m.Cmat.im in
+  Statevec.iter_env_bases rho.n keep_mask (fun base ->
+      for a = 0 to dk - 1 do
+        let row = (base lor offset.(a)) * d in
+        for b = 0 to dk - 1 do
+          let src = row + (base lor offset.(b)) in
+          ore.((a * dk) + b) <- ore.((a * dk) + b) +. mre.(src);
+          oim.((a * dk) + b) <- oim.((a * dk) + b) +. mim.(src)
+        done
+      done);
+  { n = Array.length keep_arr; m = out }
 
 let trace rho = Cx.re (Cmat.trace rho.m)
 

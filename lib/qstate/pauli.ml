@@ -41,6 +41,53 @@ let all n =
   in
   List.map Array.of_list (go n)
 
+let rec parity v = if v = 0 then 0 else 1 lxor parity (v land (v - 1))
+
+(* rho = 2^-k sum_P <P> P. Row r of a string has its one nonzero at column
+   r xor (X/Y letters), with phase (-i)^#Y (-1)^|r & (Y/Z letters)|, a
+   power of i: each nonzero string adds exactly +-w to one component of
+   dk entries, starting from +0, so no entry is ever -0. *)
+let density_of_expectations keep expectation =
+  let keep = Array.of_list keep in
+  let k = Array.length keep in
+  let dk = 1 lsl k in
+  let rho = Cmat.create dk dk in
+  let rre = rho.Cmat.re and rim = rho.Cmat.im in
+  for sigma = 0 to (1 lsl (2 * k)) - 1 do
+    (* register masks for [expectation]; local masks for the matrix *)
+    let x = ref 0 and z = ref 0 and lx = ref 0 and lz = ref 0 and ys = ref 0 in
+    for j = 0 to k - 1 do
+      let bit = 1 lsl keep.(j) and local = 1 lsl j in
+      match (sigma lsr (2 * j)) land 3 with
+      | 1 ->
+          x := !x lor bit;
+          lx := !lx lor local
+      | 2 ->
+          x := !x lor bit;
+          z := !z lor bit;
+          lx := !lx lor local;
+          lz := !lz lor local;
+          incr ys
+      | 3 ->
+          z := !z lor bit;
+          lz := !lz lor local
+      | _ -> ()
+    done;
+    let e = expectation ~x:!x ~z:!z in
+    if Float.abs e > 0. then begin
+      let w = e /. float_of_int dk in
+      for r = 0 to dk - 1 do
+        let p = (r * dk) + (r lxor !lx) in
+        match ((3 * !ys) + (2 * parity (r land !lz))) land 3 with
+        | 0 -> rre.(p) <- rre.(p) +. w
+        | 1 -> rim.(p) <- rim.(p) +. w
+        | 2 -> rre.(p) <- rre.(p) -. w
+        | _ -> rim.(p) <- rim.(p) -. w
+      done
+    end
+  done;
+  rho
+
 (* tr(P rho): a Pauli string has exactly one nonzero entry per row r, at
    column r XOR flipmask, with a phase that is a product of per-qubit factors
    (Z contributes (-1)^bit, Y contributes +/- i). *)

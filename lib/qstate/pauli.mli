@@ -33,6 +33,19 @@ val all : int -> t list
     Pauli matrix. *)
 val expectation_dm : t -> Linalg.Cmat.t -> float
 
+(** [density_of_expectations keep expectation] is
+    [2^-k sum_P (expectation P) P] over the [4^k] Pauli strings [P] on the
+    [k] qubits of [keep]: the reduced density on [keep] of a state whose
+    Pauli expectations are [expectation] (bit [j] of the result index is
+    [List.nth keep j]). [expectation ~x ~z] receives a string as register
+    masks — X on qubit [q] when bit [q] of [x] is set, Z when bit [q] of
+    [z], Y when both. Strings run in ascending [sum_j letter_j 4^j]
+    (I = 0, X = 1, Y = 2, Z = 3) and one with expectation 0 adds nothing.
+    A string has one nonzero per row, so the cost is [4^k] calls of
+    [expectation] plus [2^k] additions per nonzero string. *)
+val density_of_expectations :
+  int list -> (x:int -> z:int -> float) -> Linalg.Cmat.t
+
 (** [mul a b] multiplies two Pauli strings of equal length, returning the
     resulting string together with its scalar phase in [{1, i, -1, -i}]
     encoded as the exponent of [i] (mod 4): [a * b = i^phase * result]. *)

@@ -326,8 +326,16 @@ let expectation_pauli p st =
   done;
   !total_re
 
+let iter_env_bases n keep_mask f =
+  let d = 1 lsl n and rest = lnot keep_mask in
+  let base = ref 0 in
+  while !base < d do
+    f !base;
+    (* the next subset of [rest]: carry through the kept bits *)
+    base := ((!base lor keep_mask) + 1) land rest
+  done
+
 let reduced_density st keep =
-  let k = List.length keep in
   List.iter
     (fun q ->
       if q < 0 || q >= st.n then
@@ -335,45 +343,27 @@ let reduced_density st keep =
     keep;
   let keep_arr = Array.of_list keep in
   let keep_mask = Array.fold_left (fun m q -> m lor (1 lsl q)) 0 keep_arr in
-  let rest = ref [] in
-  for q = st.n - 1 downto 0 do
-    if keep_mask land (1 lsl q) = 0 then rest := q :: !rest
-  done;
-  let rest_arr = Array.of_list !rest in
-  let dk = 1 lsl k and dr = 1 lsl Array.length rest_arr in
-  (* compose a full index from kept sub-index [a] and rest sub-index [e] *)
-  let compose a e =
-    let idx = ref 0 in
-    Array.iteri
-      (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-      keep_arr;
-    Array.iteri
-      (fun j q -> if (e lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-      rest_arr;
-    !idx
-  in
+  let dk = 1 lsl Array.length keep_arr in
+  (* offset.(a): index bits of kept sub-index [a]; a full index is an
+     environment base or'ed with one offset *)
+  let offset = Array.init dk (embed_index keep_arr) in
   let rho = Cmat.create dk dk in
   let rre = rho.Cmat.re and rim = rho.Cmat.im in
-  let full = Array.make dk 0 in
-  for e = 0 to dr - 1 do
-    for a = 0 to dk - 1 do
-      full.(a) <- compose a e
-    done;
-    for a = 0 to dk - 1 do
-      let ia = full.(a) in
-      let ar = st.re.(ia) and ai = st.im.(ia) in
-      if ar <> 0. || ai <> 0. then begin
-        let base = a * dk in
-        for b = 0 to dk - 1 do
-          let ib = full.(b) in
-          (* psi_a * conj(psi_b) *)
-          let br = st.re.(ib) and bi = st.im.(ib) in
-          rre.(base + b) <- rre.(base + b) +. (ar *. br) +. (ai *. bi);
-          rim.(base + b) <- rim.(base + b) +. (ai *. br) -. (ar *. bi)
-        done
-      end
-    done
-  done;
+  iter_env_bases st.n keep_mask (fun base ->
+      for a = 0 to dk - 1 do
+        let ia = base lor offset.(a) in
+        let ar = st.re.(ia) and ai = st.im.(ia) in
+        if ar <> 0. || ai <> 0. then begin
+          let row = a * dk in
+          for b = 0 to dk - 1 do
+            let ib = base lor offset.(b) in
+            (* psi_a * conj(psi_b) *)
+            let br = st.re.(ib) and bi = st.im.(ib) in
+            rre.(row + b) <- rre.(row + b) +. (ar *. br) +. (ai *. bi);
+            rim.(row + b) <- rim.(row + b) +. (ai *. br) -. (ar *. bi)
+          done
+        end
+      done);
   rho
 
 let density st = reduced_density st (List.init st.n (fun q -> q))

@@ -27,6 +27,12 @@ val set_amplitude : t -> int -> Linalg.Cx.t -> unit
     state [a]. *)
 val embed_index : int array -> int -> int
 
+(** [iter_env_bases n keep_mask f] calls [f base] for every [n]-qubit
+    basis index [base] with no bit of [keep_mask] set, in ascending order:
+    the environment bases of a reduction onto the [keep_mask] qubits. A
+    full index is [base lor embed_index keep a] for kept sub-index [a]. *)
+val iter_env_bases : int -> int -> (int -> unit) -> unit
+
 (** [embed n positions input] lifts [input] into an [n]-qubit register,
     input qubit [j] on qubit [positions.(j)] ({!embed_index}), every other
     qubit [|0>]. *)
@@ -94,9 +100,14 @@ val counts : ?pool:Parallel.Pool.t -> Stats.Rng.t -> t -> shots:int -> (int * in
 (** [expectation_pauli p st] is [<st| P |st>]. *)
 val expectation_pauli : Pauli.t -> t -> float
 
-(** [reduced_density st keep] is the reduced density matrix over the qubits
-    in [keep] (bit [j] of the result index corresponds to [List.nth keep j]).
-    Cost O(4^k * 2^(n-k)). *)
+(** [reduced_density st keep] is the reduced density matrix over the [k]
+    qubits in [keep] (bit [j] of the result index corresponds to
+    [List.nth keep j]). The [2^k]-entry offset table of the kept qubits is
+    built once; the [2^(n-k)] environment bases are then scanned in
+    ascending order, each adding [psi_a conj(psi_b)] to every entry whose
+    row amplitude [psi_a] is nonzero. Cost: at most [2^(n+k)] complex
+    multiply-accumulates, each with one index or; nothing is allocated
+    beyond the result and the table. *)
 val reduced_density : t -> int list -> Linalg.Cmat.t
 
 (** [density st] is the full density matrix [|st><st|]. *)

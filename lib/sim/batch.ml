@@ -6,18 +6,18 @@ module Cmat = Linalg.Cmat
    A [plan] (normally built by [Transpile.Segments.compile]) is a circuit
    whose purely-unitary segments have been fused into block operators,
    interleaved with the fences (tracepoints, measurements, resets,
-   classical feedback) that delimited them. [run] packs N input state
-   vectors as the columns of one row-major matrix pair, so row [i] holds
-   amplitude [i] of every column contiguously, and applies each fused
-   operator to the whole batch with allocation-free kernels that stream
-   those rows. Fences are interpreted per column with a per-column
-   generator.
+   classical feedback) that delimited them. [exec] cuts the input columns
+   into tiles; each pool task owns one private tile and runs the whole
+   plan over every tile it is given with allocation-free kernels that
+   stream the tile's rows (row [i] holds amplitude [i] of the tile's
+   columns contiguously). Fences are interpreted per column with a
+   per-column generator.
 
    Determinism: every kernel touches each column independently with a
    k-ascending accumulation order that does not depend on how many columns
-   sit in the buffer or which worker processes them, so a packed run is
+   sit in the tile or which worker processes them, so a packed run is
    bit-identical to running each column alone through [run_seq] — for any
-   batch size, column-block size and pool domain count. *)
+   batch size, tile width and pool domain count. *)
 
 type block = { qubits : int array; u : Cmat.t }
 
@@ -49,102 +49,85 @@ let is_deterministic plan =
     plan.items
 
 (* ------------------------------------------------------------------ *)
-(* The packed batch: [d x w] column-major state storage plus an equally
-   sized gather workspace, both allocated once and reused across every
-   operator and column block. *)
+(* A private column tile: [2^n x w] row-major amplitudes (row [i] holds
+   amplitude [i] of the tile's columns), a gather workspace with room for
+   the widest fused block's rows, and one scratch state vector per column
+   for fence runs. A tile belongs to one pool task for the whole run, so
+   no two domains ever write into one buffer, and it is reused for every
+   column range that task is given. Kernels touch only the first
+   [used] columns. *)
 
-type batch = { n : int; w : int; buf : Cmat.t; ws : Cmat.t }
-
-let make_batch n w =
-  let d = 1 lsl n in
-  { n; w; buf = Cmat.create d w; ws = Cmat.create d w }
+type tile = {
+  n : int;
+  w : int;
+  re : float array;
+  im : float array;
+  gre : float array;
+  gim : float array;
+  scratch : Statevec.t array;
+}
 
 (* ------------------------------------------------------------------ *)
-(* Operator kernels over a column range [lo, hi). Distinct ranges touch
-   disjoint elements of both [buf] and [ws], so pool workers can run the
-   whole item list over their own ranges concurrently. *)
+(* Operator kernels, each compiled once per [exec] into a closure over the
+   tables it needs. *)
 
-let apply_block bt (blk : block) lo hi =
-  let n = bt.n and w = bt.w in
-  let d = 1 lsl n in
-  let k = Array.length blk.qubits in
-  let m = 1 lsl k in
-  let u = blk.u in
-  if Obs.enabled () then begin
-    (* useful MACs: one per nonzero of [u], per base group, per column in
-       this range — identical for the GEMM and gather paths *)
-    let nnz = ref 0 in
-    for idx = 0 to Array.length u.Cmat.re - 1 do
-      if u.Cmat.re.(idx) <> 0. || u.Cmat.im.(idx) <> 0. then incr nnz
-    done;
-    (* exactly one chunk of any partitioning starts at column 0, so this
-       count is independent of the pool's domain count; the MAC count
-       scales by (hi - lo) and sums to the same total for the same
-       reason *)
-    if lo = 0 then Obs.Metrics.counter_add "fused_block_applied_total" 1;
-    Obs.Metrics.counter_add "batch_gemm_macs_total"
-      ((d lsr k) * !nnz * (hi - lo))
-  end;
-  if k = n && lo = 0 && hi = w then begin
-    (* full-width segment over the whole buffer: plain GEMM. Bit-identical
-       to the gather path below (same k-ascending, zero-skipping
-       accumulation), just without the copy. *)
-    Cmat.mul_into ~dst:bt.ws u bt.buf;
-    Array.blit bt.ws.Cmat.re 0 bt.buf.Cmat.re 0 (d * w);
-    Array.blit bt.ws.Cmat.im 0 bt.buf.Cmat.im 0 (d * w)
-  end
-  else begin
-    let bre = bt.buf.Cmat.re and bim = bt.buf.Cmat.im in
-    let wre = bt.ws.Cmat.re and wim = bt.ws.Cmat.im in
-    let ure = u.Cmat.re and uim = u.Cmat.im in
-    let width = hi - lo in
-    let block_mask =
-      Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 blk.qubits
-    in
-    (* offset.(a): global index bits contributed by local sub-index [a]
-       (local bit j lives on global qubit [qubits.(j)]) *)
-    let offset =
-      Array.init m (fun a ->
-          let idx = ref 0 in
-          Array.iteri
-            (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
-            blk.qubits;
-          !idx)
-    in
-    for base = 0 to d - 1 do
-      if base land block_mask = 0 then begin
-        (* gather the m involved rows of this group into the workspace,
-           then accumulate u * ws back into the batch rows *)
+(* Fused block: [offset] and u's nonzero pattern (row [a] holds the
+   entries [row_start.(a) .. row_start.(a+1) - 1]) are taken once; each
+   group of 2^k rows is gathered into the workspace and u * rows is
+   accumulated back, column by column, in k-ascending order over u's
+   nonzeros — the same zero-skipping accumulation as [Cmat.mul_into]. *)
+let block_kernel (blk : block) =
+  let m = 1 lsl Array.length blk.qubits in
+  let mask = Array.fold_left (fun acc q -> acc lor (1 lsl q)) 0 blk.qubits in
+  let offset = Array.init m (Statevec.embed_index blk.qubits) in
+  let ure = blk.u.Cmat.re and uim = blk.u.Cmat.im in
+  let nz =
+    List.init (m * m) Fun.id
+    |> List.filter (fun idx -> ure.(idx) <> 0. || uim.(idx) <> 0.)
+    |> Array.of_list
+  in
+  let col = Array.map (fun idx -> idx mod m) nz in
+  let cre = Array.map (Array.get ure) nz in
+  let cim = Array.map (Array.get uim) nz in
+  let row_start = Array.make (m + 1) 0 in
+  Array.iter
+    (fun idx -> row_start.((idx / m) + 1) <- row_start.((idx / m) + 1) + 1)
+    nz;
+  for a = 1 to m do
+    row_start.(a) <- row_start.(a) + row_start.(a - 1)
+  done;
+  fun t used ->
+    let w = t.w in
+    let re = t.re and im = t.im and gre = t.gre and gim = t.gim in
+    Statevec.iter_env_bases t.n mask (fun base ->
         for a = 0 to m - 1 do
-          let row = (base lor offset.(a)) * w in
-          Array.blit bre (row + lo) wre ((a * w) + lo) width;
-          Array.blit bim (row + lo) wim ((a * w) + lo) width
+          let src = (base lor offset.(a)) * w and dst = a * w in
+          for j = 0 to used - 1 do
+            gre.(dst + j) <- re.(src + j);
+            gim.(dst + j) <- im.(src + j)
+          done
         done;
         for a = 0 to m - 1 do
           let drow = (base lor offset.(a)) * w in
-          Array.fill bre (drow + lo) width 0.;
-          Array.fill bim (drow + lo) width 0.;
-          for b = 0 to m - 1 do
-            let ur = ure.((a * m) + b) and ui = uim.((a * m) + b) in
-            if ur <> 0. || ui <> 0. then begin
-              let srow = b * w in
-              for j = lo to hi - 1 do
-                let xr = wre.(srow + j) and xi = wim.(srow + j) in
-                bre.(drow + j) <- bre.(drow + j) +. (ur *. xr) -. (ui *. xi);
-                bim.(drow + j) <- bim.(drow + j) +. (ur *. xi) +. (ui *. xr)
-              done
-            end
+          for j = drow to drow + used - 1 do
+            re.(j) <- 0.;
+            im.(j) <- 0.
+          done;
+          for p = row_start.(a) to row_start.(a + 1) - 1 do
+            let ur = cre.(p) and ui = cim.(p) and srow = col.(p) * w in
+            for j = 0 to used - 1 do
+              let xr = gre.(srow + j) and xi = gim.(srow + j) in
+              re.(drow + j) <- re.(drow + j) +. (ur *. xr) -. (ui *. xi);
+              im.(drow + j) <- im.(drow + j) +. (ur *. xi) +. (ui *. xr)
+            done
           done
-        done
-      end
-    done
-  end
+        done)
 
 (* controlled single-target gate, mirroring [Statevec.apply_controlled]'s
    update expressions so a plan run agrees with the gate-by-gate engine *)
-let apply_cgate bt ~controls u tgt lo hi =
-  let d = 1 lsl bt.n and w = bt.w in
-  let bre = bt.buf.Cmat.re and bim = bt.buf.Cmat.im in
+let cgate_kernel ~controls u tgt t used =
+  let d = 1 lsl t.n and w = t.w in
+  let re = t.re and im = t.im in
   let cmask = List.fold_left (fun m c -> m lor (1 lsl c)) 0 controls in
   let u00r = u.Cmat.re.(0) and u00i = u.Cmat.im.(0) in
   let u01r = u.Cmat.re.(1) and u01i = u.Cmat.im.(1) in
@@ -154,62 +137,56 @@ let apply_cgate bt ~controls u tgt lo hi =
   for i = 0 to d - 1 do
     if i land bit = 0 && i land cmask = cmask then begin
       let p = i * w and q = (i lor bit) * w in
-      for j = lo to hi - 1 do
-        let ar = bre.(p + j) and ai = bim.(p + j) in
-        let br = bre.(q + j) and bi = bim.(q + j) in
-        bre.(p + j) <- (u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi);
-        bim.(p + j) <- (u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br);
-        bre.(q + j) <- (u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi);
-        bim.(q + j) <- (u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br)
+      for j = 0 to used - 1 do
+        let ar = re.(p + j) and ai = im.(p + j) in
+        let br = re.(q + j) and bi = im.(q + j) in
+        re.(p + j) <- (u00r *. ar) -. (u00i *. ai) +. (u01r *. br) -. (u01i *. bi);
+        im.(p + j) <- (u00r *. ai) +. (u00i *. ar) +. (u01r *. bi) +. (u01i *. br);
+        re.(q + j) <- (u10r *. ar) -. (u10i *. ai) +. (u11r *. br) -. (u11i *. bi);
+        im.(q + j) <- (u10r *. ai) +. (u10i *. ar) +. (u11r *. bi) +. (u11i *. br)
       done
     end
   done
 
-let apply_swap bt qa qb lo hi =
-  let d = 1 lsl bt.n and w = bt.w in
-  let bre = bt.buf.Cmat.re and bim = bt.buf.Cmat.im in
+let swap_kernel qa qb t used =
+  let d = 1 lsl t.n and w = t.w in
+  let re = t.re and im = t.im in
   let ba = 1 lsl qa and bb = 1 lsl qb in
   for i = 0 to d - 1 do
     if i land ba <> 0 && i land bb = 0 then begin
       let p = i * w and q = (i lxor (ba lor bb)) * w in
-      for j = lo to hi - 1 do
-        let xr = bre.(p + j) and xi = bim.(p + j) in
-        bre.(p + j) <- bre.(q + j);
-        bim.(p + j) <- bim.(q + j);
-        bre.(q + j) <- xr;
-        bim.(q + j) <- xi
+      for j = 0 to used - 1 do
+        let xr = re.(p + j) and xi = im.(p + j) in
+        re.(p + j) <- re.(q + j);
+        im.(p + j) <- im.(q + j);
+        re.(q + j) <- xr;
+        im.(q + j) <- xi
       done
     end
   done
 
-let apply_direct bt (g : Circuit.Gate.t) lo hi =
-  (* [lo = 0] guard: see [apply_block] — keeps the count independent of
-     how the column range was chunked over pool workers *)
-  if lo = 0 && Obs.enabled () then
-    Obs.Metrics.counter_add
-      ~labels:[ ("kind", g.Circuit.Gate.name) ]
-      "direct_gate_applied_total" 1;
+let direct_kernel (g : Circuit.Gate.t) =
   match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
   | "swap", [ qa; qb ] ->
       if g.Circuit.Gate.controls <> [] then
         invalid_arg "Batch: controlled swap unsupported";
-      apply_swap bt qa qb lo hi
+      swap_kernel qa qb
   | name, [ tgt ] ->
       let u = Gates.by_name name g.Circuit.Gate.params in
-      apply_cgate bt ~controls:g.Circuit.Gate.controls u tgt lo hi
+      cgate_kernel ~controls:g.Circuit.Gate.controls u tgt
   | _ -> invalid_arg "Batch: malformed gate"
 
 (* ------------------------------------------------------------------ *)
-(* Fence interpretation. Per-column access to the packed buffer walks a
-   column with a [w]-float stride — one cache line per amplitude — which
-   dominates wall time on measurement-heavy circuits. So runs of
-   consecutive fences are executed on contiguous copies instead: a tile
-   of columns is transposed out of the buffer (walking ROWS, which are
-   contiguous), each column's fences run on its own scratch [Statevec.t]
-   with the engine's statevec kernels, and the tile is transposed back.
-   The copies are exact and the per-column fence order is unchanged, so
-   the results are bit-identical to interpreting the packed columns in
-   place — and the fence arithmetic is exactly [Engine.run]'s. *)
+(* Fence interpretation. Per-column access to a tile walks a column with
+   a [w]-float stride — one cache line per amplitude — which dominates
+   wall time on measurement-heavy circuits. So runs of consecutive fences
+   are executed on contiguous copies instead: the tile's columns are
+   transposed into its scratch vectors (walking ROWS, which are
+   contiguous), each column's fences run on its own [Statevec.t] with the
+   engine's statevec kernels, and the columns are transposed back. The
+   copies are exact and the per-column fence order is unchanged, so the
+   results are bit-identical to interpreting the packed columns in place —
+   and the fence arithmetic is exactly [Engine.run]'s. *)
 
 (* gate application inside a fence ([If_gate] bodies), mirroring
    [Engine.apply_gate_ideal] *)
@@ -236,117 +213,155 @@ let sv_apply_gate (g : Circuit.Gate.t) st =
       Statevec.apply_controlled ~controls:g.Circuit.Gate.controls u tgt st
   | _ -> invalid_arg "Batch: malformed gate"
 
-let fence_tile = 16
-
-(* a run of read-only fences (tracepoints, barriers) leaves the scratch
-   columns untouched, so transposing them back would be an exact no-op *)
-let fences_mutate fences =
-  List.exists
-    (function
-      | Circuit.Instr.Measure _ | Circuit.Instr.Reset _
-      | Circuit.Instr.If_gate _ ->
-          true
-      | _ -> false)
-    fences
-
-let exec_fences fences bt ~col0 ~rng_for ~clbits ~traces lo hi =
-  let mutate = fences_mutate fences in
-  let d = 1 lsl bt.n and w = bt.w in
-  let bre = bt.buf.Cmat.re and bim = bt.buf.Cmat.im in
-  let scratch =
-    Array.init (min fence_tile (hi - lo)) (fun _ -> Statevec.zero bt.n)
-  in
-  let t0 = ref lo in
-  while !t0 < hi do
-    let t1 = min hi (!t0 + fence_tile) in
-    for k = 0 to d - 1 do
-      let row = k * w in
-      for j = !t0 to t1 - 1 do
-        let st = scratch.(j - !t0) in
-        st.Statevec.re.(k) <- bre.(row + j);
-        st.Statevec.im.(k) <- bim.(row + j)
-      done
-    done;
-    for j = !t0 to t1 - 1 do
-      let g = col0 + j in
-      let st = scratch.(j - !t0) in
-      List.iter
-        (fun instr ->
-          match instr with
-          | Circuit.Instr.Tracepoint { id; qubits } ->
-              traces.(g) <-
-                (id, Statevec.reduced_density st qubits) :: traces.(g)
-          | Circuit.Instr.Measure { qubit; clbit } ->
-              clbits.(g).(clbit) <- Statevec.measure (rng_for g) st qubit
-          | Circuit.Instr.Reset q ->
-              if Statevec.measure (rng_for g) st q = 1 then
-                Statevec.apply1 Gates.x q st
-          | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
-              let read =
-                List.fold_left
-                  (fun (acc, k) b -> (acc lor (clbits.(g).(b) lsl k), k + 1))
-                  (0, 0) cbs
-                |> fst
-              in
-              if read = value then sv_apply_gate gate st
-          | Circuit.Instr.Barrier _ -> ()
-          | Circuit.Instr.Gate _ ->
-              invalid_arg "Batch: raw gate used as a fence")
-        fences
-    done;
-    if mutate then
-      for k = 0 to d - 1 do
-        let row = k * w in
-        for j = !t0 to t1 - 1 do
-          let st = scratch.(j - !t0) in
-          bre.(row + j) <- st.Statevec.re.(k);
-          bim.(row + j) <- st.Statevec.im.(k)
-        done
-      done;
-    t0 := t1
+(* exact transposes between the tile's first [used] columns and the
+   state vectors [sts.(0 .. used - 1)], walking the contiguous rows *)
+let columns_to_states t sts used =
+  let w = t.w in
+  for k = 0 to (1 lsl t.n) - 1 do
+    let row = k * w in
+    for j = 0 to used - 1 do
+      let st = sts.(j) in
+      st.Statevec.re.(k) <- t.re.(row + j);
+      st.Statevec.im.(k) <- t.im.(row + j)
+    done
   done
+
+let states_to_columns t sts used =
+  let w = t.w in
+  for k = 0 to (1 lsl t.n) - 1 do
+    let row = k * w in
+    for j = 0 to used - 1 do
+      let st = sts.(j) in
+      t.re.(row + j) <- st.Statevec.re.(k);
+      t.im.(row + j) <- st.Statevec.im.(k)
+    done
+  done
+
+let exec_fences fences ~mutate t ~col0 ~rng_for ~clbits ~traces used =
+  columns_to_states t t.scratch used;
+  for j = 0 to used - 1 do
+    let g = col0 + j in
+    let st = t.scratch.(j) in
+    List.iter
+      (fun instr ->
+        match instr with
+        | Circuit.Instr.Tracepoint { id; qubits } ->
+            traces.(g) <- (id, Statevec.reduced_density st qubits) :: traces.(g)
+        | Circuit.Instr.Measure { qubit; clbit } ->
+            clbits.(g).(clbit) <- Statevec.measure (rng_for g) st qubit
+        | Circuit.Instr.Reset q ->
+            if Statevec.measure (rng_for g) st q = 1 then
+              Statevec.apply1 Gates.x q st
+        | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
+            let read =
+              List.fold_left
+                (fun (acc, k) b -> (acc lor (clbits.(g).(b) lsl k), k + 1))
+                (0, 0) cbs
+              |> fst
+            in
+            if read = value then sv_apply_gate gate st
+        | Circuit.Instr.Barrier _ -> ()
+        | Circuit.Instr.Gate _ -> invalid_arg "Batch: raw gate used as a fence")
+      fences
+  done;
+  (* a run of read-only fences (tracepoints, barriers) leaves the scratch
+     columns untouched, so transposing them back would be an exact no-op *)
+  if mutate then states_to_columns t t.scratch used
 
 (* ------------------------------------------------------------------ *)
 
-(* item list with runs of consecutive fences pre-grouped, so each run
-   costs one tile transpose in and out instead of one strided column
-   walk per fence *)
-type step = Apply of item | Interpret of Circuit.Instr.t list
+(* The item list compiled for one [exec]: operators become kernels over a
+   tile's first [used] columns, and runs of consecutive fences are grouped
+   so each run costs one transpose in and out. *)
+type step =
+  | Kernel of (tile -> int -> unit)
+  | Fences of { fences : Circuit.Instr.t list; mutate : bool }
 
-let group_items items =
-  let rev_steps =
+let fences_step rev_fences =
+  let fences = List.rev rev_fences in
+  let mutate =
+    List.exists
+      (function
+        | Circuit.Instr.Measure _ | Circuit.Instr.Reset _
+        | Circuit.Instr.If_gate _ ->
+            true
+        | _ -> false)
+      fences
+  in
+  Fences { fences; mutate }
+
+let compile items =
+  let flush pending acc =
+    if pending = [] then acc else fences_step pending :: acc
+  in
+  let rec go acc pending = function
+    | [] -> List.rev (flush pending acc)
+    | Fence i :: rest -> go acc (i :: pending) rest
+    | Block b :: rest ->
+        go (Kernel (block_kernel b) :: flush pending acc) [] rest
+    | Direct g :: rest ->
+        go (Kernel (direct_kernel g) :: flush pending acc) [] rest
+  in
+  go [] [] items
+
+(* Tiles bound peak memory: the live tiles never hold more than
+   ~[max_block_floats] amplitudes per component, whatever the sample
+   count. Columns are independent, so tiling cannot change any column's
+   result. *)
+let max_block_floats = 1 lsl 21
+let tile_cols = 16
+let ceil_div a b = (a + b - 1) / b
+
+(* Work counters are a function of the plan and the column count alone,
+   never of the tiling or the domain count: an operator counts one
+   application per column block of at most [max_block_floats] amplitudes,
+   and a fused block one multiply-accumulate per nonzero of [u], per
+   group of rows, per column. *)
+let record_work plan ~count =
+  if Obs.enabled () then begin
+    let d = 1 lsl plan.num_qubits in
+    let col_blocks = ceil_div count (max 1 (min count (max_block_floats / d))) in
+    List.iter
+      (function
+        | Block { qubits; u } ->
+            let nnz = ref 0 in
+            Array.iteri
+              (fun idx r -> if r <> 0. || u.Cmat.im.(idx) <> 0. then incr nnz)
+              u.Cmat.re;
+            Obs.Metrics.counter_add "fused_block_applied_total" col_blocks;
+            Obs.Metrics.counter_add "batch_gemm_macs_total"
+              ((d lsr Array.length qubits) * !nnz * count)
+        | Direct g ->
+            Obs.Metrics.counter_add
+              ~labels:[ ("kind", g.Circuit.Gate.name) ]
+              "direct_gate_applied_total" col_blocks
+        | Fence _ -> ())
+      plan.items
+  end
+
+let make_tile plan w =
+  let n = plan.num_qubits in
+  let gather_rows =
     List.fold_left
       (fun acc item ->
-        match (item, acc) with
-        | Fence i, Interpret fs :: rest -> Interpret (i :: fs) :: rest
-        | Fence i, _ -> Interpret [ i ] :: acc
-        | (Block _ | Direct _), _ -> Apply item :: acc)
-      [] items
+        match item with
+        | Block b -> max acc (1 lsl Array.length b.qubits)
+        | Direct _ | Fence _ -> acc)
+      0 plan.items
   in
-  List.rev_map
-    (function Interpret fs -> Interpret (List.rev fs) | step -> step)
-    rev_steps
-
-(* run the whole grouped item list over columns [lo, hi) of the buffer.
-   [col0] is the global index of the buffer's first column; per-column
-   outputs go to disjoint slots of [clbits]/[traces]. *)
-let exec_items groups bt ~col0 ~rng_for ~clbits ~traces lo hi =
-  List.iter
-    (fun step ->
-      match step with
-      | Apply (Block b) -> apply_block bt b lo hi
-      | Apply (Direct g) -> apply_direct bt g lo hi
-      | Apply (Fence _) -> assert false
-      | Interpret fences ->
-          exec_fences fences bt ~col0 ~rng_for ~clbits ~traces lo hi)
-    groups
-
-(* Column blocking bounds peak memory: a buffer (plus workspace) never
-   exceeds ~[max_block_floats] amplitudes per component, whatever the
-   sample count. Columns are independent, so blocking cannot change any
-   column's result. *)
-let max_block_floats = 1 lsl 21
-let chunk_cols = 16
+  let fenced =
+    List.exists (function Fence _ -> true | _ -> false) plan.items
+  in
+  {
+    n;
+    w;
+    re = Array.make ((1 lsl n) * w) 0.;
+    im = Array.make ((1 lsl n) * w) 0.;
+    gre = Array.make (gather_rows * w) 0.;
+    gim = Array.make (gather_rows * w) 0.;
+    scratch =
+      (if fenced then Array.init w (fun _ -> Statevec.zero n) else [||]);
+  }
 
 let exec ?pool ?rngs plan ~count ~init ~want_states =
   Obs.Span.with_ ~name:"batch.exec"
@@ -373,60 +388,47 @@ let exec ?pool ?rngs plan ~count ~init ~want_states =
   let clbits = Array.init count (fun _ -> Array.make plan.num_clbits 0) in
   let states = Array.make (if want_states then count else 0) None in
   if count > 0 then begin
-    let groups = group_items plan.items in
-    let block_w = max 1 (min count (max_block_floats / d)) in
-    let bt = make_batch n block_w in
-    let w = bt.w in
-    let bre = bt.buf.Cmat.re and bim = bt.buf.Cmat.im in
-    let col0 = ref 0 in
-    while !col0 < count do
-      let used = min block_w (count - !col0) in
-      (* pack/unpack a tile of columns at a time, walking the buffer's
-         contiguous rows rather than one strided column per state *)
-      let j0 = ref 0 in
-      while !j0 < used do
-        let j1 = min used (!j0 + fence_tile) in
-        let sts =
-          Array.init (j1 - !j0) (fun t ->
-              let st = init (!col0 + !j0 + t) in
-              if Statevec.num_qubits st <> n then
-                invalid_arg "Batch: input state qubit count mismatch";
-              st)
-        in
-        for k = 0 to d - 1 do
-          let row = k * w in
-          for j = !j0 to j1 - 1 do
-            let st = sts.(j - !j0) in
-            bre.(row + j) <- st.Statevec.re.(k);
-            bim.(row + j) <- st.Statevec.im.(k)
-          done
-        done;
-        j0 := j1
-      done;
-      let base = !col0 in
-      Parallel.Pool.parallel_for_chunks ~chunk:chunk_cols pool ~n:used
-        (exec_items groups bt ~col0:base ~rng_for ~clbits ~traces);
-      if want_states then begin
-        let j0 = ref 0 in
-        while !j0 < used do
-          let j1 = min used (!j0 + fence_tile) in
-          let sts =
-            Array.init (j1 - !j0) (fun _ -> Statevec.zero n)
+    record_work plan ~count;
+    let steps = compile plan.items in
+    (* tiles of at most [tile_cols] columns, narrow enough that every
+       domain gets one and that [tasks] live tiles fit the float budget;
+       task [t] runs tiles t, t + tasks, t + 2 tasks, ... on its own tile *)
+    let domains = Parallel.Pool.domains pool in
+    let w =
+      max 1
+        (min tile_cols
+           (min (ceil_div count domains) (max_block_floats / (d * domains))))
+    in
+    let tiles = ceil_div count w in
+    let tasks = max 1 (min (min domains tiles) (max_block_floats / (d * w))) in
+    Parallel.Pool.parallel_for pool ~n:tasks (fun task ->
+        let t = make_tile plan w in
+        let i = ref task in
+        while !i < tiles do
+          let col0 = !i * w in
+          let used = min w (count - col0) in
+          let inputs =
+            Array.init used (fun j ->
+                let st = init (col0 + j) in
+                if Statevec.num_qubits st <> n then
+                  invalid_arg "Batch: input state qubit count mismatch";
+                st)
           in
-          for k = 0 to d - 1 do
-            let row = k * w in
-            for j = !j0 to j1 - 1 do
-              let st = sts.(j - !j0) in
-              st.Statevec.re.(k) <- bre.(row + j);
-              st.Statevec.im.(k) <- bim.(row + j)
-            done
-          done;
-          Array.iteri (fun t st -> states.(base + !j0 + t) <- Some st) sts;
-          j0 := j1
-        done
-      end;
-      col0 := base + used
-    done
+          states_to_columns t inputs used;
+          List.iter
+            (function
+              | Kernel kernel -> kernel t used
+              | Fences { fences; mutate } ->
+                  exec_fences fences ~mutate t ~col0 ~rng_for ~clbits ~traces
+                    used)
+            steps;
+          if want_states then begin
+            let outs = Array.init used (fun _ -> Statevec.zero n) in
+            columns_to_states t outs used;
+            Array.iteri (fun j st -> states.(col0 + j) <- Some st) outs
+          end;
+          i := !i + tasks
+        done)
   end;
   (traces, clbits, states)
 

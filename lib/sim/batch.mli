@@ -3,15 +3,20 @@
     A {!plan} — normally produced by [Transpile.Segments.compile] — is a
     circuit whose purely-unitary segments have been fused into block
     operators, interleaved with the fences (tracepoints, measurements,
-    resets, classical feedback) that delimited them. {!run} packs N input
-    state vectors as the columns of one row-major
-    [Linalg.Cmat]-backed buffer (row [i] = amplitude [i] of every column,
-    contiguous) and applies each fused operator to the entire batch with
-    allocation-free kernels: a gather/GEMM kernel for k-qubit blocks (the
-    full-width case is a plain cache-blocked [Cmat.mul_into]) and a
-    row-sweeping kernel for single controlled gates. Both the buffer and
-    its gather workspace are allocated once per column block and reused
-    across every operator — no per-gate allocation.
+    resets, classical feedback) that delimited them. {!run} cuts N input
+    state vectors into column tiles of [min 16 (ceil (N / domains))]
+    columns. Each pool task owns one private tile — a row-major buffer
+    (row [i] = amplitude [i] of the tile's columns, contiguous), a gather
+    workspace and per-column scratch vectors, allocated once per task —
+    and runs the whole plan over every tile it is given with
+    allocation-free kernels: a gather kernel for k-qubit blocks that takes
+    the offset table and the nonzero pattern of [u] once per run, and a
+    row-sweeping kernel for single controlled gates. Tiles are private, so
+    no two domains ever write into one buffer, and a narrow batch still
+    uses every domain.
+
+    The input columns are built inside the pool tasks, so [init] (of
+    {!run_traces}) may run on worker domains and must be pure.
 
     {b Determinism.} Every kernel processes each column independently with
     a fixed k-ascending accumulation order that depends neither on the
@@ -19,14 +24,17 @@
     column, and stochastic fences draw only from that column's own
     generator. A packed {!run} is therefore bit-identical, per column, to
     running each column alone through {!run_seq} — for any batch size,
-    column-block size and domain count. Agreement with the gate-by-gate
-    [Engine.run] is exact in structure (clbits, trace ids) and ~1e-15 in
-    amplitudes: fusing a segment into one operator reorders its
+    tile width and domain count. The work counters
+    ([fused_block_applied_total], [direct_gate_applied_total],
+    [batch_gemm_macs_total]) are computed from the plan and the column
+    count, so they do not depend on the tiling either. Agreement with the
+    gate-by-gate [Engine.run] is exact in structure (clbits, trace ids) and
+    ~1e-15 in amplitudes: fusing a segment into one operator reorders its
     floating-point arithmetic.
 
-    {b Memory.} Batches are processed in bounded column blocks (at most
-    ~2^21 amplitudes per component array), so peak memory does not grow
-    with the sample count. *)
+    {b Memory.} All live tiles together hold at most ~2^21 amplitudes per
+    component, whatever the sample count: wide registers get narrower
+    tiles and then fewer tasks. *)
 
 (** A fused segment operator: [u] is the [2^k x 2^k] unitary of the
     segment restricted to [qubits] (sorted ascending; local index bit [j]
@@ -67,8 +75,8 @@ val is_deterministic : plan -> bool
     all packed into one batch, and returns per-column outcomes in input
     order. [rngs], when given, must hold one generator per column (used
     for that column's measurements/resets); when absent each column gets a
-    fresh default generator, like [Engine.run]. Columns are fanned out
-    over [pool] (default [Parallel.Pool.global ()]) in chunks; results are
+    fresh default generator, like [Engine.run]. Column tiles are fanned
+    out over [pool] (default [Parallel.Pool.global ()]); results are
     bit-identical for any domain count. *)
 val run :
   ?pool:Parallel.Pool.t ->
@@ -80,7 +88,8 @@ val run :
 (** [run_traces ?pool ?rngs plan ~count ~init] is {!run} with the input
     column [i] produced on demand by [init i] and only the tracepoint
     snapshots kept — final states are never materialized, so memory stays
-    bounded for large [count]. *)
+    bounded for large [count]. [init] runs inside the pool tasks, possibly
+    on worker domains, so it must be pure. *)
 val run_traces :
   ?pool:Parallel.Pool.t ->
   ?rngs:Stats.Rng.t array ->

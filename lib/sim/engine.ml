@@ -169,9 +169,10 @@ let cone_tp_width c cone =
   | Some (_, qs) -> List.length qs
   | None -> cone_width cone
 
-(* The tableau: Clifford gates only, and a cone of at most 12 qubits,
-   because [Tableau.density] materializes the whole [2^cone] density
-   before the trace-out. *)
+(* The tableau: Clifford gates only, and a cone of at most 12 qubits. A
+   tracepoint reduces through its Pauli expansion ([Tableau.reduced_density]:
+   one tableau expectation per Pauli string on the tracepoint's qubits),
+   never through the [2^cone] density. *)
 module Tableau_backend = struct
   type t = Stabilizer.Tableau.t
 
@@ -188,12 +189,7 @@ module Tableau_backend = struct
 
   let apply_gate = Stabilizer.Tableau.apply_gate
 
-  let reduced_density t keep =
-    let rho =
-      Qstate.Density.of_cmat (Stabilizer.Tableau.num_qubits t)
-        (Stabilizer.Tableau.density t)
-    in
-    Qstate.Density.mat (Qstate.Density.partial_trace ~keep rho)
+  let reduced_density = Stabilizer.Tableau.reduced_density
 
   let work_counter = "stabilizer_routed_total"
   let work _ = 1

@@ -257,20 +257,6 @@ let expectation_masks t memo ~mx ~mz =
   done;
   Cx.re !total
 
-(* 2x2 letter matrices, entry (r, c) *)
-let letter_entry letter r c =
-  match letter with
-  | 0 -> if r = c then Cx.one else Cx.zero (* I *)
-  | 1 -> if r <> c then Cx.one else Cx.zero (* X *)
-  | 2 ->
-      (* Y = [[0, -i], [i, 0]] *)
-      if r = 0 && c = 1 then Cx.neg Cx.i
-      else if r = 1 && c = 0 then Cx.i
-      else Cx.zero
-  | _ ->
-      (* Z *)
-      if r <> c then Cx.zero else if r = 0 then Cx.one else Cx.neg Cx.one
-
 (* rho on [keep] via the Pauli expansion: bit j of the reduced index is
    [List.nth keep j], matching [Statevec.reduced_density] *)
 let reduced_density t keep =
@@ -279,46 +265,6 @@ let reduced_density t keep =
       if q < 0 || q >= t.n then
         invalid_arg "Rank.reduced_density: qubit out of range")
     keep;
-  let keep_arr = Array.of_list keep in
-  let s = Array.length keep_arr in
-  let dk = 1 lsl s in
-  let rho = Cmat.create dk dk in
   let memo = Hashtbl.create 64 in
-  (* sigma encodes s letters, 2 bits each: 0=I 1=X 2=Y 3=Z *)
-  let letters = Array.make s 0 in
-  for sigma = 0 to (1 lsl (2 * s)) - 1 do
-    let mx = ref 0 and mz = ref 0 in
-    for j = 0 to s - 1 do
-      let letter = (sigma lsr (2 * j)) land 3 in
-      letters.(j) <- letter;
-      let bit = 1 lsl keep_arr.(j) in
-      (match letter with
-      | 1 -> mx := !mx lor bit
-      | 2 ->
-          mx := !mx lor bit;
-          mz := !mz lor bit
-      | 3 -> mz := !mz lor bit
-      | _ -> ())
-    done;
-    let ev = expectation_masks t memo ~mx:!mx ~mz:!mz in
-    if Float.abs ev > 0. then begin
-      let w = ev /. float_of_int dk in
-      for r = 0 to dk - 1 do
-        for c = 0 to dk - 1 do
-          let entry = ref (Cx.make w 0.) in
-          (try
-             for j = 0 to s - 1 do
-               let e =
-                 letter_entry letters.(j) ((r lsr j) land 1) ((c lsr j) land 1)
-               in
-               if Cx.norm2 e = 0. then raise Exit;
-               entry := Cx.mul !entry e
-             done;
-             let cur = Cmat.get rho r c in
-             Cmat.set rho r c (Cx.add cur !entry)
-           with Exit -> ())
-        done
-      done
-    end
-  done;
-  rho
+  Qstate.Pauli.density_of_expectations keep (fun ~x ~z ->
+      expectation_masks t memo ~mx:x ~mz:z)

@@ -201,11 +201,9 @@ let expectation_pauli t ~x ~z =
     done;
     !p
   in
-  let random = ref false in
-  for i = n to (2 * n) - 1 do
-    if anticommutes i then random := true
-  done;
-  if !random then 0
+  (* one anticommuting stabilizer makes the outcome random *)
+  let rec random i = i < 2 * n && (anticommutes i || random (i + 1)) in
+  if random n then 0
   else begin
     let scratch = 2 * n in
     Array.fill t.xs.(scratch) 0 n false;
@@ -216,6 +214,15 @@ let expectation_pauli t ~x ~z =
     done;
     if t.rs.(scratch) then -1 else 1
   end
+
+let reduced_density t keep =
+  List.iter
+    (fun q ->
+      if q < 0 || q >= t.n then
+        invalid_arg "Tableau.reduced_density: qubit out of range")
+    keep;
+  Qstate.Pauli.density_of_expectations keep (fun ~x ~z ->
+      float_of_int (expectation_pauli t ~x ~z))
 
 let apply_gate (gate : Circuit.Gate.t) t =
   if Obs.enabled () then

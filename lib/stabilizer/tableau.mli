@@ -50,6 +50,14 @@ val expectation_z : t -> int -> int
     qubits (bitmask-bound). *)
 val expectation_pauli : t -> x:int -> z:int -> int
 
+(** [reduced_density t keep] is the exact reduced density matrix on
+    [keep] (bit [j] of the result index is [List.nth keep j]):
+    [2^-k sum_P <P> P] over the [4^k] Pauli strings on the kept qubits
+    ({!Qstate.Pauli.density_of_expectations}), never the [2^n] density.
+    Stabilizer reduced densities are dyadic rationals, so the result equals
+    {!density} followed by a partial trace exactly. *)
+val reduced_density : t -> int list -> Linalg.Cmat.t
+
 (** [stabilizer_strings t] renders the [n] stabilizer generators as
     [(sign, pauli-string)] pairs, e.g. [("+", "XXX")] (for inspection and
     tests; highest qubit leftmost). *)

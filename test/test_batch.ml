@@ -136,41 +136,78 @@ let test_direct_wide_gate () =
 
 let test_domain_count_invariance () =
   (* the stochastic teleport workload, batch-executed under 1, 2 and 4
-     domains: outcomes must be bit-identical *)
+     domains at column counts below, at and past one 16-column tile, so
+     that every pool runs the batch on all its domains: outcomes must be
+     bit-identical, and so must the work counters of a 16-column batch *)
   let plan = Transpile.Segments.compile (Benchmarks.Teleport.multi 2) in
-  let cols = 9 in
-  let states =
-    Array.init cols (fun i ->
-        let rng = Stats.Rng.make (300 + i) in
-        let d = 1 lsl 6 in
-        let re = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
-        let im = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
-        let st = Qstate.Statevec.of_cvec 6 (Linalg.Cvec.of_arrays re im) in
-        Qstate.Statevec.normalize st;
-        st)
+  let state i =
+    let rng = Stats.Rng.make (300 + i) in
+    let d = 1 lsl 6 in
+    let re = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
+    let im = Array.init d (fun _ -> Stats.Rng.float rng 2. -. 1.) in
+    let st = Qstate.Statevec.of_cvec 6 (Linalg.Cvec.of_arrays re im) in
+    Qstate.Statevec.normalize st;
+    st
   in
-  let run domains =
+  let run ~cols domains =
+    let states = Array.init cols state in
     let pool = Parallel.Pool.create ~domains () in
-    let rngs = Array.init cols (fun i -> Stats.Rng.make (900 + i)) in
-    let out = Sim.Batch.run ~pool ~rngs plan states in
-    Parallel.Pool.shutdown pool;
-    out
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () ->
+        let rngs = Array.init cols (fun i -> Stats.Rng.make (900 + i)) in
+        Sim.Batch.run ~pool ~rngs plan states)
   in
-  let reference = run 1 in
+  let bits a = Array.map Int64.bits_of_float a in
+  let same_cmat a b =
+    bits a.Linalg.Cmat.re = bits b.Linalg.Cmat.re
+    && bits a.Linalg.Cmat.im = bits b.Linalg.Cmat.im
+  in
+  List.iter
+    (fun cols ->
+      let reference = run ~cols 1 in
+      List.iter
+        (fun domains ->
+          let out = run ~cols domains in
+          Array.iteri
+            (fun i (o : Sim.Engine.outcome) ->
+              let r = reference.(i) in
+              if
+                o.Sim.Engine.clbits <> r.Sim.Engine.clbits
+                || bits o.Sim.Engine.state.Qstate.Statevec.re
+                   <> bits r.Sim.Engine.state.Qstate.Statevec.re
+                || bits o.Sim.Engine.state.Qstate.Statevec.im
+                   <> bits r.Sim.Engine.state.Qstate.Statevec.im
+                || List.map fst o.Sim.Engine.traces
+                   <> List.map fst r.Sim.Engine.traces
+                || not
+                     (List.for_all2
+                        (fun (_, a) (_, b) -> same_cmat a b)
+                        o.Sim.Engine.traces r.Sim.Engine.traces)
+              then
+                Alcotest.failf "cols=%d domains=%d: column %d diverged" cols
+                  domains i)
+            out)
+        [ 2; 4 ])
+    [ 1; 9; 16; 17; 33 ];
+  let counters domains =
+    Obs.configure ~enabled:true;
+    Obs.Metrics.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.reset ();
+        Obs.configure ~enabled:false)
+      (fun () ->
+        ignore (run ~cols:16 domains);
+        Obs.Metrics.snapshot ())
+  in
+  let base = counters 1 in
+  Alcotest.(check bool) "batch work counted" true (base <> []);
   List.iter
     (fun domains ->
-      let out = run domains in
-      Array.iteri
-        (fun i (o : Sim.Engine.outcome) ->
-          let r = reference.(i) in
-          if
-            o.Sim.Engine.clbits <> r.Sim.Engine.clbits
-            || o.Sim.Engine.state.Qstate.Statevec.re
-               <> r.Sim.Engine.state.Qstate.Statevec.re
-            || o.Sim.Engine.state.Qstate.Statevec.im
-               <> r.Sim.Engine.state.Qstate.Statevec.im
-          then Alcotest.failf "domains=%d: column %d diverged" domains i)
-        out)
+      if counters domains <> base then
+        Alcotest.failf "16-column counters differ between 1 and %d domains"
+          domains)
     [ 2; 4 ]
 
 let test_trace_only_circuit () =

@@ -335,9 +335,130 @@ let prop_partial_trace_unit =
       let rho = Statevec.reduced_density st [ 0 ] in
       Float.abs (Cx.re (Cmat.trace rho) -. 1.) < 1e-9)
 
+(* ---------------- reductions against the compose-based reference ----------------
+
+   The reference rebuilds every full index from its kept sub-index [a] and
+   environment sub-index [e] bit by bit, and sums environments in
+   ascending [e]. The reductions must reproduce it bit for bit: same
+   terms, same order, same zero-skipping. *)
+
+let ref_compose n keep =
+  let keep_arr = Array.of_list keep in
+  let keep_mask = Array.fold_left (fun m q -> m lor (1 lsl q)) 0 keep_arr in
+  let rest_arr =
+    Array.of_list
+      (List.filter (fun q -> keep_mask land (1 lsl q) = 0) (List.init n Fun.id))
+  in
+  let compose a e =
+    let idx = ref 0 in
+    Array.iteri
+      (fun j q -> if (a lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
+      keep_arr;
+    Array.iteri
+      (fun j q -> if (e lsr j) land 1 = 1 then idx := !idx lor (1 lsl q))
+      rest_arr;
+    !idx
+  in
+  (compose, 1 lsl Array.length keep_arr, 1 lsl Array.length rest_arr)
+
+let ref_reduced_density st keep =
+  let compose, dk, dr = ref_compose (Statevec.num_qubits st) keep in
+  let rho = Cmat.create dk dk in
+  let rre = rho.Cmat.re and rim = rho.Cmat.im in
+  for e = 0 to dr - 1 do
+    for a = 0 to dk - 1 do
+      let ia = compose a e in
+      let ar = st.Statevec.re.(ia) and ai = st.Statevec.im.(ia) in
+      if ar <> 0. || ai <> 0. then
+        for b = 0 to dk - 1 do
+          let ib = compose b e in
+          let br = st.Statevec.re.(ib) and bi = st.Statevec.im.(ib) in
+          rre.((a * dk) + b) <- rre.((a * dk) + b) +. (ar *. br) +. (ai *. bi);
+          rim.((a * dk) + b) <- rim.((a * dk) + b) +. (ai *. br) -. (ar *. bi)
+        done
+    done
+  done;
+  rho
+
+let ref_partial_trace ~keep rho =
+  let compose, dk, dr = ref_compose (Density.num_qubits rho) keep in
+  let m = Density.mat rho in
+  let out = Cmat.create dk dk in
+  for a = 0 to dk - 1 do
+    for b = 0 to dk - 1 do
+      let s = ref Cx.zero in
+      for e = 0 to dr - 1 do
+        s := Cx.add !s (Cmat.get m (compose a e) (compose b e))
+      done;
+      Cmat.set out a b !s
+    done
+  done;
+  out
+
+let same_bits a b =
+  let bits = Array.map Int64.bits_of_float in
+  Cmat.dims a = Cmat.dims b
+  && bits a.Cmat.re = bits b.Cmat.re
+  && bits a.Cmat.im = bits b.Cmat.im
+
+(* [n] qubits, [k] of them kept in a random order; a third of the values
+   are exact zeros of either sign, to exercise the zero-skipping *)
+let arb_reduction =
+  QCheck.make
+    ~print:(fun (n, k, seed) -> Printf.sprintf "n=%d k=%d seed=%d" n k seed)
+    QCheck.Gen.(
+      int_range 1 10 >>= fun n ->
+      int_range 0 n >>= fun k ->
+      int_bound 1_000_000 >|= fun seed -> (n, k, seed))
+
+let reduction_case (n, k, seed) =
+  let r = Stats.Rng.make seed in
+  let value () =
+    match Stats.Rng.int r 6 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | _ -> Stats.Rng.float r 2. -. 1.
+  in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Stats.Rng.int r (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  (value, Array.to_list (Array.sub order 0 k))
+
+let prop_reduced_density_bits =
+  QCheck.Test.make ~name:"reduced density bit-identical to reference"
+    ~count:100 arb_reduction (fun (n, k, seed) ->
+      let value, keep = reduction_case (n, k, seed) in
+      let d = 1 lsl n in
+      let re = Array.init d (fun _ -> value ()) in
+      let im = Array.init d (fun _ -> value ()) in
+      let st = Statevec.of_cvec n (Cvec.of_arrays re im) in
+      same_bits (ref_reduced_density st keep) (Statevec.reduced_density st keep))
+
+let prop_partial_trace_bits =
+  QCheck.Test.make ~name:"partial trace bit-identical to reference" ~count:40
+    arb_reduction (fun (n, k, seed) ->
+      let value, keep = reduction_case (n, k, seed) in
+      let d = 1 lsl n in
+      let m = Cmat.create d d in
+      Array.iteri (fun i _ -> m.Cmat.re.(i) <- value ()) m.Cmat.re;
+      Array.iteri (fun i _ -> m.Cmat.im.(i) <- value ()) m.Cmat.im;
+      let rho = Density.of_cmat n m in
+      same_bits (ref_partial_trace ~keep rho)
+        (Density.mat (Density.partial_trace ~keep rho)))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_gate_preserves_norm; prop_density_valid; prop_partial_trace_unit ]
+    [
+      prop_gate_preserves_norm;
+      prop_density_valid;
+      prop_partial_trace_unit;
+      prop_reduced_density_bits;
+      prop_partial_trace_bits;
+    ]
 
 let () =
   Alcotest.run "qstate"

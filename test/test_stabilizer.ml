@@ -174,6 +174,47 @@ let prop_clifford_matches_dense =
       let c = random_clifford_circuit r n 16 in
       density_matches_dense c)
 
+(* Pauli-expansion reductions against the dense path: stabilizer reduced
+   densities are dyadic rationals, so both are exact and must be equal *)
+let dense_reduction n tab keep =
+  Qstate.Density.mat
+    (Qstate.Density.partial_trace ~keep
+       (Qstate.Density.of_cmat n (Tableau.density tab)))
+
+let random_keep r n =
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Stats.Rng.int r (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.to_list (Array.sub order 0 (Stats.Rng.int r (n + 1)))
+
+let prop_reduced_density_exact =
+  QCheck.Test.make ~name:"tableau reduced density = density + partial trace"
+    ~count:280
+    QCheck.(pair (int_range 1 7) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let r = Stats.Rng.make seed in
+      let tab = Tableau.random r n in
+      let keep = random_keep r n in
+      Tableau.reduced_density tab keep = dense_reduction n tab keep)
+
+let prop_rank_reduced_density_exact =
+  QCheck.Test.make ~name:"rank reduced density = density + partial trace"
+    ~count:100
+    QCheck.(pair (int_range 1 6) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let r = Stats.Rng.make seed in
+      let c = random_clifford_circuit r n 24 in
+      let keep = random_keep r n in
+      let rank = Sim.Rank.make n 0 in
+      List.iter
+        (function Circuit.Instr.Gate g -> Sim.Rank.apply_gate g rank | _ -> ())
+        (Circuit.instrs c);
+      Sim.Rank.reduced_density rank keep = dense_reduction n (Tableau.run c) keep)
+
 let () =
   Alcotest.run "stabilizer"
     [
@@ -200,5 +241,10 @@ let () =
           Alcotest.test_case "random states spread" `Quick test_random_states_spread;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_clifford_matches_dense ] );
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_clifford_matches_dense;
+            prop_reduced_density_exact;
+            prop_rank_reduced_density_exact;
+          ] );
     ]
