@@ -5,7 +5,8 @@
 
    Unlike `dune runtest` (which stops at the first failure and shrinks),
    the sweep runs every case and reports totals; the first failing circuit
-   per oracle is printed for reproduction. *)
+   per oracle is printed for reproduction, and any failure makes the
+   harness exit 1 once BENCH_results.json is written. *)
 
 open Testkit
 
@@ -60,12 +61,14 @@ let checks () =
     ( "certified-passes-programs",
       Gen.gen_program (),
       Oracle.certified_pass_sound );
+    ( "batch-fences-exact",
+      Gen.gen_program (),
+      fun c -> Oracle.batch_fences_exact (Gen.build c) );
     ( "certify-mutants-rejected",
       Gen.gen_program (),
       Oracle.certified_mutants_rejected );
     ("adjoint-cancels", Gen.gen_pure (), Metamorph.adjoint_cancels);
     ("global-phase", Gen.gen_pure (), Metamorph.global_phase_invariant);
-    ("fused-traces", Gen.gen_pure (), Metamorph.fused_traces_agree);
   ]
   @ List.map
       (fun (name, pass) ->
@@ -131,4 +134,7 @@ let run () =
   Util.row "%-28s %4d/%-4d clean   (%d diagnostics, %.2fs)" "lint-diagnostics"
     (n - !flagged) n !diagnostics dt;
   if !total_failed = 0 then Util.row "all oracles agree on every circuit"
-  else Util.row "TOTAL FAILURES: %d (repro: MORPHQPV_SEED=%d)" !total_failed seed
+  else begin
+    Util.row "TOTAL FAILURES: %d (repro: MORPHQPV_SEED=%d)" !total_failed seed;
+    Util.gate_failed := true
+  end

@@ -7,19 +7,18 @@
    bit-identical outputs (the deterministic-parallelism contract), and the
    speedup vs the sequential baseline is recorded in BENCH_results.json.
 
-   Workload 2 — single-qubit gate fusion: the same circuit with adjacent 1q
-   gates fused into one u2x2 kernel sweep, timed against the unfused run to
-   show the per-trajectory work reduction.
-
-   Workload 3 — small-n regression guard: the 3-qubit quantum-lock
+   Workload 2 — small-n regression guard: the 3-qubit quantum-lock
    characterization, timed with 1 and 4 domains; small workloads must not
    slow down when a pool is available.
 
-   Workload 4 — segment compilation + batched characterization on the fig5
+   Workload 3 — segment compilation + batched characterization on the fig5
    workload (3-payload teleportation, 256 samples): the segment compiler's
    fused operator count vs the source gate count, and [Characterize.run]
    under [`Batched] vs [`Sequential], checked for trace agreement and
-   recorded with the per-sample operator-application reduction. *)
+   recorded with the per-sample operator-application reduction.
+
+   Workload 4 — a sequential distribution verdict: an 8-qubit GHZ
+   assertion under an SPRT shot budget against its fixed-budget run. *)
 
 open Morphcore
 
@@ -88,30 +87,7 @@ let run () =
         ~seconds:td ~samples:repsd ~speedup ~domains:d ())
     [ 2; 4 ];
 
-  (* ---- workload 2: single-qubit gate fusion ---- *)
-  let fused = Transpile.Passes.fuse_1q circuit in
-  Util.row "fusion: %d gates -> %d gates (%.0f%% removed)"
-    (Circuit.gate_count circuit) (Circuit.gate_count fused)
-    (100. *. Transpile.Passes.gate_reduction ~before:circuit ~after:fused);
-  let time_fused name c =
-    let pool = Parallel.Pool.create ~domains:1 () in
-    let _, t, reps =
-      Util.timed_samples ~name (fun () ->
-          Sim.Engine.tracepoint_states ~pool ~rng:(Stats.Rng.make 7) ~noise
-            ~trajectories c)
-    in
-    Parallel.Pool.shutdown pool;
-    (t, reps)
-  in
-  let t_unfused, _ = time_fused "perf.traj.unfused" circuit in
-  let t_fused, reps_fused = time_fused "perf.traj.fused" fused in
-  Util.row "fused kernel       domains=1   %7.3fs   vs unfused %7.3fs (%.2fx)"
-    t_fused t_unfused (t_unfused /. t_fused);
-  Util.record "perf/fused-traj-10q/domains=1" ~seconds:t_fused
-    ~samples:reps_fused
-    ~speedup:(t_unfused /. t_fused) ~domains:1 ();
-
-  (* ---- workload 3: small-n characterization must not regress ---- *)
+  (* ---- workload 2: small-n characterization must not regress ---- *)
   let lock = Benchmarks.Quantum_lock.make ~key:1 3 in
   let program =
     Program.make ~input_qubits:lock.Benchmarks.Quantum_lock.key_qubits
@@ -137,7 +113,7 @@ let run () =
   Util.record "perf/characterize-lock-3q/domains=4" ~seconds:s4
     ~samples:reps_s4 ~speedup:(s1 /. s4) ~domains:4 ();
 
-  (* ---- workload 4: batched vs sequential characterization (fig5) ---- *)
+  (* ---- workload 3: batched vs sequential characterization (fig5) ---- *)
   let hops = 3 in
   let teleport = Benchmarks.Teleport.multi hops in
   let plan = Transpile.Segments.compile teleport in
@@ -189,7 +165,7 @@ let run () =
     ~ops:(ops_before, ops_after)
     ~domains:1 ();
 
-  (* ---- workload 5: sequential distribution verdict (SPRT early stop) ----
+  (* ---- workload 4: sequential distribution verdict (SPRT early stop) ----
      An 8-qubit GHZ distribution assertion under a sequential shot budget:
      the SPRT must accept well before the 4096-shot cap, so this row's
      counter deltas prove [verify_shots_saved_total > 0] on a bench

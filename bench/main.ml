@@ -224,5 +224,6 @@ let () =
     if with_bechamel && (selected = [] || List.mem "bechamel" selected) then
       run_bechamel ();
     Util.write_bench_json "BENCH_results.json";
-    Printf.printf "\nAll experiments done in %.1fs\n%!" (Unix.gettimeofday () -. t0)
+    Printf.printf "\nAll experiments done in %.1fs\n%!" (Unix.gettimeofday () -. t0);
+    if !Util.gate_failed then exit 1
   end

@@ -54,6 +54,10 @@ let header title =
 
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* set by an experiment whose correctness gate failed: the harness still
+   writes BENCH_results.json, then exits 1 *)
+let gate_failed = ref false
+
 (* ------------- machine-readable results (BENCH_results.json) ------------- *)
 
 (* rows of (name, wall seconds, speedup vs sequential, domain count, and —

@@ -38,11 +38,7 @@ let check ?rng ?(shots = 1000) ?(tol = 0.05) ?inputs ~tests ~kind ~tracepoint
               let s_ref = tracepoint_state ~rng reference ~tracepoint input in
               let s_cand = tracepoint_state ~rng candidate ~tracepoint input in
               (* account program execution + discrimination overhead *)
-              let n_t =
-                let d, _ = Cmat.dims s_cand in
-                let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-                log2 0 d
-              in
+              let n_t = Cmat.num_qubits s_cand in
               Sim.Cost.record_circuit meter candidate.Program.circuit ~shots;
               meter.Sim.Cost.gate_ops <-
                 meter.Sim.Cost.gate_ops

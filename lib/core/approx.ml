@@ -87,9 +87,7 @@ let state_at ?mode ?(physical = true) t ~tracepoint rho_in =
   if physical then Eig.project_psd raw else raw
 
 let accuracy approx truth =
-  let d, _ = Cmat.dims truth in
-  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-  let n = log2 0 d in
+  let n = Cmat.num_qubits truth in
   Qstate.Density.fidelity
     (Qstate.Density.of_cmat n (Eig.project_psd approx))
     (Qstate.Density.of_cmat n (Eig.project_psd truth))

@@ -121,34 +121,23 @@ let inputs_fingerprint ~kind ~count inputs =
       "explicit"
       ^ Cache.Canon.digest (String.concat "" (List.map statevec_fp states))
 
-(* one degraded trace per sample for one cone, simulated in the unit's
-   canonical qubit order so the computation is literally a function of the
-   unit bytes. Tomography degradation draws from a generator derived from
-   (cache key, sample index): independent of which other cones hit the
-   cache, and of the caller's stream. *)
-let compute_unit ~pool ~cost ~mode ~budget ~key circuit
-    (cone : Analysis.Lightcone.cone) (u : Cache.Canon.unit_circuit) inputs_arr =
+(* The one per-sample loop: [exact i] runs sample [i] and returns the
+   generator its degradation draws from with its exact traces; every trace
+   but the input's (id 0) is degraded per [mode] into a private meter, and
+   the meters merge into [cost] in sample order, so results are
+   bit-identical for any domain count. *)
+let degrade_samples ~pool ~span ~cost ~mode ~budget circuit n exact =
   let results =
-    Parallel.Pool.map_init pool (Array.length inputs_arr) (fun i ->
-        Obs.Span.with_ ~name:"characterize.unit" @@ fun () ->
+    Parallel.Pool.map_init pool n (fun i ->
+        Obs.Span.with_ ~name:span @@ fun () ->
         let meter = Sim.Cost.create () in
-        let out =
-          Sim.Engine.run
-            ~initial:
-              (Qstate.Statevec.embed u.Cache.Canon.width u.Cache.Canon.embed
-                 inputs_arr.(i))
-            u.Cache.Canon.circuit
-        in
-        let exact = List.assoc cone.Analysis.Lightcone.id out.Sim.Engine.traces in
-        let drng =
-          Stats.Rng.make
-            (Cache.Fnv.seed_of_string (Printf.sprintf "%s#%d" key i))
-        in
-        let _, dm =
-          degrade ?budget drng mode meter circuit
-            (cone.Analysis.Lightcone.id, exact)
-        in
-        (dm, meter))
+        let rng, traces = exact i in
+        ( List.map
+            (fun (id, m) ->
+              if id = 0 then (id, m)
+              else degrade ?budget rng mode meter circuit (id, m))
+            traces,
+          meter ))
   in
   Array.iter (fun (_, m) -> Sim.Cost.add cost m) results;
   Array.map fst results
@@ -247,51 +236,37 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     go 0 None
   in
   let input_positions = Array.of_list program.Program.input_qubits in
+  let input_dm i =
+    let v = Qstate.Statevec.to_cvec inputs_arr.(i) in
+    Cmat.outer v v
+  in
+  let degrade_samples = degrade_samples ~pool ~cost ~mode ~budget circuit n in
   (* every sample through one engine, tracepoints degraded per [mode] *)
   let simulate decision () =
     let batched_traces =
       match decision with Batched -> Some (batch_traces ()) | _ -> None
     in
-    let samples =
-      Parallel.Pool.map_init pool n (fun i ->
-          Obs.Span.with_ ~name:"characterize.sample" @@ fun () ->
-          let rng = rngs.(i) in
-          let sample_cost = Sim.Cost.create () in
-          let input_state = inputs_arr.(i) in
-          let with_input traces =
-            let v = Qstate.Statevec.to_cvec input_state in
-            (0, Cmat.outer v v) :: traces
-          in
-          (* full-register preparation index for a one-hot input *)
-          let prep =
-            match decision with
-            | Routed route ->
-                Option.map
-                  (fun a -> (route, Qstate.Statevec.embed_index input_positions a))
-                  (basis_index input_state)
-            | Units _ | Batched | Sequential -> None
-          in
-          let traces =
-            match (prep, batched_traces) with
-            | Some (route, prep), _ ->
-                with_input (Sim.Engine.cone_traces ~prep route circuit)
-            | None, Some all -> with_input all.(i)
-            | None, None ->
-                Program.run_traces ~pool ?noise ?trajectories ~rng program
-                  ~input:input_state
-          in
-          let traces =
-            List.map
-              (fun (id, m) ->
-                if id = 0 then (id, m)
-                else degrade ?budget rng mode sample_cost circuit (id, m))
-              traces
-          in
-          let v = Qstate.Statevec.to_cvec input_state in
-          ({ input_state; input_dm = Cmat.outer v v; traces }, sample_cost))
-    in
-    Array.iter (fun (_, c) -> Sim.Cost.add cost c) samples;
-    Array.map fst samples
+    degrade_samples ~span:"characterize.sample" (fun i ->
+        let input_state = inputs_arr.(i) in
+        (* full-register preparation index for a one-hot input *)
+        let prep =
+          match decision with
+          | Routed route ->
+              Option.map
+                (fun a -> (route, Qstate.Statevec.embed_index input_positions a))
+                (basis_index input_state)
+          | Units _ | Batched | Sequential -> None
+        in
+        ( rngs.(i),
+          match (prep, batched_traces) with
+          | Some (route, prep), _ ->
+              (0, input_dm i) :: Sim.Engine.cone_traces ~prep route circuit
+          | None, Some all -> (0, input_dm i) :: all.(i)
+          | None, None ->
+              Program.run_traces ~pool ?noise ?trajectories ~rng:rngs.(i)
+                program ~input:input_state ))
+    |> Array.mapi (fun i traces ->
+           { input_state = inputs_arr.(i); input_dm = input_dm i; traces })
   in
   let samples =
     match (decide ?cache ~engine ~kind ~inputs ~ideal ?wall program, cache) with
@@ -305,18 +280,34 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
                   ~valid:(fun arr -> Array.length arr = n)
                   key
                   (fun () ->
-                    compute_unit ~pool ~cost ~mode ~budget ~key circuit cone u
-                      inputs_arr) ))
+                    (* one exact trace per sample, simulated in the unit's
+                       canonical qubit order so the computation is
+                       literally a function of the unit bytes; degradation
+                       draws from a generator derived from (cache key,
+                       sample index), independent of which other cones hit
+                       the cache and of the caller's stream *)
+                    degrade_samples ~span:"characterize.unit" (fun i ->
+                        let out =
+                          Sim.Engine.run
+                            ~initial:
+                              (Qstate.Statevec.embed u.Cache.Canon.width
+                                 u.Cache.Canon.embed inputs_arr.(i))
+                            u.Cache.Canon.circuit
+                        in
+                        let id = cone.Analysis.Lightcone.id in
+                        ( Stats.Rng.make
+                            (Cache.Fnv.seed_of_string
+                               (Printf.sprintf "%s#%d" key i)),
+                          [ (id, List.assoc id out.Sim.Engine.traces) ] ))
+                    |> Array.map (fun traces -> snd (List.hd traces))) ))
             units
         in
         Array.init n (fun i ->
-            let input_state = inputs_arr.(i) in
-            let v = Qstate.Statevec.to_cvec input_state in
-            let input_dm = Cmat.outer v v in
+            let input_dm = input_dm i in
             let traces =
               (0, input_dm) :: List.map (fun (id, arr) -> (id, arr.(i))) per_cone
             in
-            { input_state; input_dm; traces })
+            { input_state = inputs_arr.(i); input_dm; traces })
     | ((Batched | Sequential) as decision), Some cache ->
         (* stochastic, noisy or too-wide programs: whole-result memo keyed
            by the exact (unrenumbered) circuit bytes and every parameter *)

@@ -27,11 +27,11 @@ let embed p input =
   if k = n && p.input_qubits = List.init n (fun q -> q) then Statevec.copy input
   else Statevec.embed n (Array.of_list p.input_qubits) input
 
-let run_traces ?pool ?rng ?noise ?trajectories ?meter p ~input =
+let run_traces ?pool ?rng ?noise ?trajectories p ~input =
   let initial = embed p input in
   let traces =
-    Sim.Engine.tracepoint_states ?pool ?rng ?noise ?trajectories ?meter
-      ~initial p.circuit
+    Sim.Engine.tracepoint_states ?pool ?rng ?noise ?trajectories ~initial
+      p.circuit
   in
   let v = Statevec.to_cvec input in
   (0, Linalg.Cmat.outer v v) :: traces

@@ -14,7 +14,7 @@ val num_input_qubits : t -> int
     initial state (zeros elsewhere). *)
 val embed : t -> Qstate.Statevec.t -> Qstate.Statevec.t
 
-(** [run_traces ?pool ?rng ?noise ?trajectories ?meter p ~input] executes the
+(** [run_traces ?pool ?rng ?noise ?trajectories p ~input] executes the
     program on the given input state and returns tracepoint states, with the
     reserved id 0 mapping to the input's density matrix. [pool] is forwarded
     to [Sim.Engine.tracepoint_states] for parallel trajectory averaging. *)
@@ -23,7 +23,6 @@ val run_traces :
   ?rng:Stats.Rng.t ->
   ?noise:Sim.Noise.t ->
   ?trajectories:int ->
-  ?meter:Sim.Cost.t ->
   t ->
   input:Qstate.Statevec.t ->
   (int * Linalg.Cmat.t) list

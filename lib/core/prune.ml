@@ -11,11 +11,9 @@ let average_dm dataset =
 
 let eigvecs_desc dataset =
   let avg = average_dm dataset in
-  let d, _ = Cmat.dims avg in
   let w, v = Eig.hermitian avg in
   let n = Array.length w in
-  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-  let n_qubits = log2 0 d in
+  let n_qubits = Cmat.num_qubits avg in
   (* eigenvalues ascend; walk from the top *)
   List.init n (fun i ->
       let idx = n - 1 - i in

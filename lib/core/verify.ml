@@ -71,17 +71,14 @@ let guarantee_objective assertion env =
 
 (* dominant eigenvector of a density matrix, as a pure-state input *)
 let dominant_eigenvector rho =
-  let d, _ = Cmat.dims rho in
-  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-  let n = log2 0 d in
+  let n = Cmat.num_qubits rho in
   let w, v = Eig.hermitian rho in
   let top = Array.length w - 1 in
   Qstate.Statevec.of_cvec n (Cvec.normalize (Cmat.col v top))
 
 let nearest_basis_state rho =
   let d, _ = Cmat.dims rho in
-  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-  let n = log2 0 d in
+  let n = Cmat.num_qubits rho in
   let best = ref 0 and best_p = ref neg_infinity in
   for i = 0 to d - 1 do
     let p = Cx.re (Cmat.get rho i i) in
@@ -92,24 +89,23 @@ let nearest_basis_state rho =
   done;
   Qstate.Statevec.basis n !best
 
+let check_on_program ?rng ?tol program assertion ~input =
+  let traces = Program.run_traces ?rng program ~input in
+  let env tp =
+    match List.assoc_opt tp traces with
+    | Some m -> m
+    | None -> invalid_arg (Printf.sprintf "Verify.check_on_program: no tracepoint %d" tp)
+  in
+  Assertion.holds ?tol assertion env
+
 let confirmed_violation ?rng confirm assertion counterexample =
   match confirm with
   | None -> true
   | Some program ->
-      let candidates =
-        [ dominant_eigenvector counterexample; nearest_basis_state counterexample ]
-      in
       List.exists
         (fun input ->
-          not (
-            let traces = Program.run_traces ?rng program ~input in
-            let env tp =
-              match List.assoc_opt tp traces with
-              | Some m -> m
-              | None -> invalid_arg "Verify: assertion mentions unknown tracepoint"
-            in
-            Assertion.holds ~tol:0.02 assertion env))
-        candidates
+          not (check_on_program ?rng ~tol:0.02 program assertion ~input))
+        [ dominant_eigenvector counterexample; nearest_basis_state counterexample ]
 
 let validate_direct ?(options = default_options) ?rng ?confirm approx assertion =
   Obs.Span.with_ ~name:"verify.validate" @@ fun () ->
@@ -215,29 +211,11 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
       Cache.memo cache ~ns:"verdict" key (fun () ->
           validate_direct ~options ~rng ?confirm approx assertion)
 
-let check_on_program ?rng ?tol program assertion ~input =
-  let traces = Program.run_traces ?rng program ~input in
-  let env tp =
-    match List.assoc_opt tp traces with
-    | Some m -> m
-    | None -> invalid_arg (Printf.sprintf "Verify.check_on_program: no tracepoint %d" tp)
-  in
-  Assertion.holds ?tol assertion env
-
 let minimize_counterexample ?rng ?(tol = 0.02) program assertion
     ~counterexample =
   let d, _ = Cmat.dims counterexample in
-  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-  let n = log2 0 d in
-  let violates input =
-    let traces = Program.run_traces ?rng program ~input in
-    let env tp =
-      match List.assoc_opt tp traces with
-      | Some m -> m
-      | None -> invalid_arg "Verify.minimize_counterexample: unknown tracepoint"
-    in
-    not (Assertion.holds ~tol assertion env)
-  in
+  let n = Cmat.num_qubits counterexample in
+  let violates input = not (check_on_program ?rng ~tol program assertion ~input) in
   (* candidate basis states, heaviest first *)
   let weights =
     List.init d (fun k -> (k, Cx.re (Cmat.get counterexample k k)))
@@ -267,12 +245,10 @@ type counts_result = {
    distribution is itself uniform over its categories. *)
 let contamination = 0.2
 
+(* the budget counters every sequential stop records, plus the early-stop
+   log line of verify's own SPRTs *)
 let seq_counters ~cap ~used ~early =
-  if Obs.enabled () then begin
-    if cap > used then
-      Obs.Metrics.counter_add "verify_shots_saved_total" (cap - used);
-    if early then Obs.Metrics.counter_add "verify_early_stop_total" 1
-  end;
+  Tomography.State_tomo.seq_counters ~cap ~used ~early;
   if early then
     Obs.Log.emit Obs.Log.Info "verify.early_stop"
       [

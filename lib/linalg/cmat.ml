@@ -37,6 +37,10 @@ let diag v =
   init n n (fun i j -> if i = j then Cvec.get v i else Cx.zero)
 
 let dims a = (a.rows, a.cols)
+
+let num_qubits a =
+  let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
+  log2 0 a.rows
 let get a i j = Cx.make a.re.(idx a i j) a.im.(idx a i j)
 
 let set a i j z =

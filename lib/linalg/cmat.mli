@@ -20,6 +20,10 @@ val of_lists : Cx.t list list -> t
 val diag : Cvec.t -> t
 
 val dims : t -> int * int
+
+(** [num_qubits m] is [floor (log2 rows)]: the qubit count of a
+    [2^n]-row operator or density matrix. *)
+val num_qubits : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
 val copy : t -> t

@@ -31,8 +31,8 @@ val phase : float -> Linalg.Cmat.t
 val u3 : float -> float -> float -> Linalg.Cmat.t
 
 (** [u2x2 params] decodes an arbitrary 2 x 2 matrix from 8 row-major
-    [(re, im)] parameters — the encoding used by the ["u2x2"] gate that the
-    single-qubit fusion pass ([Transpile.Passes.fuse_1q]) emits. *)
+    [(re, im)] parameters — the encoding of the ["u2x2"] gate that
+    [Circuit.Gate.inverse] emits for [sx] and [sy]. *)
 val u2x2 : float list -> Linalg.Cmat.t
 
 (** [by_name name params] looks up a single-qubit gate by its QASM name,

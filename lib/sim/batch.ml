@@ -10,8 +10,9 @@ module Cmat = Linalg.Cmat
    into tiles; each pool task owns one private tile and runs the whole
    plan over every tile it is given with allocation-free kernels that
    stream the tile's rows (row [i] holds amplitude [i] of the tile's
-   columns contiguously). Fences are interpreted per column with a
-   per-column generator.
+   columns contiguously). Fences run per column through [Engine.step],
+   the gate-by-gate engine's instruction semantics, with a per-column
+   generator.
 
    Determinism: every kernel touches each column independently with a
    k-ascending accumulation order that does not depend on how many columns
@@ -123,8 +124,8 @@ let block_kernel (blk : block) =
           done
         done)
 
-(* controlled single-target gate, mirroring [Statevec.apply_controlled]'s
-   update expressions so a plan run agrees with the gate-by-gate engine *)
+(* controlled single-target gate, with the state-vector kernel's update
+   expressions so a plan run agrees with the gate-by-gate engine *)
 let cgate_kernel ~controls u tgt t used =
   let d = 1 lsl t.n and w = t.w in
   let re = t.re and im = t.im in
@@ -182,36 +183,12 @@ let direct_kernel (g : Circuit.Gate.t) =
    wall time on measurement-heavy circuits. So runs of consecutive fences
    are executed on contiguous copies instead: the tile's columns are
    transposed into its scratch vectors (walking ROWS, which are
-   contiguous), each column's fences run on its own [Statevec.t] with the
-   engine's statevec kernels, and the columns are transposed back. The
-   copies are exact and the per-column fence order is unchanged, so the
-   results are bit-identical to interpreting the packed columns in place —
-   and the fence arithmetic is exactly [Engine.run]'s. *)
-
-(* gate application inside a fence ([If_gate] bodies), mirroring
-   [Engine.apply_gate_ideal] *)
-let sv_apply_gate (g : Circuit.Gate.t) st =
-  match (g.Circuit.Gate.name, g.Circuit.Gate.targets) with
-  | "swap", [ qa; qb ] ->
-      if g.Circuit.Gate.controls <> [] then
-        invalid_arg "Batch: controlled swap unsupported";
-      (* exact amplitude permutation *)
-      let d = Statevec.dim st in
-      let ba = 1 lsl qa and bb = 1 lsl qb in
-      for i = 0 to d - 1 do
-        if i land ba <> 0 && i land bb = 0 then begin
-          let q = i lxor (ba lor bb) in
-          let xr = st.Statevec.re.(i) and xi = st.Statevec.im.(i) in
-          st.Statevec.re.(i) <- st.Statevec.re.(q);
-          st.Statevec.im.(i) <- st.Statevec.im.(q);
-          st.Statevec.re.(q) <- xr;
-          st.Statevec.im.(q) <- xi
-        end
-      done
-  | name, [ tgt ] ->
-      let u = Gates.by_name name g.Circuit.Gate.params in
-      Statevec.apply_controlled ~controls:g.Circuit.Gate.controls u tgt st
-  | _ -> invalid_arg "Batch: malformed gate"
+   contiguous), each column's fences run on its own [Statevec.t] through
+   [Engine.step] — the gate-by-gate engine's own instruction semantics,
+   with ideal noise and the column's generator — and the columns are
+   transposed back. The copies are exact and the per-column fence order
+   is unchanged, so the results are bit-identical to interpreting the
+   packed columns in place. *)
 
 (* exact transposes between the tile's first [used] columns and the
    state vectors [sts.(0 .. used - 1)], walking the contiguous rows *)
@@ -237,32 +214,15 @@ let states_to_columns t sts used =
     done
   done
 
-let exec_fences fences ~mutate t ~col0 ~rng_for ~clbits ~traces used =
+let exec_fences fences ~mutate t ~col0 ~rngs ~clbits ~traces used =
   columns_to_states t t.scratch used;
   for j = 0 to used - 1 do
     let g = col0 + j in
-    let st = t.scratch.(j) in
-    List.iter
-      (fun instr ->
-        match instr with
-        | Circuit.Instr.Tracepoint { id; qubits } ->
-            traces.(g) <- (id, Statevec.reduced_density st qubits) :: traces.(g)
-        | Circuit.Instr.Measure { qubit; clbit } ->
-            clbits.(g).(clbit) <- Statevec.measure (rng_for g) st qubit
-        | Circuit.Instr.Reset q ->
-            if Statevec.measure (rng_for g) st q = 1 then
-              Statevec.apply1 Gates.x q st
-        | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
-            let read =
-              List.fold_left
-                (fun (acc, k) b -> (acc lor (clbits.(g).(b) lsl k), k + 1))
-                (0, 0) cbs
-              |> fst
-            in
-            if read = value then sv_apply_gate gate st
-        | Circuit.Instr.Barrier _ -> ()
-        | Circuit.Instr.Gate _ -> invalid_arg "Batch: raw gate used as a fence")
-      fences
+    traces.(g) <-
+      List.fold_left
+        (Engine.step ~rng:rngs.(g) ~noise:Noise.ideal t.scratch.(j)
+           clbits.(g))
+        traces.(g) fences
   done;
   (* a run of read-only fences (tracepoints, barriers) leaves the scratch
      columns untouched, so transposing them back would be an exact no-op *)
@@ -296,6 +256,8 @@ let compile items =
   in
   let rec go acc pending = function
     | [] -> List.rev (flush pending acc)
+    | Fence (Circuit.Instr.Gate _) :: _ ->
+        invalid_arg "Batch: raw gate used as a fence"
     | Fence i :: rest -> go acc (i :: pending) rest
     | Block b :: rest ->
         go (Kernel (block_kernel b) :: flush pending acc) [] rest
@@ -377,13 +339,10 @@ let exec ?pool ?rngs plan ~count ~init ~want_states =
           invalid_arg "Batch: rngs length must equal the column count";
         a
     | None ->
-        if is_deterministic plan then [||]
-        else
-          (* same per-trajectory default seed policy as [Engine.run]: a
-             fresh generator per column, never a shared one *)
-          Array.init count (fun _ -> Stats.Rng.make 0xC0FFEE)
+        (* same per-trajectory default seed policy as [Engine.run]: a
+           fresh generator per column, never a shared one *)
+        Array.init count (fun _ -> Stats.Rng.make 0xC0FFEE)
   in
-  let rng_for g = col_rngs.(g) in
   let traces = Array.make count [] in
   let clbits = Array.init count (fun _ -> Array.make plan.num_clbits 0) in
   let states = Array.make (if want_states then count else 0) None in
@@ -419,8 +378,8 @@ let exec ?pool ?rngs plan ~count ~init ~want_states =
             (function
               | Kernel kernel -> kernel t used
               | Fences { fences; mutate } ->
-                  exec_fences fences ~mutate t ~col0 ~rng_for ~clbits ~traces
-                    used)
+                  exec_fences fences ~mutate t ~col0 ~rngs:col_rngs ~clbits
+                    ~traces used)
             steps;
           if want_states then begin
             let outs = Array.init used (fun _ -> Statevec.zero n) in

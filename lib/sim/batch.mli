@@ -11,9 +11,11 @@
     and runs the whole plan over every tile it is given with
     allocation-free kernels: a gather kernel for k-qubit blocks that takes
     the offset table and the nonzero pattern of [u] once per run, and a
-    row-sweeping kernel for single controlled gates. Tiles are private, so
-    no two domains ever write into one buffer, and a narrow batch still
-    uses every domain.
+    row-sweeping kernel for single controlled gates. Fences run per column
+    through [Engine.step], the gate-by-gate engine's own instruction
+    semantics, with ideal noise and the column's generator. Tiles are
+    private, so no two domains ever write into one buffer, and a narrow
+    batch still uses every domain.
 
     The input columns are built inside the pool tasks, so [init] (of
     {!run_traces}) may run on worker domains and must be pure.
@@ -30,7 +32,8 @@
     count, so they do not depend on the tiling either. Agreement with the
     gate-by-gate [Engine.run] is exact in structure (clbits, trace ids) and
     ~1e-15 in amplitudes: fusing a segment into one operator reorders its
-    floating-point arithmetic.
+    floating-point arithmetic. A plan with no [Block] agrees with
+    [Engine.run] exactly (under [=]).
 
     {b Memory.} All live tiles together hold at most ~2^21 amplitudes per
     component, whatever the sample count: wide registers get narrower
@@ -48,8 +51,9 @@ type item =
           support is too wide to fuse profitably, e.g. a many-control
           Toffoli) *)
   | Fence of Circuit.Instr.t
-      (** a non-unitary instruction, interpreted per column; never
-          [Instr.Gate], and [Barrier] is a no-op *)
+      (** a non-unitary instruction, run per column through
+          [Engine.step]; never [Instr.Gate] (rejected with
+          [Invalid_argument]), and [Barrier] is a no-op *)
 
 (** A compiled execution plan. [source_ops] records how many unitary gate
     applications the source circuit performed per run; compare with

@@ -32,7 +32,7 @@ let apply_gate_dm noise (g : Circuit.Gate.t) rho =
     List.fold_left (fun r q -> Density.apply_kraus (Noise.kraus1 p) q r) rho qs
   else rho
 
-let run ?(noise = Noise.ideal) ?initial ?meter c =
+let run ?(noise = Noise.ideal) ?initial c =
   Obs.Span.with_ ~name:"dm_engine.run" @@ fun () ->
   let n = Circuit.num_qubits c in
   let init =
@@ -43,9 +43,6 @@ let run ?(noise = Noise.ideal) ?initial ?meter c =
         rho
     | None -> Density.basis n 0
   in
-  (match meter with
-  | Some m -> Cost.record_circuit m c ~shots:1
-  | None -> ());
   let branches =
     ref [ { weight = 1.; rho = init; clbits = Array.make (Circuit.num_clbits c) 0 } ]
   in

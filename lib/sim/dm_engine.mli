@@ -17,11 +17,10 @@ type outcome = {
       (** tracepoint id -> branch-averaged reduced density matrix *)
 }
 
-(** [run ?noise ?initial ?meter c] executes the circuit exactly. *)
+(** [run ?noise ?initial c] executes the circuit exactly. *)
 val run :
   ?noise:Noise.t ->
   ?initial:Qstate.Density.t ->
-  ?meter:Cost.t ->
   Circuit.t ->
   outcome
 

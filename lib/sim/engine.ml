@@ -37,12 +37,45 @@ let apply_gate_ideal (g : Circuit.Gate.t) st =
       Statevec.apply_controlled ~controls:g.Circuit.Gate.controls u tgt st
   | _ -> invalid_arg "Engine: malformed gate"
 
-let apply_gate ?rng ?noise g st =
+let apply_gate ~rng ~noise g st =
   apply_gate_ideal g st;
-  match (rng, noise) with
-  | Some rng, Some noise when not (Noise.is_ideal noise) ->
-      inject_noise rng noise g st
-  | _ -> ()
+  if not (Noise.is_ideal noise) then inject_noise rng noise g st
+
+(* The one definition of what a circuit instruction does to a dense state
+   vector, for one trajectory: gates draw their Pauli errors and
+   measurements their readout flips from [rng] under a non-ideal [noise];
+   a tracepoint conses its snapshot onto [traces] (newest first). [run]
+   folds it over a circuit and [Batch] runs its fence columns through
+   it. *)
+let step ~rng ~noise st clbits traces instr =
+  match instr with
+  | Circuit.Instr.Gate g ->
+      apply_gate ~rng ~noise g st;
+      traces
+  | Circuit.Instr.Tracepoint { id; qubits } ->
+      (id, Statevec.reduced_density st qubits) :: traces
+  | Circuit.Instr.Measure { qubit; clbit } ->
+      let outcome = Statevec.measure rng st qubit in
+      let outcome =
+        if noise.Noise.readout > 0. && Stats.Rng.float rng 1. < noise.Noise.readout
+        then 1 - outcome
+        else outcome
+      in
+      clbits.(clbit) <- outcome;
+      traces
+  | Circuit.Instr.Reset q ->
+      if Statevec.measure rng st q = 1 then Statevec.apply1 Gates.x q st;
+      traces
+  | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
+      let read =
+        List.fold_left
+          (fun (acc, k) b -> (acc lor (clbits.(b) lsl k), k + 1))
+          (0, 0) cbs
+        |> fst
+      in
+      if read = value then apply_gate ~rng ~noise gate st;
+      traces
+  | Circuit.Instr.Barrier _ -> traces
 
 (* A fresh generator per call, NOT one shared global: a single mutable
    generator shared across every no-[?rng] call would make results depend
@@ -52,7 +85,7 @@ let apply_gate ?rng ?noise g st =
    streams pass their own generator (usually a [Stats.Rng.split] child). *)
 let default_rng () = Stats.Rng.make 0xC0FFEE
 
-let run ?rng ?(noise = Noise.ideal) ?initial ?meter c =
+let run ?rng ?(noise = Noise.ideal) ?initial c =
   let rng = match rng with Some r -> r | None -> default_rng () in
   let st =
     match initial with
@@ -63,38 +96,10 @@ let run ?rng ?(noise = Noise.ideal) ?initial ?meter c =
     | None -> Statevec.zero (Circuit.num_qubits c)
   in
   let clbits = Array.make (Circuit.num_clbits c) 0 in
-  let traces = ref [] in
-  (match meter with
-  | Some m -> Cost.record_circuit m c ~shots:1
-  | None -> ());
-  List.iter
-    (fun instr ->
-      match instr with
-      | Circuit.Instr.Gate g -> apply_gate ~rng ~noise g st
-      | Circuit.Instr.Tracepoint { id; qubits } ->
-          traces := (id, Statevec.reduced_density st qubits) :: !traces
-      | Circuit.Instr.Measure { qubit; clbit } ->
-          let outcome = Statevec.measure rng st qubit in
-          let outcome =
-            if noise.Noise.readout > 0. && Stats.Rng.float rng 1. < noise.Noise.readout
-            then 1 - outcome
-            else outcome
-          in
-          clbits.(clbit) <- outcome
-      | Circuit.Instr.Reset q ->
-          let outcome = Statevec.measure rng st q in
-          if outcome = 1 then Statevec.apply1 Gates.x q st
-      | Circuit.Instr.If_gate { clbits = cbs; value; gate } ->
-          let read =
-            List.fold_left
-              (fun (acc, k) b -> (acc lor (clbits.(b) lsl k), k + 1))
-              (0, 0) cbs
-            |> fst
-          in
-          if read = value then apply_gate ~rng ~noise gate st
-      | Circuit.Instr.Barrier _ -> ())
-    (Circuit.instrs c);
-  { state = st; clbits; traces = List.rev !traces }
+  let traces =
+    List.fold_left (step ~rng ~noise st clbits) [] (Circuit.instrs c)
+  in
+  { state = st; clbits; traces = List.rev traces }
 
 let is_deterministic c =
   List.for_all
@@ -285,12 +290,9 @@ let local_prep prep qubits =
    the basis state [prep] (bit q = X on qubit q — a product state, so
    restricting to the cone is sound). Cost depends on the cone, never on
    the full register width. *)
-let cone_traces ?(prep = 0) ?meter route c =
+let cone_traces ?(prep = 0) route c =
   let (module B) = backend route in
   Obs.Span.with_ ~name:("engine." ^ B.name ^ "_traces") @@ fun () ->
-  (match meter with
-  | Some m -> Cost.record_circuit m c ~shots:1
-  | None -> ());
   count_routed B.name;
   List.map
     (fun cone ->
@@ -385,7 +387,7 @@ let average_traces trajectories per_traj =
     !order
 
 let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
-    ?initial ?(engine = `Auto) ?meter ?wall c =
+    ?initial ?(engine = `Auto) ?wall c =
   let ideal_start = initial = None && Noise.is_ideal noise in
   let route =
     match engine with
@@ -412,15 +414,15 @@ let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
     ~attrs:[ ("engine", engine_name) ]
   @@ fun () ->
   match route with
-  | Some route -> cone_traces ?meter route c
+  | Some route -> cone_traces route c
   | None ->
       count_routed "statevec";
       if is_deterministic c && Noise.is_ideal noise then
-        (run ?rng ~noise ?initial ?meter c).traces
+        (run ?rng ~noise ?initial c).traces
       else
         let rng = match rng with Some r -> r | None -> default_rng () in
-        fan_out (get_pool pool) rng ~meter ~count:trajectories (fun rng m ->
-            (run ~rng ~noise ?initial ?meter:m c).traces)
+        fan_out (get_pool pool) rng ~meter:None ~count:trajectories
+          (fun rng _ -> (run ~rng ~noise ?initial c).traces)
         |> average_traces trajectories
 
 let sample_counts ?pool ?rng ?(noise = Noise.ideal) ?initial ?meter ~shots c =
@@ -442,7 +444,8 @@ let sample_counts ?pool ?rng ?(noise = Noise.ideal) ?initial ?meter ~shots c =
   else begin
     let sampled =
       fan_out pool rng ~meter ~count:shots (fun rng m ->
-          let { state; _ } = run ~rng ~noise ?initial ?meter:m c in
+          Option.iter (fun m -> Cost.record_circuit m c ~shots:1) m;
+          let { state; _ } = run ~rng ~noise ?initial c in
           Statevec.sample rng state)
     in
     Array.iter (fun k -> bump k 1) sampled

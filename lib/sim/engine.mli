@@ -13,18 +13,32 @@ type outcome = {
       (** tracepoint id -> reduced density matrix, in program order *)
 }
 
-(** [apply_gate ?rng ?noise g st] applies one gate (mutating [st]),
-    injecting a sampled Pauli error after it when [noise] is given. *)
-val apply_gate : ?rng:Stats.Rng.t -> ?noise:Noise.t -> Circuit.Gate.t -> Qstate.Statevec.t -> unit
+(** [step ~rng ~noise st clbits traces instr] executes one instruction of
+    one trajectory on [st] — the single definition of the dense
+    instruction semantics, which {!run} folds over a circuit and
+    [Sim.Batch] runs its fences through. A gate is applied (counted in
+    [gate_applied_total]) and, under a non-ideal [noise], followed by a
+    sampled Pauli error per qubit; a measurement collapses [st], draws
+    its readout flip and writes [clbits]; a reset measures and flips back
+    to [|0>]; an [if] applies its gate when the read bits equal its value;
+    a barrier does nothing. A tracepoint returns [traces] with its reduced
+    density matrix consed on (newest first); every other instruction
+    returns [traces] unchanged. *)
+val step :
+  rng:Stats.Rng.t ->
+  noise:Noise.t ->
+  Qstate.Statevec.t ->
+  int array ->
+  (int * Linalg.Cmat.t) list ->
+  Circuit.Instr.t ->
+  (int * Linalg.Cmat.t) list
 
-(** [run ?rng ?noise ?initial ?meter c] executes one trajectory. [initial]
-    defaults to [|0...0>]; [meter] (if given) accounts one execution with one
-    shot. *)
+(** [run ?rng ?noise ?initial c] executes one trajectory. [initial]
+    defaults to [|0...0>]. *)
 val run :
   ?rng:Stats.Rng.t ->
   ?noise:Noise.t ->
   ?initial:Qstate.Statevec.t ->
-  ?meter:Cost.t ->
   Circuit.t ->
   outcome
 
@@ -51,19 +65,17 @@ type route = [ `Stabilizer | `Sparse | `Rank ]
     static. *)
 val applicable : route -> Circuit.t -> bool
 
-(** [cone_traces ?prep ?meter route c] computes every tracepoint's reduced
+(** [cone_traces ?prep route c] computes every tracepoint's reduced
     density matrix on [route], one lightcone-restricted run per
     tracepoint over only its cone qubits, so the cost is independent of
     the full register width. [prep] (default 0) prepares the
-    computational-basis state with bit [q] of [prep] on qubit [q];
-    [meter] accounts one execution with one shot. Runs under the span
-    [engine.<route>_traces] and, with observability on, adds one
-    [sim_engine_routed_total] and a per-cone work count
+    computational-basis state with bit [q] of [prep] on qubit [q]. Runs
+    under the span [engine.<route>_traces] and, with observability on,
+    adds one [sim_engine_routed_total] and a per-cone work count
     ([stabilizer_routed_total], [sparse_amps_peak_total] or
     [rank_branches_total]). Precondition: {!applicable}. *)
 val cone_traces :
   ?prep:int ->
-  ?meter:Cost.t ->
   route ->
   Circuit.t ->
   (int * Linalg.Cmat.t) list
@@ -96,7 +108,7 @@ val average_traces :
   int -> (int * Linalg.Cmat.t) list array -> (int * Linalg.Cmat.t) list
 
 (** [tracepoint_states ?pool ?rng ?noise ?trajectories ?initial ?engine
-    ?meter ?wall c] returns the expected reduced density matrix at every
+    ?wall c] returns the expected reduced density matrix at every
     tracepoint. [`Auto] (default) applies {!auto_route} to ideal
     programs starting from [|0...0>] and runs the chosen route through
     {!cone_traces}; other deterministic ideal circuits use one
@@ -113,7 +125,6 @@ val tracepoint_states :
   ?trajectories:int ->
   ?initial:Qstate.Statevec.t ->
   ?engine:[ `Auto | `Statevec | route ] ->
-  ?meter:Cost.t ->
   ?wall:float ->
   Circuit.t ->
   (int * Linalg.Cmat.t) list
@@ -122,8 +133,11 @@ val tracepoint_states :
     final computational-basis distribution. Measurement-free ideal circuits
     run once and draw shots from the cumulative distribution; otherwise each
     shot is a fresh trajectory run on the pool with its own split child
-    generator (domain-count independent, like {!tracepoint_states}). Returns
-    sorted [(basis_index, count)] pairs over the full register. *)
+    generator (domain-count independent, like {!tracepoint_states}).
+    [meter] accounts one execution of [shots] shots on the first path and
+    one single-shot execution per shot on the second, each shot into a
+    private meter merged in shot order. Returns sorted
+    [(basis_index, count)] pairs over the full register. *)
 val sample_counts :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->

@@ -245,23 +245,6 @@ let apply_gate (gate : Circuit.Gate.t) t =
   | name, _, _ ->
       invalid_arg (Printf.sprintf "Tableau.apply_gate: non-Clifford gate %s" name)
 
-let clifford_gate (gate : Circuit.Gate.t) =
-  match
-    (gate.Circuit.Gate.name, gate.Circuit.Gate.controls, gate.Circuit.Gate.targets)
-  with
-  | ("h" | "s" | "sdg" | "x" | "y" | "z" | "id"), [], [ _ ] -> true
-  | ("x" | "z"), [ _ ], [ _ ] -> true
-  | "swap", [], [ _; _ ] -> true
-  | _ -> false
-
-let is_clifford_circuit c =
-  List.for_all
-    (function
-      | Circuit.Instr.Gate gate -> clifford_gate gate
-      | Circuit.Instr.Tracepoint _ | Circuit.Instr.Barrier _ -> true
-      | _ -> false)
-    (Circuit.instrs c)
-
 let run c =
   let t = make (Circuit.num_qubits c) in
   List.iter

@@ -29,9 +29,6 @@ val swap : t -> int -> int -> unit
     non-Clifford gates (parameterized rotations etc.). *)
 val apply_gate : Circuit.Gate.t -> t -> unit
 
-(** [is_clifford_circuit c] — all gates dispatchable and no measurement. *)
-val is_clifford_circuit : Circuit.t -> bool
-
 (** [run c] executes a measurement-free Clifford circuit from [|0...0>]. *)
 val run : Circuit.t -> t
 

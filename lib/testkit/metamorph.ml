@@ -45,13 +45,6 @@ let confidence_monotone ~n_in ~samples =
   in
   nondecreasing confidences
 
-let fused_traces_agree circ =
-  let c = Gen.build circ in
-  let fused = Transpile.Passes.fuse_1q c in
-  Oracle.traces_match
-    (Sim.Engine.tracepoint_states c)
-    (Sim.Engine.tracepoint_states fused)
-
 let with_pool domains f =
   let pool = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)

@@ -20,10 +20,6 @@ val global_phase_invariant : Gen.circ -> bool
     made positive and sorted internally. *)
 val confidence_monotone : n_in:int -> samples:int list -> bool
 
-(** [fused_traces_agree c] — tracepoint states are invariant under
-    [Transpile.Passes.fuse_1q] (fusion never crosses a tracepoint). *)
-val fused_traces_agree : Gen.circ -> bool
-
 (** [traces_domain_invariant ?noise ~trajectories ~domains c] — trajectory-
     averaged tracepoint states are bit-identical for every domain count in
     [domains] under a fixed seed (the deterministic-parallelism contract).

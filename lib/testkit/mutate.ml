@@ -36,10 +36,10 @@ let replace_instr k instr' c =
   in
   out
 
-(* a fused/merged replacement gate with its leading parameter nudged: the
-   recorded Local_equiv product no longer matches *)
+(* a merged replacement rotation with its angle nudged: the recorded
+   Local_equiv product no longer matches *)
 let wrong_replacement c =
-  let c', step = Transpile.Passes.fuse_1q_cert c in
+  let c', step = Transpile.Passes.merge_rotations_cert c in
   let target_k =
     List.find_map
       (function

@@ -4,7 +4,7 @@
     rewrite could; {!Transpile.Certify.check} must reject every mutant
     ({!rejected}), otherwise the checker has a hole. Constructors return
     [None] when the circuit gives the underlying pass nothing to mutate
-    (e.g. no fusable pair, no block in the plan). *)
+    (e.g. no mergeable rotation pair, no block in the plan). *)
 
 type mutant = {
   mutant_name : string;
@@ -13,8 +13,8 @@ type mutant = {
   target : Transpile.Certify.target;
 }
 
-(** A [fuse_1q] run whose replacement gate has its leading parameter
-    nudged by 0.05 — the [Local_equiv] product no longer matches. *)
+(** A [merge_rotations] run whose merged rotation has its angle nudged
+    by 0.05 — the [Local_equiv] product no longer matches. *)
 val wrong_replacement : Circuit.t -> mutant option
 
 (** A [prune_lightcone] run that additionally deletes a kept gate, with a

@@ -81,7 +81,6 @@ let all_passes =
     ("cancel_inverses", Transpile.Passes.cancel_inverses);
     ("merge_rotations", Transpile.Passes.merge_rotations);
     ("drop_identities", fun c -> Transpile.Passes.drop_identities c);
-    ("fuse_1q", Transpile.Passes.fuse_1q);
     ("optimize", fun c -> Transpile.Passes.optimize c);
   ]
 
@@ -98,13 +97,10 @@ let certified_pass_sound circ =
   single Transpile.Passes.cancel_inverses_cert
   && single Transpile.Passes.merge_rotations_cert
   && single (fun c -> Transpile.Passes.drop_identities_cert c)
-  && single Transpile.Passes.fuse_1q_cert
   && single Transpile.Passes.prune_lightcone_cert
   && (let c', cert = Transpile.Passes.optimize_cert c in
       cert_ok (Transpile.Certify.check cert c c'))
   && (let plan, st = Transpile.Segments.compile_cert c in
-      cert_ok (Transpile.Certify.check_plan [ st ] c plan))
-  && (let plan, st = Transpile.Segments.compile_cert ~clifford_direct:true c in
       cert_ok (Transpile.Certify.check_plan [ st ] c plan))
   && (Morphcore.Verify.certify_transpile c).Morphcore.Verify.certified
 
@@ -179,6 +175,39 @@ let batch_bit_identical ?pool circ =
       if not (outcomes_bit_identical packed.(i) solo) then ok := false)
     states;
   !ok
+
+(* The plan that fuses nothing: every gate a [Direct] item, every other
+   instruction a [Fence] run through [Engine.step]. Its direct kernels
+   carry the state-vector kernels' update expressions and its fences the
+   engine's own step, so it must agree with [Engine.run] exactly — [=],
+   not bits: the swap kernel may flip the sign of a zero. *)
+let batch_fences_exact c =
+  let items =
+    List.map
+      (function
+        | Circuit.Instr.Gate g -> Sim.Batch.Direct g
+        | instr -> Sim.Batch.Fence instr)
+      (Circuit.instrs c)
+  in
+  let plan =
+    {
+      Sim.Batch.num_qubits = Circuit.num_qubits c;
+      num_clbits = Circuit.num_clbits c;
+      items;
+      source_ops =
+        List.length
+          (List.filter (function Sim.Batch.Direct _ -> true | _ -> false) items);
+    }
+  in
+  let seed = 0x5EED in
+  let eng = Sim.Engine.run ~rng:(Stats.Rng.make seed) c in
+  let bat =
+    Sim.Batch.run_seq ~rng:(Stats.Rng.make seed) plan
+      (Qstate.Statevec.zero (Circuit.num_qubits c))
+  in
+  eng.Sim.Engine.clbits = bat.Sim.Engine.clbits
+  && eng.Sim.Engine.traces = bat.Sim.Engine.traces
+  && eng.Sim.Engine.state = bat.Sim.Engine.state
 
 (* Deliberately broken segmentation: shift every tracepoint fence past the
    operator that follows it, so the snapshot observes a state one segment

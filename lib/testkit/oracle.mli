@@ -87,6 +87,13 @@ val batch_vs_engine_packed : Gen.circ -> bool
     with [=], no tolerance). *)
 val batch_bit_identical : ?pool:Parallel.Pool.t -> Gen.circ -> bool
 
+(** [batch_fences_exact c] — a hand-built plan that fuses nothing (every
+    gate a [Direct] item, every other instruction a [Fence]) run through
+    [Sim.Batch.run_seq] equals [Sim.Engine.run] under identically seeded
+    generators: classical bits, tracepoint snapshots and the final state,
+    compared with [=] (exact, but blind to the sign of a zero). *)
+val batch_fences_exact : Circuit.t -> bool
+
 (** [delay_tracepoint_fences plan] — a deliberately broken segmentation
     that moves every tracepoint fence past the operator that follows it.
     Used by the shrinker smoke test: {!batch_fence_respected} must fail on

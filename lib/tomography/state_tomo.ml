@@ -83,10 +83,7 @@ let run ?(project = true) ?budget rng ~shots ~truth () =
   Obs.Span.with_ ~name:"tomography.run" @@ fun () ->
   let d, dc = Cmat.dims truth in
   if d <> dc then invalid_arg "State_tomo.run: non-square state";
-  let n =
-    let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-    log2 0 d
-  in
+  let n = Cmat.num_qubits truth in
   if 1 lsl n <> d then invalid_arg "State_tomo.run: dimension not a power of 2";
   let settings = settings_count n in
   match budget with

@@ -28,6 +28,13 @@ val settings_count : int -> int
     expectations; the identity term is fixed to 1 if absent. *)
 val reconstruct : int -> (Qstate.Pauli.t * float) list -> Linalg.Cmat.t
 
+(** [seq_counters ~cap ~used ~early] records a sequential budget's spend
+    against its [cap]: the shots saved in [verify_shots_saved_total] and,
+    when the stop was [early], one [verify_early_stop_total]. Every
+    sequential stop (tomography here, the SPRTs in [Verify]) records
+    through it. *)
+val seq_counters : cap:int -> used:int -> early:bool -> unit
+
 (** [run ?project ?budget rng ~shots ~truth ()] performs full tomography of
     the [n]-qubit state [truth] (an exact density matrix): estimates every
     Pauli expectation with shot noise, reconstructs, and projects to a

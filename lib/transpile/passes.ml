@@ -166,72 +166,6 @@ let merge_rotations_cert c =
 let cancel_inverses c = fst (cancel_inverses_cert c)
 let merge_rotations c = fst (merge_rotations_cert c)
 
-(* ----------------- adjacent single-qubit gate fusion ------------------ *)
-
-(* any uncontrolled single-target gate has a 2x2 matrix we can multiply out *)
-let fusable (g : Circuit.Gate.t) =
-  g.Circuit.Gate.controls = []
-  && (match g.Circuit.Gate.targets with [ _ ] -> true | _ -> false)
-  && g.Circuit.Gate.name <> "swap"
-
-let gate_matrix (g : Circuit.Gate.t) =
-  Qstate.Gates.by_name g.Circuit.Gate.name g.Circuit.Gate.params
-
-let fused_gate target (m : Linalg.Cmat.t) =
-  let p k = (m.Linalg.Cmat.re.(k), m.Linalg.Cmat.im.(k)) in
-  let (r00, i00) = p 0 and (r01, i01) = p 1 in
-  let (r10, i10) = p 2 and (r11, i11) = p 3 in
-  Circuit.Gate.make
-    ~params:[ r00; i00; r01; i01; r10; i10; r11; i11 ]
-    "u2x2" [ target ]
-
-let place_fused (i, g) (res, gone) =
-  if not (fusable g) then
-    ({ origins = [ i ]; instr = Circuit.Instr.Gate g } :: res, gone)
-  else
-    let gq = Circuit.Gate.qubits g in
-    let rec scan acc = function
-      | [] -> None
-      | item :: rest -> (
-          if disjoint (tracked_qubits item) gq then scan (item :: acc) rest
-          else
-            match item.instr with
-            | Circuit.Instr.Gate g'
-              when fusable g'
-                   && g'.Circuit.Gate.targets = g.Circuit.Gate.targets ->
-                (* g runs after g', so the fused matrix is U_g * U_g' *)
-                let m = Linalg.Cmat.mul (gate_matrix g) (gate_matrix g') in
-                let f = fused_gate (List.hd g.Circuit.Gate.targets) m in
-                let item' =
-                  {
-                    origins = item.origins @ [ i ];
-                    instr = Circuit.Instr.Gate f;
-                  }
-                in
-                Some (List.rev_append acc (item' :: rest), gone)
-            | _ -> None)
-    in
-    match scan [] res with
-    | Some out -> out
-    | None -> ({ origins = [ i ]; instr = Circuit.Instr.Gate g } :: res, gone)
-
-let fuse_1q_cert c =
-  let _, acc =
-    List.fold_left
-      (fun (i, acc) instr ->
-        ( i + 1,
-          match instr with
-          | Circuit.Instr.Gate g -> place_fused (i, g) acc
-          | fence ->
-              let res, gone = acc in
-              ({ origins = [ i ]; instr = fence } :: res, gone) ))
-      (0, ([], []))
-      (Circuit.instrs c)
-  in
-  finish ~pass:"fuse_1q" c acc
-
-let fuse_1q c = fst (fuse_1q_cert c)
-
 let drop_identities_cert ?(eps = 1e-12) c =
   let droppable (g : Circuit.Gate.t) =
     match (g.Circuit.Gate.name, g.Circuit.Gate.params) with

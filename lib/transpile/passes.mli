@@ -20,17 +20,6 @@ val merge_rotations : Circuit.t -> Circuit.t
 (** [drop_identities ?eps c] removes rotations by ~0 (and [p(0)], [id]). *)
 val drop_identities : ?eps:float -> Circuit.t -> Circuit.t
 
-(** [fuse_1q c] fuses runs of adjacent uncontrolled single-qubit gates on the
-    same wire into one ["u2x2"] gate carrying the exact matrix product
-    (8 row-major (re, im) parameters), so a trajectory applies one kernel
-    sweep instead of several. "Adjacent" means no intervening instruction
-    touches the wire; tracepoints, measurements and barriers fence the fusion
-    just like the other passes. The matrix product is computed once at
-    transpile time, so semantics (including global phase) are preserved
-    exactly. Note: fused circuits use the non-standard ["u2x2"] name, so they
-    are meant for the simulator, not for QASM export. *)
-val fuse_1q : Circuit.t -> Circuit.t
-
 (** [optimize ?max_passes c] iterates all passes to a fixed point. *)
 val optimize : ?max_passes:int -> Circuit.t -> Circuit.t
 
@@ -58,6 +47,5 @@ val prune_lightcone : Circuit.t -> Circuit.t
 val cancel_inverses_cert : Circuit.t -> Circuit.t * Certify.step
 val merge_rotations_cert : Circuit.t -> Circuit.t * Certify.step
 val drop_identities_cert : ?eps:float -> Circuit.t -> Circuit.t * Certify.step
-val fuse_1q_cert : Circuit.t -> Circuit.t * Certify.step
 val optimize_cert : ?max_passes:int -> Circuit.t -> Circuit.t * Certify.certificate
 val prune_lightcone_cert : Circuit.t -> Circuit.t * Certify.step

@@ -55,7 +55,7 @@ let block_cost (blk : Sim.Batch.block) =
 
 (* [tagged] pairs each gate with its source instruction index, so the plan
    can carry provenance for the certificate without a second compile *)
-let emit_fused ?(clifford_direct = false) emit sup tagged =
+let emit_fused emit sup tagged =
   let gates = List.map snd tagged in
   let dcost =
     List.fold_left
@@ -73,12 +73,6 @@ let emit_fused ?(clifford_direct = false) emit sup tagged =
       (* a unitary has no zero row, so block_cost >= 1 and fusion could
          never win — skip materializing the block entirely *)
       all_direct ()
-  | Some _
-    when clifford_direct
-         && Analysis.Classify.gates gates = Analysis.Classify.Clifford ->
-      (* opt-in: Clifford segments run on sparse kernels (or the tableau)
-         without paying dense materialization at compile time *)
-      all_direct ()
   | dcost -> (
       let blk = block_of sup gates in
       match dcost with
@@ -86,7 +80,7 @@ let emit_fused ?(clifford_direct = false) emit sup tagged =
       | _ -> emit (List.map fst tagged, Sim.Batch.Block blk))
 
 let compile_direct_cert ?(cutoff = default_cutoff)
-    ?(block_cutoff = default_block_cutoff) ?(clifford_direct = false) c =
+    ?(block_cutoff = default_block_cutoff) c =
   if cutoff < 1 || block_cutoff < 1 then
     invalid_arg "Segments.compile: cutoffs must be >= 1";
   Obs.Span.with_ ~name:"segments.compile" @@ fun () ->
@@ -115,7 +109,7 @@ let compile_direct_cert ?(cutoff = default_cutoff)
         let sup = support (List.map snd tagged) in
         if IntSet.cardinal sup <= cutoff then
           (* narrow segment: one block over its whole support *)
-          emit_fused ~clifford_direct emit sup tagged
+          emit_fused emit sup tagged
         else begin
           (* wide segment: greedily pack consecutive gates while the
              running support stays within [block_cutoff] qubits *)
@@ -127,7 +121,7 @@ let compile_direct_cert ?(cutoff = default_cutoff)
                 (* a single gate too wide to fuse (e.g. a many-control
                    Toffoli): the row-sweeping kernel beats a huge block *)
                 emit ([ i ], Sim.Batch.Direct g)
-            | gs -> emit_fused ~clifford_direct emit !cur_sup gs
+            | gs -> emit_fused emit !cur_sup gs
           in
           List.iter
             (fun (i, g) ->
@@ -198,16 +192,16 @@ let compile_direct_cert ?(cutoff = default_cutoff)
   in
   (plan, step)
 
-let compile ?cutoff ?block_cutoff ?clifford_direct c =
-  fst (compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c)
+let compile ?cutoff ?block_cutoff c =
+  fst (compile_direct_cert ?cutoff ?block_cutoff c)
 
 (* Certified plan memo: keyed by the exact circuit bytes (barriers and
    fences are semantically load-bearing here, so no canonicalization)
    plus the cutoffs. A plan and its certificate are pure data (fused
    operators, direct gates, fence instructions, obligations), so a cached
    pair is the compiled pair. *)
-let compile_cert ?cutoff ?block_cutoff ?clifford_direct ?cache c =
-  let direct () = compile_direct_cert ?cutoff ?block_cutoff ?clifford_direct c in
+let compile_cert ?cutoff ?block_cutoff ?cache c =
+  let direct () = compile_direct_cert ?cutoff ?block_cutoff c in
   match cache with
   | None -> direct ()
   | Some cache ->
@@ -217,7 +211,7 @@ let compile_cert ?cutoff ?block_cutoff ?clifford_direct ?cache c =
              [
                "plan-cert-v1";
                Cache.Canon.exact_bytes c;
-               Marshal.to_string (cutoff, block_cutoff, clifford_direct) [];
+               Marshal.to_string (cutoff, block_cutoff) [];
              ])
       in
       Cache.memo cache ~ns:"segments" key direct

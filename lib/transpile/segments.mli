@@ -14,8 +14,8 @@
       gate);
     - a wider segment is greedily packed left to right: consecutive gates
       are merged while their running union support stays within
-      [block_cutoff] qubits (this subsumes classic 1q-run fusion at
-      [block_cutoff = 1]);
+      [block_cutoff] qubits (at [block_cutoff = 1], each program-order run
+      of 1q gates on one qubit; a gate on another qubit ends the run);
     - a single gate whose own support exceeds [block_cutoff] (e.g. a
       many-control Toffoli) stays a [Direct] item — a sparse row sweep
       beats materializing a huge, mostly-identity block;
@@ -37,7 +37,7 @@ val default_cutoff : int
 val default_block_cutoff : int
 (** [3]: greedy packing inside wide segments stops at 8x8 blocks. *)
 
-(** [compile ?cutoff ?block_cutoff ?clifford_direct c] compiles [c] into a
+(** [compile ?cutoff ?block_cutoff c] compiles [c] into a
     batched execution plan. [plan.source_ops] records the circuit's own
     unitary gate count; [Sim.Batch.ops] on the result counts the fused
     operators actually applied per run. Raises [Invalid_argument] if a
@@ -46,14 +46,10 @@ val default_block_cutoff : int
     Segments whose direct replay cost is provably below any block's
     ([< 1.0] multiply-accumulates per amplitude, e.g. a lone CX) are
     emitted [Direct] without materializing the candidate block at all —
-    same plan as before, cheaper compile. With [clifford_direct] (default
-    [false]) segments classified Clifford by [Analysis.Classify] also skip
-    dense fusion: their sparse kernels are cheap and keeping them as plain
-    gates preserves the option of running them on the stabilizer tableau. *)
+    same plan as before, cheaper compile. *)
 val compile :
   ?cutoff:int ->
   ?block_cutoff:int ->
-  ?clifford_direct:bool ->
   Circuit.t ->
   Sim.Batch.plan
 
@@ -68,7 +64,6 @@ val compile :
 val compile_cert :
   ?cutoff:int ->
   ?block_cutoff:int ->
-  ?clifford_direct:bool ->
   ?cache:Cache.t ->
   Circuit.t ->
   Sim.Batch.plan * Certify.step

@@ -36,6 +36,11 @@ let prop_batch_bit_identical =
     ~count (Gen.program ())
     Oracle.batch_bit_identical
 
+let prop_batch_fences_exact =
+  QCheck.Test.make ~name:"unfused batch plan = engine (programs)" ~count
+    (Gen.program ())
+    (fun circ -> Oracle.batch_fences_exact (Gen.build circ))
+
 let prop_characterize_engines =
   (* each case runs two full characterizations with trajectories: keep the
      circuits small and the case count moderate *)
@@ -227,6 +232,32 @@ let test_trace_only_circuit () =
       | _ -> Alcotest.fail "expected exactly tracepoint 1")
     traces
 
+(* a swap under feedback, which the generator never emits (the measured
+   bit is always 1, so the swap runs): the fence runs the engine's swap,
+   so the unfused plan still equals the engine *)
+let test_feedback_swap_exact () =
+  let c =
+    Circuit.(
+      empty ~clbits:1 3 |> x 0 |> h 1 |> t_gate 1 |> measure 0 0
+      |> if_gate [ 0 ] 1 (Gate.make "swap" [ 1; 2 ])
+      |> tracepoint 1 [ 1; 2 ])
+  in
+  Alcotest.(check bool) "unfused plan = engine" true
+    (Oracle.batch_fences_exact c)
+
+let test_raw_gate_fence_rejected () =
+  let plan =
+    {
+      Sim.Batch.num_qubits = 1;
+      num_clbits = 0;
+      items = [ Sim.Batch.Fence (Circuit.Instr.Gate (Circuit.Gate.make "h" [ 0 ])) ];
+      source_ops = 0;
+    }
+  in
+  Alcotest.check_raises "raw gate fence"
+    (Invalid_argument "Batch: raw gate used as a fence") (fun () ->
+      ignore (Sim.Batch.run_seq plan (Qstate.Statevec.zero 1)))
+
 let test_batched_rejects_noise () =
   let program = Morphcore.Program.make (ghz 2) in
   Alcotest.check_raises "batched engine requires ideal noise"
@@ -281,6 +312,7 @@ let () =
             prop_batch_vs_engine_program;
             prop_batch_vs_engine_packed;
             prop_batch_bit_identical;
+            prop_batch_fences_exact;
             prop_characterize_engines;
           ] );
       ( "shrinking",
@@ -296,6 +328,8 @@ let () =
           ("wide gate compiled as direct", `Quick, test_direct_wide_gate);
           ("domain-count invariance", `Quick, test_domain_count_invariance);
           ("trace-only circuit", `Quick, test_trace_only_circuit);
+          ("feedback swap: unfused plan = engine", `Quick, test_feedback_swap_exact);
+          ("raw gate fence rejected", `Quick, test_raw_gate_fence_rejected);
           ("batched engine rejects noise", `Quick, test_batched_rejects_noise);
           ("probe_accuracies batched path", `Quick, test_probe_accuracies_batched);
         ] );

@@ -49,13 +49,6 @@ let test_drop_cert () =
   (* crz(0) is recorded under its base name "rz": still the identity *)
   Alcotest.(check int) "two identity elims" 2 s.Certify.identity_elim
 
-let test_fuse_cert () =
-  let c = Circuit.(empty 2 |> h 0 |> t_gate 0 |> s 0 |> cx 0 1) in
-  let c', st = Passes.fuse_1q_cert c in
-  Alcotest.(check int) "fused + cx" 2 (Circuit.gate_count c');
-  let s = check_ok "fuse" [ st ] c c' in
-  Alcotest.(check int) "one fusion group" 1 s.Certify.local_equiv
-
 let test_prune_cert () =
   (* h 2 influences nothing observed: pruned with an Outside_cone witness *)
   let c = Circuit.(empty 3 |> h 0 |> cx 0 1 |> h 2 |> tracepoint 1 [ 0; 1 ]) in
@@ -93,15 +86,6 @@ let test_segments_cert () =
   Alcotest.(check bool)
     "plain compile is fst of the certified compile" true
     (Segments.compile c = plan)
-
-let test_segments_cert_clifford_direct () =
-  let c = Circuit.(empty 2 |> h 0 |> cx 0 1 |> s 1 |> h 0 |> h 0) in
-  let plan, st = Segments.compile_cert ~clifford_direct:true c in
-  match Certify.check_plan [ st ] c plan with
-  | Ok _ -> ()
-  | Error fs ->
-      Alcotest.failf "clifford-direct: rejected:@.%s"
-        (String.concat "\n" (List.map Certify.failure_message fs))
 
 (* ---------------- end-to-end over the example corpus ------------------ *)
 
@@ -142,7 +126,7 @@ let mutant_case name build expected_kind =
 
 let test_mutant_wrong_replacement () =
   mutant_case Testkit.Mutate.wrong_replacement
-    (fun () -> Circuit.(empty 1 |> h 0 |> t_gate 0 |> s 0))
+    (fun () -> Circuit.(empty 1 |> h 0 |> rz 0.3 0 |> rz 0.4 0))
     "local_equiv"
 
 let test_mutant_over_pruned () =
@@ -260,12 +244,9 @@ let () =
           Alcotest.test_case "merge_rotations" `Quick test_merge_cert;
           Alcotest.test_case "merge to identity" `Quick test_merge_identity_cert;
           Alcotest.test_case "drop_identities" `Quick test_drop_cert;
-          Alcotest.test_case "fuse_1q" `Quick test_fuse_cert;
           Alcotest.test_case "prune_lightcone" `Quick test_prune_cert;
           Alcotest.test_case "optimize chain" `Quick test_optimize_cert_chain;
           Alcotest.test_case "segments" `Quick test_segments_cert;
-          Alcotest.test_case "segments clifford-direct" `Quick
-            test_segments_cert_clifford_direct;
           Alcotest.test_case "example corpus" `Quick test_examples_certified;
         ] );
       ( "mutants",

@@ -55,8 +55,8 @@ let oracle_transpile_passes =
     Oracle.all_passes
 
 (* certificate checking runs the full pass + independent-checker pipeline
-   per circuit: near-Clifford circuits exercise the Clifford-direct
-   routing, programs exercise measurement/feedback fences and pruning *)
+   per circuit: near-Clifford circuits exercise Clifford-heavy segments,
+   programs exercise measurement/feedback fences and pruning *)
 let oracle_certified_passes =
   [
     QCheck.Test.make ~name:"certified passes sound (pure)" ~count
@@ -83,11 +83,6 @@ let meta_confidence =
     QCheck.(
       pair (int_range 1 8) (list_of_size Gen.(int_range 2 6) (int_bound 5000)))
     (fun (n_in, samples) -> Metamorph.confidence_monotone ~n_in ~samples)
-
-let meta_fused_traces =
-  QCheck.Test.make ~name:"tracepoints invariant under fuse_1q" ~count
-    (Gen.pure ())
-    Metamorph.fused_traces_agree
 
 let meta_domain_invariance =
   (* trajectory averaging is the expensive path: fewer, smaller cases *)
@@ -164,7 +159,6 @@ let pure_oracles =
     ("qasm roundtrip", Oracle.qasm_roundtrip);
     ("adjoint cancels", Metamorph.adjoint_cancels);
     ("global phase", Metamorph.global_phase_invariant);
-    ("fused traces", Metamorph.fused_traces_agree);
   ]
   @ List.map
       (fun (n, p) ->
@@ -222,7 +216,6 @@ let () =
             meta_adjoint;
             meta_global_phase;
             meta_confidence;
-            meta_fused_traces;
             meta_domain_invariance;
           ] );
       ("shrinking", [ ("broken pass shrinks to minimal circuit", `Quick, test_shrinking_minimizes) ]);

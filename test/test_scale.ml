@@ -68,8 +68,7 @@ let dense_expectation st ~x ~z =
       else if gz then Some "z" else None
     in
     match name with
-    | Some name ->
-        Sim.Engine.apply_gate (Circuit.Gate.make name [ q ]) st'
+    | Some name -> Qstate.Statevec.apply1 (Qstate.Gates.by_name name []) q st'
     | None -> ()
   done;
   Linalg.Cx.re
