@@ -1,12 +1,14 @@
 (* Fuzz sweep: run every differential oracle and metamorphic property of
    morphqpv.testkit over MORPHQPV_FUZZ_N random circuits each (default 100)
    and record pass/fail counts into BENCH_results.json, so the correctness
-   trajectory is tracked across PRs alongside the perf numbers.
+   trajectory is tracked across PRs alongside the perf numbers. Oracles
+   that draw their own inputs (the bit-exact validation objective and
+   eigensolve) run over as many seeds instead.
 
    Unlike `dune runtest` (which stops at the first failure and shrinks),
    the sweep runs every case and reports totals; the first failing circuit
-   per oracle is printed for reproduction, and any failure makes the
-   harness exit 1 once BENCH_results.json is written. *)
+   or seed per oracle is printed for reproduction, and any failure makes
+   the harness exit 1 once BENCH_results.json is written. *)
 
 open Testkit
 
@@ -77,6 +79,13 @@ let checks () =
           fun c -> Oracle.transpile_preserves pass c ))
       Oracle.all_passes
 
+(* (name, property over a seed): oracles that draw their own inputs *)
+let seeded_checks () =
+  [
+    ("objective-exact", Oracle.objective_exact);
+    ("eig-exact", Oracle.eig_exact);
+  ]
+
 let run () =
   let n = fuzz_n () in
   let seed = Config.seed () in
@@ -84,33 +93,41 @@ let run () =
     (Printf.sprintf "Fuzz sweep: %d circuits per oracle (seed %d)" n seed);
   let domains = Parallel.Pool.env_domains () in
   let total_failed = ref 0 in
+  let sweep name cases prop show =
+    let failed = ref 0 and first_failure = ref None in
+    let (), dt =
+      Util.time (fun () ->
+          List.iter
+            (fun c ->
+              let ok = try prop c with _ -> false in
+              if not ok then begin
+                incr failed;
+                if !first_failure = None then first_failure := Some c
+              end)
+            cases)
+    in
+    let passed = n - !failed in
+    total_failed := !total_failed + !failed;
+    Util.record ("fuzz/" ^ name) ~seconds:dt ~cases:(passed, !failed)
+      ~domains ();
+    Util.row "%-28s %4d/%-4d passed  (%.2fs)" name passed n dt;
+    match !first_failure with
+    | Some c ->
+        Util.row "  first failing case:";
+        Util.row "%s" (show c)
+    | None -> ()
+  in
   List.iter
     (fun (name, gen, prop) ->
       let rand = Random.State.make [| seed |] in
-      let circs = QCheck.Gen.generate ~rand ~n gen in
-      let failed = ref 0 and first_failure = ref None in
-      let (), dt =
-        Util.time (fun () ->
-            List.iter
-              (fun c ->
-                let ok = try prop c with _ -> false in
-                if not ok then begin
-                  incr failed;
-                  if !first_failure = None then first_failure := Some c
-                end)
-              circs)
-      in
-      let passed = n - !failed in
-      total_failed := !total_failed + !failed;
-      Util.record ("fuzz/" ^ name) ~seconds:dt ~cases:(passed, !failed)
-        ~domains ();
-      Util.row "%-28s %4d/%-4d passed  (%.2fs)" name passed n dt;
-      match !first_failure with
-      | Some c ->
-          Util.row "  first failing circuit:";
-          Util.row "%s" (Gen.print_circ c)
-      | None -> ())
+      sweep name (QCheck.Gen.generate ~rand ~n gen) prop Gen.print_circ)
     (checks ());
+  List.iter
+    (fun (name, prop) ->
+      let rand = Random.State.make [| seed |] in
+      let seeds = List.init n (fun _ -> Random.State.bits rand) in
+      sweep name seeds prop (Printf.sprintf "seed %d"))
+    (seeded_checks ());
   (* lint-diagnostic census over the same program distribution: how many
      random programs the linter flags at all (any severity). Recorded as
      (clean, flagged) so the diagnostic rate is tracked across PRs — a

@@ -22,7 +22,7 @@ let codes =
     ("MQ001", Error, "qubit index out of range");
     ("MQ002", Error, "clbit index out of range");
     ("MQ003", Error, "duplicate qubit among gate operands");
-    ("MQ004", Error, "duplicate tracepoint id");
+    ("MQ004", Error, "duplicate or reserved tracepoint id");
     ("MQ005", Error, "feedback reads a clbit never written by a measurement");
     ("MQ006", Warning, "measurement result overwritten before any read");
     ("MQ007", Warning, "operation on a qubit after its final measurement");
@@ -85,12 +85,16 @@ let check ?locs c =
       fmt
   in
 
-  (* MQ004: duplicate tracepoint ids *)
+  (* MQ004: duplicate tracepoint ids, and id 0, which specs and the
+     approximation read as the program input *)
   let seen_tp = Hashtbl.create 8 in
   Array.iteri
     (fun i instr ->
       match instr with
       | Circuit.Instr.Tracepoint { id; _ } ->
+          if id = 0 then
+            emit ~instr:i Error "MQ004"
+              "tracepoint id 0 is reserved for the program input";
           (match Hashtbl.find_opt seen_tp id with
           | Some first ->
               emit ~instr:i Error "MQ004"

@@ -7,7 +7,7 @@ type t = {
   inputs : Cmat.t array;
   outputs : (int * Cmat.t array) list;
   basis : Rmat.t Lazy.t;
-  solver : (float array -> float array) Lazy.t;
+  solver : Rmat.lstsq Lazy.t;
 }
 
 let build_basis ~n_in inputs =
@@ -31,7 +31,7 @@ let make ~n_in ~inputs ~outputs =
         invalid_arg "Approx.make: sample count mismatch")
     outputs;
   let basis = build_basis ~n_in inputs in
-  let solver = lazy (Rmat.lstsq_solver ~ridge:1e-9 (Lazy.force basis)) in
+  let solver = lazy (Rmat.lstsq_factor ~ridge:1e-9 (Lazy.force basis)) in
   { n_in; inputs; outputs; basis; solver }
 
 let of_characterization (c : Characterize.t) =
@@ -55,6 +55,20 @@ let of_characterization (c : Characterize.t) =
 let n_sample t = Array.length t.inputs
 let tracepoint_ids t = List.map fst t.outputs
 
+type workspace = { herm : Cmat.t; hs : float array; factor : Rmat.lstsq }
+
+let workspace t =
+  let d = 1 lsl t.n_in in
+  {
+    herm = Cmat.create d d;
+    hs = Array.make (Hsvec.dim d) 0.;
+    factor = Lazy.force t.solver;
+  }
+
+let decompose_into w rho ~dst =
+  Hsvec.encode_into ~herm:w.herm rho ~dst:w.hs;
+  Rmat.lstsq_solve_into w.factor w.hs ~dst
+
 let decompose ?(mode = `Least_squares) t rho =
   let d = 1 lsl t.n_in in
   let rd, cd = Cmat.dims rho in
@@ -62,17 +76,41 @@ let decompose ?(mode = `Least_squares) t rho =
   match mode with
   | `Expectation ->
       Array.map (fun sigma -> Cx.re (Cmat.hs_inner sigma rho)) t.inputs
-  | `Least_squares -> (Lazy.force t.solver) (Hsvec.encode rho)
+  | `Least_squares ->
+      let dst = Array.make (n_sample t) 0. in
+      decompose_into (workspace t) rho ~dst;
+      dst
+
+let check_count states alpha =
+  if Array.length states <> Array.length alpha then
+    invalid_arg "Approx: coefficient count mismatch"
+
+(* sum_i alpha_i states_i in ascending i, skipping exact zeros; each term
+   is scaled before it is added, entry by entry *)
+let combine_into states alpha ~dst =
+  check_count states alpha;
+  let re = dst.Cmat.re and im = dst.Cmat.im in
+  Array.fill re 0 (Array.length re) 0.;
+  Array.fill im 0 (Array.length im) 0.;
+  for i = 0 to Array.length alpha - 1 do
+    let a = alpha.(i) in
+    if a <> 0. then begin
+      let s = states.(i) in
+      if s.Cmat.rows <> dst.Cmat.rows || s.Cmat.cols <> dst.Cmat.cols then
+        invalid_arg "Cmat: dimension mismatch";
+      for k = 0 to Array.length re - 1 do
+        re.(k) <- re.(k) +. (a *. s.Cmat.re.(k));
+        im.(k) <- im.(k) +. (a *. s.Cmat.im.(k))
+      done
+    end
+  done
 
 let combine states alpha =
-  if Array.length states <> Array.length alpha then
-    invalid_arg "Approx: coefficient count mismatch";
+  check_count states alpha;
   let d, _ = Cmat.dims states.(0) in
-  let acc = ref (Cmat.create d d) in
-  Array.iteri
-    (fun i a -> if a <> 0. then acc := Cmat.add !acc (Cmat.rscale a states.(i)))
-    alpha;
-  !acc
+  let dst = Cmat.create d d in
+  combine_into states alpha ~dst;
+  dst
 
 let input_of_alpha t alpha = combine t.inputs alpha
 

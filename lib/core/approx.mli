@@ -20,7 +20,7 @@ type t = private {
   inputs : Linalg.Cmat.t array;  (** sampled input density matrices *)
   outputs : (int * Linalg.Cmat.t array) list;  (** per-tracepoint states *)
   basis : Linalg.Rmat.t Lazy.t;  (** HS-vectorized inputs for least squares *)
-  solver : (float array -> float array) Lazy.t;
+  solver : Linalg.Rmat.lstsq Lazy.t;
       (** cached normal-equation factorization *)
 }
 
@@ -46,6 +46,23 @@ val tracepoint_ids : t -> int list
 (** [decompose ?mode t rho] recovers the coefficient vector for an input
     density matrix. *)
 val decompose : ?mode:recovery -> t -> Linalg.Cmat.t -> float array
+
+(** Buffers for {!decompose_into}: the HS re-encoding of the input and the
+    forced least-squares factorization of one approximation. *)
+type workspace
+
+val workspace : t -> workspace
+
+(** [decompose_into w rho ~dst] writes [decompose t rho] (least squares)
+    into [dst] without allocating, for the approximation [t] that [w] was
+    made from. *)
+val decompose_into : workspace -> Linalg.Cmat.t -> dst:float array -> unit
+
+(** [combine_into states alpha ~dst] writes [sum_i alpha_i states_i] into
+    [dst] without allocating. Terms with [alpha_i = 0] are skipped; the
+    others are added in ascending [i]. *)
+val combine_into :
+  Linalg.Cmat.t array -> float array -> dst:Linalg.Cmat.t -> unit
 
 (** [input_of_alpha t alpha] is [sum_i alpha_i sigma_in_i]. *)
 val input_of_alpha : t -> float array -> Linalg.Cmat.t

@@ -53,6 +53,12 @@ let parse_specs circuit n_in specs =
 let run ~emit r =
   let c = r.full.Qasm.circuit in
   let* () =
+    (* lint MQ004: specs would read id 0 as the input, not this state *)
+    if List.mem_assoc 0 (Circuit.tracepoints c) then
+      Error (Bad_spec "tracepoint id 0 is reserved for the program input")
+    else Ok ()
+  in
+  let* () =
     if not r.certify then Ok ()
     else
       let report =

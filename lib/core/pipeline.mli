@@ -43,6 +43,9 @@ type outcome = {
 type error =
   | Not_certified of Verify.certify_report
   | Bad_spec of string
+      (** a spec that does not parse or names a state the program lacks,
+          or a program with a tracepoint 0 (the id specs read as the
+          input; lint MQ004) *)
   | Nothing_to_check  (** no guarantee and no [expect] pragma *)
 
 (** [run ~emit request] calls [emit] on each event as its step finishes.

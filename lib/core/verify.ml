@@ -29,45 +29,111 @@ let default_options =
     restarts = 2;
   }
 
-(* Environment over tracepoints for a given alpha. The input (id 0) is made
-   physical per the chosen projection; downstream tracepoint states are
-   recombined from the SAME projected-input coefficients so that they remain
-   consistent images of one physical input. *)
-let env_of_alpha ~projection (approx : Approx.t) alpha : Predicate.env =
-  let cache = Hashtbl.create 4 in
-  let phys_alpha =
-    lazy
-      (match projection with
-      | `Trace ->
-          let raw = Approx.input_of_alpha approx alpha in
-          let t = Cx.re (Cmat.trace raw) in
-          if Float.abs t > 1e-9 then
-            Array.map (fun a -> a /. t) alpha
-          else alpha
-      | `Psd ->
-          let raw = Approx.input_of_alpha approx alpha in
-          let projected = Eig.project_psd raw in
-          Approx.decompose ~mode:`Least_squares approx projected)
-  in
-  fun tp ->
-    match Hashtbl.find_opt cache tp with
-    | Some m -> m
-    | None ->
-        let a = Lazy.force phys_alpha in
-        (* every tracepoint, the input included, is recombined from the SAME
-           physical coefficients, so predicates compare exactly the
-           characterized relation rather than approximation residue *)
-        let m =
-          if tp = 0 then Approx.input_of_alpha approx a
-          else Approx.tracepoint_of_alpha approx ~tracepoint:tp a
-        in
-        Hashtbl.replace cache tp m;
-        m
-
 let guarantee_objective assertion env =
   List.fold_left
     (fun acc p -> Float.max acc (Predicate.eval p env))
     neg_infinity assertion.Assertion.guarantees
+
+type evaluator = {
+  objective : float array -> float;
+  constraints : (float array -> float) list;
+  env : float array -> Predicate.env;
+}
+
+let same_bits a b =
+  Array.length a = Array.length b
+  &&
+  let same = ref true and i = ref 0 in
+  while !same && !i < Array.length a do
+    same := Int64.equal (Int64.bits_of_float a.(!i)) (Int64.bits_of_float b.(!i));
+    incr i
+  done;
+  !same
+
+(* the slot of tracepoint [tp] among [ids], the input's slot 0 first *)
+let rec slot ids tp s =
+  if s >= Array.length ids then raise Not_found
+  else if ids.(s) = tp then s
+  else slot ids tp (s + 1)
+
+(* The environment over tracepoints for one alpha, built in buffers the
+   evaluator owns. The input (id 0) is made physical per the chosen
+   projection; every tracepoint, the input included, is then recombined
+   from the SAME physical coefficients, so predicates compare exactly the
+   characterized relation rather than approximation residue. The
+   projection runs on the first read at an alpha, and each tracepoint on
+   its own first read; the objective and every constraint at that alpha
+   share them. *)
+let evaluator ~projection (approx : Approx.t) assertion =
+  let n = Approx.n_sample approx in
+  let d = 1 lsl approx.Approx.n_in in
+  let rho = Cmat.create d d and projected = Cmat.create d d in
+  let eig = Eig.workspace d in
+  (* the least-squares factor is built on the first [`Psd] projection *)
+  let lsq = lazy (Approx.workspace approx) in
+  let phys = Array.make n 0. in
+  (* slot 0 is the input, slot s > 0 the s-th recorded tracepoint *)
+  let ids = Array.of_list (0 :: List.map fst approx.Approx.outputs) in
+  let states =
+    Array.of_list (approx.Approx.inputs :: List.map snd approx.Approx.outputs)
+  in
+  let bufs =
+    Array.map
+      (fun s ->
+        let r, _ = Cmat.dims s.(0) in
+        Cmat.create r r)
+      states
+  in
+  (* [gen] counts the alphas seen; a buffer is current when its stamp is
+     [gen] *)
+  let alpha = Array.make n 0. and gen = ref 0 in
+  let phys_gen = ref 0 and stamps = Array.make (Array.length ids) 0 in
+  let set x =
+    if !gen = 0 || not (same_bits x alpha) then begin
+      Array.blit x 0 alpha 0 n;
+      incr gen
+    end
+  in
+  let make_physical () =
+    if !phys_gen <> !gen then begin
+      phys_gen := !gen;
+      Approx.combine_into approx.Approx.inputs alpha ~dst:rho;
+      match projection with
+      | `Trace ->
+          let t = ref 0. in
+          for i = 0 to d - 1 do
+            t := !t +. rho.Cmat.re.((i * d) + i)
+          done;
+          let t = !t in
+          if Float.abs t > 1e-9 then
+            for i = 0 to n - 1 do
+              phys.(i) <- alpha.(i) /. t
+            done
+          else Array.blit alpha 0 phys 0 n
+      | `Psd ->
+          Eig.project_psd_into eig rho ~dst:projected;
+          Approx.decompose_into (Lazy.force lsq) projected ~dst:phys
+    end
+  in
+  let env tp =
+    let s = if tp = 0 then 0 else slot ids tp 1 in
+    if stamps.(s) <> !gen then begin
+      make_physical ();
+      Approx.combine_into states.(s) phys ~dst:bufs.(s);
+      stamps.(s) <- !gen
+    end;
+    bufs.(s)
+  in
+  let at x =
+    set x;
+    env
+  in
+  {
+    objective = (fun x -> guarantee_objective assertion (at x));
+    constraints =
+      List.map (fun p x -> Predicate.eval p (at x)) assertion.Assertion.assumes;
+    env = at;
+  }
 
 (* dominant eigenvector of a density matrix, as a pure-state input *)
 let dominant_eigenvector rho =
@@ -113,17 +179,9 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
     Obs.Metrics.counter_add "verify_restarts_total" (max 1 options.restarts);
   let rng = match rng with Some r -> r | None -> Stats.Rng.make 11 in
   let dim = Approx.n_sample approx in
-  let projection = options.projection in
-  let objective =
-    Optimize.Objective.make ~dim (fun alpha ->
-        let env = env_of_alpha ~projection approx alpha in
-        guarantee_objective assertion env)
-  in
-  let constraints =
-    List.map
-      (fun p alpha -> Predicate.eval p (env_of_alpha ~projection approx alpha))
-      assertion.Assertion.assumes
-  in
+  let ev = evaluator ~projection:options.projection approx assertion in
+  let objective = Optimize.Objective.make ~dim ev.objective in
+  let constraints = ev.constraints in
   let problem = { Optimize.Constrained.objective; constraints } in
   let best_violation = ref None and best_clean = ref None in
   (try
@@ -136,8 +194,9 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
          sol.Optimize.Constrained.feasible
          && sol.Optimize.Constrained.value > options.epsilon_obj
        then begin
-         let env = env_of_alpha ~projection approx sol.Optimize.Constrained.x in
-         let counterexample = Eig.project_psd (env 0) in
+         let counterexample =
+           Eig.project_psd (ev.env sol.Optimize.Constrained.x 0)
+         in
          if confirmed_violation ~rng confirm assertion counterexample then begin
            best_violation :=
              Some

@@ -2,10 +2,13 @@
     assumption constraints into a constrained maximization over the
     decomposition coefficients [alpha] and solve it classically.
 
-    The candidate input is [rho(alpha) = sum alpha_i sigma_in_i], kept
-    physical by Hermitian symmetrization and trace normalization inside the
-    objective (cheap) with a final PSD projection on the reported
-    counter-example. The assertion holds when the maximal guarantee
+    The candidate input is [rho(alpha) = sum alpha_i sigma_in_i]. Each
+    evaluation makes it physical per [options.projection]: under [`Psd]
+    (the default) it is projected onto the PSD cone at unit trace and
+    re-decomposed, under [`Trace] only its trace is normalized. Every
+    tracepoint is recombined from the resulting coefficients (see
+    {!evaluator}). A reported counter-example is PSD-projected under
+    either setting. The assertion holds when the maximal guarantee
     objective stays [<= epsilon_obj]. *)
 
 type verdict =
@@ -33,6 +36,34 @@ type options = {
 }
 
 val default_options : options
+
+(** The validation objective over [alpha], as {!validate} evaluates it.
+    One evaluator owns preallocated buffers for the candidate input
+    [rho(alpha) = sum_i alpha_i sigma_in_i], the eigensolve of its PSD
+    projection, the HS re-encoding and least-squares solve that
+    re-decompose it, and one matrix per tracepoint; building the
+    environment for an alpha writes into them and allocates nothing
+    (predicates then evaluate as they always do). The projection runs on
+    the first read at an alpha and each tracepoint on its own first read,
+    so the objective and every constraint at the same alpha share one
+    environment. Every value is bit-identical to the allocating path
+    ({!Approx.input_of_alpha}, {!Linalg.Eig.project_psd},
+    {!Approx.decompose}, {!Approx.tracepoint_of_alpha}); the testkit
+    oracle [objective_exact] pins this against a frozen copy of that
+    path. An environment is valid until the next evaluation, and an
+    evaluator must stay on one domain. *)
+type evaluator = {
+  objective : float array -> float;
+      (** the worst guarantee: the maximum of their objective values *)
+  constraints : (float array -> float) list;  (** one per assumption *)
+  env : float array -> Predicate.env;
+      (** every tracepoint of the approximation, the input as id 0;
+          raises [Not_found] on another id *)
+}
+
+(** [evaluator ~projection approx assertion] allocates the buffers. *)
+val evaluator :
+  projection:[ `Trace | `Psd ] -> Approx.t -> Assertion.t -> evaluator
 
 (** [validate ?options ?rng ?confirm approx assertion] solves the
     constrained maximization and returns the verdict. When [confirm] is

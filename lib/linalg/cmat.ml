@@ -152,7 +152,22 @@ let mul a b =
 let mul3 a b c = mul (mul a b) c
 let transpose a = init a.cols a.rows (fun i j -> get a j i)
 let conj a = { a with im = Array.map (fun x -> -.x) a.im }
-let adjoint a = init a.cols a.rows (fun i j -> Cx.conj (get a j i))
+
+let adjoint_into ~dst a =
+  if dst.rows <> a.cols || dst.cols <> a.rows then
+    invalid_arg "Cmat.adjoint_into: bad destination dimensions";
+  if dst == a then invalid_arg "Cmat.adjoint_into: destination aliases the operand";
+  for i = 0 to dst.rows - 1 do
+    for j = 0 to dst.cols - 1 do
+      dst.re.((i * dst.cols) + j) <- a.re.((j * a.cols) + i);
+      dst.im.((i * dst.cols) + j) <- -.a.im.((j * a.cols) + i)
+    done
+  done
+
+let adjoint a =
+  let dst = create a.cols a.rows in
+  adjoint_into ~dst a;
+  dst
 
 let trace a =
   if a.rows <> a.cols then invalid_arg "Cmat.trace: non-square";
@@ -242,7 +257,24 @@ let is_hermitian ?(eps = 1e-10) a = a.rows = a.cols && equal ~eps a (adjoint a)
 let is_unitary ?(eps = 1e-10) a =
   a.rows = a.cols && equal ~eps (mul (adjoint a) a) (identity a.rows)
 
-let hermitize a = rscale 0.5 (add a (adjoint a))
+(* entry (i, j) is 0.5 (a_ij + conj a_ji), the sum taken in that order *)
+let hermitize_into ~dst a =
+  if a.rows <> a.cols then invalid_arg "Cmat: dimension mismatch";
+  check_same_dims dst a;
+  if dst == a then invalid_arg "Cmat.hermitize_into: destination aliases the operand";
+  let n = a.rows in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let ij = (i * n) + j and ji = (j * n) + i in
+      dst.re.(ij) <- 0.5 *. (a.re.(ij) +. a.re.(ji));
+      dst.im.(ij) <- 0.5 *. (a.im.(ij) +. (-.a.im.(ji)))
+    done
+  done
+
+let hermitize a =
+  let dst = create a.rows a.cols in
+  hermitize_into ~dst a;
+  dst
 
 let pp ppf a =
   Format.fprintf ppf "@[<v>";

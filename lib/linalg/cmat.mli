@@ -59,6 +59,10 @@ val conj : t -> t
 (** [adjoint a] is the conjugate transpose of [a]. *)
 val adjoint : t -> t
 
+(** [adjoint_into ~dst a] writes [adjoint a] into [dst] without
+    allocating; [dst] must not alias [a]. *)
+val adjoint_into : dst:t -> t -> unit
+
 (** [trace a] sums the diagonal of a square matrix. *)
 val trace : t -> Cx.t
 
@@ -97,5 +101,9 @@ val is_unitary : ?eps:float -> t -> bool
 
 (** [hermitize a] is [(a + adjoint a) / 2], the Hermitian part of [a]. *)
 val hermitize : t -> t
+
+(** [hermitize_into ~dst a] writes [hermitize a] into [dst], bit for bit,
+    without allocating; [dst] must not alias [a]. *)
+val hermitize_into : dst:t -> t -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -3,11 +3,53 @@
    then applies the classical real Jacobi rotation that annihilates the now
    real pivot. Eigenvectors are accumulated in [v].
 
-   This is the numerical hot path of the whole library (PSD projections run
-   inside verification objectives), so the kernels below work directly on
-   the split re/im arrays rather than through boxed complex accessors. *)
+   This is the numerical hot path of the whole library: the validation
+   objective projects a candidate input to the PSD cone on every
+   evaluation. So the kernels below work directly on the split re/im
+   arrays rather than through boxed complex accessors, and the rotation
+   helpers are inlined so that no call boxes its float arguments.
 
-let off_diagonal_norm2 re im n =
+   Every computation has an [_into] form that writes into a caller-owned
+   [workspace]. It allocates nothing but the sort's closures and one
+   boxed norm (41 words at dimension 4). The allocating entry points
+   are thin wrappers over these kernels, so there is one copy of the
+   arithmetic: a workspace evaluation is bit-identical to a wrapper call,
+   down to the order of every sum. That includes the second
+   hermitization [project_psd] gets from [hermitian], and both products
+   of the spectral recomposition going through [Cmat.mul_into]. *)
+
+type workspace = {
+  n : int;
+  h : Cmat.t;  (** hermitized input; the sweeps run on its re/im arrays *)
+  vre : float array;  (** accumulated rotations, unsorted *)
+  vim : float array;
+  diag : float array;  (** eigenvalues in sweep order *)
+  order : int array;
+  values : float array;  (** eigenvalues, ascending *)
+  vectors : Cmat.t;  (** matching eigenvectors, as columns *)
+  spectrum : Cmat.t;  (** diag (f values) for the recomposition *)
+  vd : Cmat.t;  (** vectors * spectrum *)
+  vadj : Cmat.t;  (** adjoint vectors *)
+  sym : Cmat.t;  (** [project_psd]'s own hermitization of its input *)
+}
+
+let workspace n =
+  {
+    n;
+    h = Cmat.create n n;
+    vre = Array.make (n * n) 0.;
+    vim = Array.make (n * n) 0.;
+    diag = Array.make n 0.;
+    order = Array.make n 0;
+    values = Array.make n 0.;
+    vectors = Cmat.create n n;
+    spectrum = Cmat.create n n;
+    vd = Cmat.create n n;
+    vadj = Cmat.create n n;
+    sym = Cmat.create n n;
+  }
+
+let[@inline] off_diagonal_norm2 re im n =
   let s = ref 0. in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -20,7 +62,7 @@ let off_diagonal_norm2 re im n =
   !s
 
 (* column q *= (pr + i pi); operating on an n x n row-major matrix *)
-let scale_col re im n q pr pi =
+let[@inline] scale_col re im n q pr pi =
   for k = 0 to n - 1 do
     let idx = (k * n) + q in
     let r = re.(idx) and i = im.(idx) in
@@ -28,7 +70,7 @@ let scale_col re im n q pr pi =
     im.(idx) <- (r *. pi) +. (i *. pr)
   done
 
-let scale_row re im n q pr pi =
+let[@inline] scale_row re im n q pr pi =
   let base = q * n in
   for k = 0 to n - 1 do
     let idx = base + k in
@@ -39,7 +81,7 @@ let scale_row re im n q pr pi =
 
 (* real Givens rotation on columns (p, q): col_p' = c col_p - s col_q,
    col_q' = s col_p + c col_q *)
-let rotate_cols re im n p q c s =
+let[@inline] rotate_cols re im n p q c s =
   for k = 0 to n - 1 do
     let ip = (k * n) + p and iq = (k * n) + q in
     let pr = re.(ip) and pi = im.(ip) in
@@ -50,7 +92,7 @@ let rotate_cols re im n p q c s =
     im.(iq) <- (s *. pi) +. (c *. qi)
   done
 
-let rotate_rows re im n p q c s =
+let[@inline] rotate_rows re im n p q c s =
   let bp = p * n and bq = q * n in
   for k = 0 to n - 1 do
     let ip = bp + k and iq = bq + k in
@@ -62,16 +104,20 @@ let rotate_rows re im n p q c s =
     im.(iq) <- (s *. pi) +. (c *. qi)
   done
 
-let hermitian a0 =
-  let n, nc = Cmat.dims a0 in
-  if n <> nc then invalid_arg "Eig.hermitian: non-square";
-  let h = Cmat.hermitize a0 in
-  let are = Array.copy h.Cmat.re and aim = Array.copy h.Cmat.im in
-  let vre = Array.make (n * n) 0. and vim = Array.make (n * n) 0. in
+let hermitian_into ws a0 =
+  let n = a0.Cmat.rows in
+  if n <> a0.Cmat.cols then invalid_arg "Eig.hermitian: non-square";
+  if n <> ws.n then invalid_arg "Eig.hermitian_into: workspace dimension mismatch";
+  Cmat.hermitize_into ~dst:ws.h a0;
+  let are = ws.h.Cmat.re and aim = ws.h.Cmat.im in
+  let vre = ws.vre and vim = ws.vim in
+  Array.fill vre 0 (n * n) 0.;
+  Array.fill vim 0 (n * n) 0.;
   for i = 0 to n - 1 do
     vre.((i * n) + i) <- 1.
   done;
-  let scale = Cmat.frob_norm h +. 1e-300 in
+  (* read before the sweeps overwrite [h] *)
+  let scale = Cmat.frob_norm ws.h +. 1e-300 in
   let tol2 = 1e-13 *. scale *. (1e-13 *. scale) in
   let max_sweeps = 100 in
   let sweep = ref 0 in
@@ -104,35 +150,88 @@ let hermitian a0 =
       done
     done
   done;
-  let w = Array.init n (fun i -> are.((i * n) + i)) in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare w.(i) w.(j)) order;
-  let w_sorted = Array.map (fun i -> w.(i)) order in
-  let v_sorted =
-    Cmat.init n n (fun i j ->
-        let src = (i * n) + order.(j) in
-        Cx.make vre.(src) vim.(src))
-  in
-  (w_sorted, v_sorted)
+  for i = 0 to n - 1 do
+    ws.diag.(i) <- are.((i * n) + i);
+    ws.order.(i) <- i
+  done;
+  let w = ws.diag in
+  Array.sort (fun i j -> compare w.(i) w.(j)) ws.order;
+  let vs = ws.vectors in
+  for j = 0 to n - 1 do
+    ws.values.(j) <- ws.diag.(ws.order.(j))
+  done;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let src = (i * n) + ws.order.(j) in
+      vs.Cmat.re.((i * n) + j) <- vre.(src);
+      vs.Cmat.im.((i * n) + j) <- vim.(src)
+    done
+  done
+
+let hermitian a0 =
+  let ws = workspace (fst (Cmat.dims a0)) in
+  hermitian_into ws a0;
+  (ws.values, ws.vectors)
+
+(* vectors * diag values * adjoint vectors, from the workspace's eigenpairs
+   once their values are mapped *)
+let recompose ws ~dst =
+  let n = ws.n in
+  for i = 0 to n - 1 do
+    ws.spectrum.Cmat.re.((i * n) + i) <- ws.values.(i)
+  done;
+  Cmat.adjoint_into ~dst:ws.vadj ws.vectors;
+  Cmat.mul_into ~dst:ws.vd ws.vectors ws.spectrum;
+  Cmat.mul_into ~dst ws.vd ws.vadj
+
+let funm_into ws f a ~dst =
+  hermitian_into ws a;
+  for i = 0 to ws.n - 1 do
+    ws.values.(i) <- f ws.values.(i)
+  done;
+  recompose ws ~dst
 
 let funm f a =
-  let w, v = hermitian a in
-  let n = Array.length w in
-  let d =
-    Cmat.init n n (fun i j -> if i = j then Cx.of_float (f w.(i)) else Cx.zero)
-  in
-  Cmat.mul3 v d (Cmat.adjoint v)
+  let n = fst (Cmat.dims a) in
+  let dst = Cmat.create n n in
+  funm_into (workspace n) f a ~dst;
+  dst
 
 let sqrtm_psd a = funm (fun x -> sqrt (Float.max x 0.)) a
 
-let project_psd ?(unit_trace = true) a =
-  let clipped = funm (fun x -> Float.max x 0.) (Cmat.hermitize a) in
-  if not unit_trace then clipped
-  else
-    let t = Cx.re (Cmat.trace clipped) in
-    if t <= 1e-14 then
-      (* fully clipped: fall back to the maximally mixed state *)
-      Cmat.rscale
-        (1. /. float_of_int (fst (Cmat.dims a)))
-        (Cmat.identity (fst (Cmat.dims a)))
-    else Cmat.rscale (1. /. t) clipped
+(* [funm_into] with the clip inlined, so no eigenvalue is boxed through a
+   closure call *)
+let project_psd_into ws a ~dst =
+  Cmat.hermitize_into ~dst:ws.sym a;
+  hermitian_into ws ws.sym;
+  for i = 0 to ws.n - 1 do
+    ws.values.(i) <- Float.max ws.values.(i) 0.
+  done;
+  recompose ws ~dst;
+  let n = ws.n in
+  let t = ref 0. in
+  for i = 0 to n - 1 do
+    t := !t +. dst.Cmat.re.((i * n) + i)
+  done;
+  if !t <= 1e-14 then begin
+    (* fully clipped: fall back to the maximally mixed state *)
+    Array.fill dst.Cmat.re 0 (n * n) 0.;
+    Array.fill dst.Cmat.im 0 (n * n) 0.;
+    let c = 1. /. float_of_int n in
+    for i = 0 to n - 1 do
+      dst.Cmat.re.((i * n) + i) <- c
+    done
+  end
+  else begin
+    let c = 1. /. !t in
+    for k = 0 to (n * n) - 1 do
+      dst.Cmat.re.(k) <- c *. dst.Cmat.re.(k);
+      dst.Cmat.im.(k) <- c *. dst.Cmat.im.(k)
+    done
+  end
+
+let project_psd a =
+  let n = fst (Cmat.dims a) in
+  let dst = Cmat.create n n in
+  project_psd_into (workspace n) a ~dst;
+  dst

@@ -2,24 +2,28 @@ let dim n = n * n
 
 let sqrt2 = sqrt 2.
 
-let encode a =
-  let n, nc = Cmat.dims a in
-  if n <> nc then invalid_arg "Hsvec.encode: non-square";
-  let h = Cmat.hermitize a in
-  let v = Array.make (dim n) 0. in
+let encode_into ~herm a ~dst =
+  let n = a.Cmat.rows in
+  if n <> a.Cmat.cols then invalid_arg "Hsvec.encode: non-square";
+  Cmat.hermitize_into ~dst:herm a;
+  let re = herm.Cmat.re and im = herm.Cmat.im in
   let k = ref 0 in
   for i = 0 to n - 1 do
-    v.(!k) <- Cx.re (Cmat.get h i i);
+    dst.(!k) <- re.((i * n) + i);
     incr k
   done;
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let z = Cmat.get h i j in
-      v.(!k) <- sqrt2 *. Cx.re z;
-      v.(!k + 1) <- sqrt2 *. Cx.im z;
+      dst.(!k) <- sqrt2 *. re.((i * n) + j);
+      dst.(!k + 1) <- sqrt2 *. im.((i * n) + j);
       k := !k + 2
     done
-  done;
+  done
+
+let encode a =
+  let n, _ = Cmat.dims a in
+  let v = Array.make (dim n) 0. in
+  encode_into ~herm:(Cmat.create n n) a ~dst:v;
   v
 
 let decode n v =

@@ -14,5 +14,9 @@ val dim : int -> int
 (** [encode a] vectorizes the Hermitian part of [a]. *)
 val encode : Cmat.t -> float array
 
+(** [encode_into ~herm a ~dst] writes [encode a] into [dst] without
+    allocating, using [herm] (the size of [a]) for the Hermitian part. *)
+val encode_into : herm:Cmat.t -> Cmat.t -> dst:float array -> unit
+
 (** [decode n v] reconstructs the [n] x [n] Hermitian matrix encoded in [v]. *)
 val decode : int -> float array -> Cmat.t

@@ -58,14 +58,20 @@ let mul x y =
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
-let apply m x =
+let apply_into m x ~dst =
   if Array.length x <> m.cols then invalid_arg "Rmat.apply: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let s = ref 0. in
-      for j = 0 to m.cols - 1 do
-        s := !s +. (get m i j *. x.(j))
-      done;
-      !s)
+  for i = 0 to m.rows - 1 do
+    let s = ref 0. in
+    for j = 0 to m.cols - 1 do
+      s := !s +. (m.a.((i * m.cols) + j) *. x.(j))
+    done;
+    dst.(i) <- !s
+  done
+
+let apply m x =
+  let dst = Array.make m.rows 0. in
+  apply_into m x ~dst;
+  dst
 
 let solve m b =
   if m.rows <> m.cols then invalid_arg "Rmat.solve: non-square";
@@ -128,67 +134,52 @@ let cholesky m =
   done;
   l
 
-let solve_spd m b =
-  let l = cholesky m in
-  let n = m.rows in
-  let y = Array.make n 0. in
+(* forward then back substitution against the factor [l] of [l l^T],
+   overwriting [x] (the right-hand side) with the solution: each step reads
+   only entries it has not yet overwritten *)
+let cholesky_solve_into l x =
+  let n = l.rows and l = l.a in
   for i = 0 to n - 1 do
-    let s = ref b.(i) in
+    let s = ref x.(i) in
     for k = 0 to i - 1 do
-      s := !s -. (get l i k *. y.(k))
+      s := !s -. (l.((i * n) + k) *. x.(k))
     done;
-    y.(i) <- !s /. get l i i
+    x.(i) <- !s /. l.((i * n) + i)
   done;
-  let x = Array.make n 0. in
   for i = n - 1 downto 0 do
-    let s = ref y.(i) in
+    let s = ref x.(i) in
     for k = i + 1 to n - 1 do
-      s := !s -. (get l k i *. x.(k))
+      s := !s -. (l.((k * n) + i) *. x.(k))
     done;
-    x.(i) <- !s /. get l i i
+    x.(i) <- !s /. l.((i * n) + i)
+  done
+
+type lstsq = { at : t; ata : t; factor : t option }
+
+let lstsq_factor ?(ridge = 1e-10) m =
+  let at = transpose m in
+  let ata = mul at m in
+  for i = 0 to ata.rows - 1 do
+    set ata i i (get ata i i +. ridge)
   done;
+  let factor = try Some (cholesky ata) with Failure _ -> None in
+  { at; ata; factor }
+
+let lstsq_solve_into f b ~dst =
+  match f.factor with
+  | Some l ->
+      apply_into f.at b ~dst;
+      cholesky_solve_into l dst
+  | None ->
+      (* not positive definite: LU on the normal equations *)
+      let x = solve f.ata (apply f.at b) in
+      Array.blit x 0 dst 0 (Array.length x)
+
+let lstsq ?ridge m b =
+  let f = lstsq_factor ?ridge m in
+  let x = Array.make m.cols 0. in
+  lstsq_solve_into f b ~dst:x;
   x
-
-let lstsq ?(ridge = 1e-10) m b =
-  let at = transpose m in
-  let ata = mul at m in
-  let n = ata.rows in
-  for i = 0 to n - 1 do
-    set ata i i (get ata i i +. ridge)
-  done;
-  let atb = apply at b in
-  try solve_spd ata atb with Failure _ -> solve ata atb
-
-let lstsq_solver ?(ridge = 1e-10) m =
-  let at = transpose m in
-  let ata = mul at m in
-  let n = ata.rows in
-  for i = 0 to n - 1 do
-    set ata i i (get ata i i +. ridge)
-  done;
-  match cholesky ata with
-  | l ->
-      fun b ->
-        let atb = apply at b in
-        (* forward/back substitution against the cached factor *)
-        let y = Array.make n 0. in
-        for i = 0 to n - 1 do
-          let s = ref atb.(i) in
-          for k = 0 to i - 1 do
-            s := !s -. (get l i k *. y.(k))
-          done;
-          y.(i) <- !s /. get l i i
-        done;
-        let x = Array.make n 0. in
-        for i = n - 1 downto 0 do
-          let s = ref y.(i) in
-          for k = i + 1 to n - 1 do
-            s := !s -. (get l k i *. x.(k))
-          done;
-          x.(i) <- !s /. get l i i
-        done;
-        x
-  | exception Failure _ -> fun b -> solve ata (apply at b)
 
 let equal ?(eps = 1e-12) x y =
   x.rows = y.rows && x.cols = y.cols

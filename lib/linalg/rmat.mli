@@ -29,18 +29,23 @@ val solve : t -> float array -> float array
     positive definite. *)
 val cholesky : t -> t
 
-(** [solve_spd a b] solves a symmetric positive-definite system via Cholesky. *)
-val solve_spd : t -> float array -> float array
-
 (** [lstsq ?ridge a b] returns the minimizer of [||a x - b||^2 + ridge ||x||^2]
     via the (regularized) normal equations. [ridge] defaults to [1e-10], which
     keeps the normal equations well-posed for rank-deficient sampling sets. *)
 val lstsq : ?ridge:float -> t -> float array -> float array
 
-(** [lstsq_solver ?ridge a] factorizes the normal equations once and returns
-    a fast solver [b -> x] for repeated right-hand sides (the hot path of the
-    isomorphism-based approximation). *)
-val lstsq_solver : ?ridge:float -> t -> float array -> float array
+(** The normal equations of one least-squares problem, factorized once for
+    repeated right-hand sides (the hot path of the isomorphism-based
+    approximation). *)
+type lstsq
+
+(** [lstsq_factor ?ridge a] forms [a^T a + ridge I] and its Cholesky
+    factor; when that fails, {!lstsq_solve_into} falls back to LU. *)
+val lstsq_factor : ?ridge:float -> t -> lstsq
+
+(** [lstsq_solve_into f b ~dst] writes [lstsq ?ridge a b] into [dst]. It
+    allocates nothing unless the factorization failed. *)
+val lstsq_solve_into : lstsq -> float array -> dst:float array -> unit
 
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -607,3 +607,484 @@ let pvalue_uniform_under_null circ =
   in
   let cdf x = Float.min 1. (Float.max 0. x) in
   (Stats.Tests.ks_one_sample ~cdf pvalues).Stats.Tests.pvalue > 1e-4
+
+(* ------------ the validation objective, bit for bit ------------------ *)
+
+(* A frozen copy of the allocating arithmetic the validation objective
+   ran before [Morphcore.Verify.evaluator] existed: the per-alpha
+   environment, the Jacobi eigensolve and PSD projection, the HS encoding,
+   the normal-equation least squares and the coefficient combination, with
+   every sum in its original order. It calls none of the library
+   functions that now wrap the in-place kernels (the hermitization, the
+   adjoint and the matrix-vector product are copied too), so the oracles
+   below compare two independent copies of the arithmetic. *)
+module Reference = struct
+  open Linalg
+
+  let adjoint a =
+    let r, c = Cmat.dims a in
+    Cmat.init c r (fun i j -> Cx.conj (Cmat.get a j i))
+
+  let hermitize a = Cmat.rscale 0.5 (Cmat.add a (adjoint a))
+
+  let off_diagonal_norm2 re im n =
+    let s = ref 0. in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j then begin
+          let k = (i * n) + j in
+          s := !s +. (re.(k) *. re.(k)) +. (im.(k) *. im.(k))
+        end
+      done
+    done;
+    !s
+
+  let scale_col re im n q pr pi =
+    for k = 0 to n - 1 do
+      let idx = (k * n) + q in
+      let r = re.(idx) and i = im.(idx) in
+      re.(idx) <- (r *. pr) -. (i *. pi);
+      im.(idx) <- (r *. pi) +. (i *. pr)
+    done
+
+  let scale_row re im n q pr pi =
+    let base = q * n in
+    for k = 0 to n - 1 do
+      let idx = base + k in
+      let r = re.(idx) and i = im.(idx) in
+      re.(idx) <- (r *. pr) -. (i *. pi);
+      im.(idx) <- (r *. pi) +. (i *. pr)
+    done
+
+  let rotate_cols re im n p q c s =
+    for k = 0 to n - 1 do
+      let ip = (k * n) + p and iq = (k * n) + q in
+      let pr = re.(ip) and pi = im.(ip) in
+      let qr = re.(iq) and qi = im.(iq) in
+      re.(ip) <- (c *. pr) -. (s *. qr);
+      im.(ip) <- (c *. pi) -. (s *. qi);
+      re.(iq) <- (s *. pr) +. (c *. qr);
+      im.(iq) <- (s *. pi) +. (c *. qi)
+    done
+
+  let rotate_rows re im n p q c s =
+    let bp = p * n and bq = q * n in
+    for k = 0 to n - 1 do
+      let ip = bp + k and iq = bq + k in
+      let pr = re.(ip) and pi = im.(ip) in
+      let qr = re.(iq) and qi = im.(iq) in
+      re.(ip) <- (c *. pr) -. (s *. qr);
+      im.(ip) <- (c *. pi) -. (s *. qi);
+      re.(iq) <- (s *. pr) +. (c *. qr);
+      im.(iq) <- (s *. pi) +. (c *. qi)
+    done
+
+  let hermitian a0 =
+    let n, nc = Cmat.dims a0 in
+    if n <> nc then invalid_arg "Eig.hermitian: non-square";
+    let h = hermitize a0 in
+    let are = Array.copy h.Cmat.re and aim = Array.copy h.Cmat.im in
+    let vre = Array.make (n * n) 0. and vim = Array.make (n * n) 0. in
+    for i = 0 to n - 1 do
+      vre.((i * n) + i) <- 1.
+    done;
+    let scale = Cmat.frob_norm h +. 1e-300 in
+    let tol2 = 1e-13 *. scale *. (1e-13 *. scale) in
+    let max_sweeps = 100 in
+    let sweep = ref 0 in
+    while off_diagonal_norm2 are aim n > tol2 && !sweep < max_sweeps do
+      incr sweep;
+      for p = 0 to n - 2 do
+        for q = p + 1 to n - 1 do
+          let idx_pq = (p * n) + q in
+          let rr = are.(idx_pq) and ri = aim.(idx_pq) in
+          let r = sqrt ((rr *. rr) +. (ri *. ri)) in
+          if r > 1e-300 then begin
+            let pr = rr /. r and pi = ri /. r in
+            scale_col are aim n q pr (-.pi);
+            scale_row are aim n q pr pi;
+            scale_col vre vim n q pr (-.pi);
+            let app = are.((p * n) + p) and aqq = are.((q * n) + q) in
+            let tau = (aqq -. app) /. (2. *. r) in
+            let t =
+              if tau >= 0. then 1. /. (tau +. sqrt ((tau *. tau) +. 1.))
+              else -1. /. (-.tau +. sqrt ((tau *. tau) +. 1.))
+            in
+            let c = 1. /. sqrt ((t *. t) +. 1.) in
+            let s = t *. c in
+            rotate_cols are aim n p q c s;
+            rotate_rows are aim n p q c s;
+            rotate_cols vre vim n p q c s
+          end
+        done
+      done
+    done;
+    let w = Array.init n (fun i -> are.((i * n) + i)) in
+    let order = Array.init n (fun i -> i) in
+    Array.sort (fun i j -> compare w.(i) w.(j)) order;
+    let w_sorted = Array.map (fun i -> w.(i)) order in
+    let v_sorted =
+      Cmat.init n n (fun i j ->
+          let src = (i * n) + order.(j) in
+          Cx.make vre.(src) vim.(src))
+    in
+    (w_sorted, v_sorted)
+
+  let funm f a =
+    let w, v = hermitian a in
+    let n = Array.length w in
+    let d =
+      Cmat.init n n (fun i j ->
+          if i = j then Cx.of_float (f w.(i)) else Cx.zero)
+    in
+    Cmat.mul3 v d (adjoint v)
+
+  let project_psd a =
+    let clipped = funm (fun x -> Float.max x 0.) (hermitize a) in
+    let t = Cx.re (Cmat.trace clipped) in
+    if t <= 1e-14 then
+      Cmat.rscale
+        (1. /. float_of_int (fst (Cmat.dims a)))
+        (Cmat.identity (fst (Cmat.dims a)))
+    else Cmat.rscale (1. /. t) clipped
+
+  let sqrt2 = sqrt 2.
+
+  let encode a =
+    let n, nc = Cmat.dims a in
+    if n <> nc then invalid_arg "Hsvec.encode: non-square";
+    let h = hermitize a in
+    let v = Array.make (n * n) 0. in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      v.(!k) <- Cx.re (Cmat.get h i i);
+      incr k
+    done;
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let z = Cmat.get h i j in
+        v.(!k) <- sqrt2 *. Cx.re z;
+        v.(!k + 1) <- sqrt2 *. Cx.im z;
+        k := !k + 2
+      done
+    done;
+    v
+
+  let apply m x =
+    let rows, cols = Rmat.dims m in
+    Array.init rows (fun i ->
+        let s = ref 0. in
+        for j = 0 to cols - 1 do
+          s := !s +. (Rmat.get m i j *. x.(j))
+        done;
+        !s)
+
+  let lstsq_solver ?(ridge = 1e-10) m =
+    let at = Rmat.transpose m in
+    let ata = Rmat.mul at m in
+    let n = fst (Rmat.dims ata) in
+    for i = 0 to n - 1 do
+      Rmat.set ata i i (Rmat.get ata i i +. ridge)
+    done;
+    match Rmat.cholesky ata with
+    | l ->
+        fun b ->
+          let atb = apply at b in
+          let y = Array.make n 0. in
+          for i = 0 to n - 1 do
+            let s = ref atb.(i) in
+            for k = 0 to i - 1 do
+              s := !s -. (Rmat.get l i k *. y.(k))
+            done;
+            y.(i) <- !s /. Rmat.get l i i
+          done;
+          let x = Array.make n 0. in
+          for i = n - 1 downto 0 do
+            let s = ref y.(i) in
+            for k = i + 1 to n - 1 do
+              s := !s -. (Rmat.get l k i *. x.(k))
+            done;
+            x.(i) <- !s /. Rmat.get l i i
+          done;
+          x
+    | exception Failure _ -> fun b -> Rmat.solve ata (apply at b)
+
+  let decomposer (approx : Morphcore.Approx.t) =
+    let inputs = approx.Morphcore.Approx.inputs in
+    let d = 1 lsl approx.Morphcore.Approx.n_in in
+    let b = Rmat.create (d * d) (Array.length inputs) in
+    Array.iteri
+      (fun j input ->
+        let v = encode input in
+        Array.iteri (fun i x -> Rmat.set b i j x) v)
+      inputs;
+    let solver = lstsq_solver ~ridge:1e-9 b in
+    fun rho -> solver (encode rho)
+
+  let combine states alpha =
+    if Array.length states <> Array.length alpha then
+      invalid_arg "Approx: coefficient count mismatch";
+    let d, _ = Cmat.dims states.(0) in
+    let acc = ref (Cmat.create d d) in
+    Array.iteri
+      (fun i a ->
+        if a <> 0. then acc := Cmat.add !acc (Cmat.rscale a states.(i)))
+      alpha;
+    !acc
+
+  let env_of_alpha ~projection ~decompose (approx : Morphcore.Approx.t) alpha
+      : Morphcore.Predicate.env =
+    let inputs = approx.Morphcore.Approx.inputs in
+    let cache = Hashtbl.create 4 in
+    let phys_alpha =
+      lazy
+        (match projection with
+        | `Trace ->
+            let raw = combine inputs alpha in
+            let t = Cx.re (Cmat.trace raw) in
+            if Float.abs t > 1e-9 then Array.map (fun a -> a /. t) alpha
+            else alpha
+        | `Psd -> decompose (project_psd (combine inputs alpha)))
+    in
+    fun tp ->
+      match Hashtbl.find_opt cache tp with
+      | Some m -> m
+      | None ->
+          let a = Lazy.force phys_alpha in
+          let m =
+            if tp = 0 then combine inputs a
+            else
+              match List.assoc_opt tp approx.Morphcore.Approx.outputs with
+              | Some states -> combine states a
+              | None -> raise Not_found
+          in
+          Hashtbl.replace cache tp m;
+          m
+
+  let guarantee_objective assertion env =
+    List.fold_left
+      (fun acc p -> Float.max acc (Morphcore.Predicate.eval p env))
+      neg_infinity assertion.Morphcore.Assertion.guarantees
+end
+
+let float_exact a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let floats_exact a b =
+  Array.length a = Array.length b && Array.for_all2 float_exact a b
+
+let cmat_exact a b =
+  Linalg.Cmat.dims a = Linalg.Cmat.dims b
+  && floats_exact a.Linalg.Cmat.re b.Linalg.Cmat.re
+  && floats_exact a.Linalg.Cmat.im b.Linalg.Cmat.im
+
+(* an outcome that can be compared after the fact: a value or the
+   exception it raised *)
+let attempt f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+let same_outcome eq a b =
+  match (a, b) with
+  | Ok x, Ok y -> eq x y
+  | Error e, Error f -> e = f
+  | _ -> false
+
+(* a density matrix of dimension [d]: a basis state (exact zeros), a
+   random pure state, or a mixture of two *)
+let random_density rs d =
+  let pure () =
+    let re = Array.init d (fun _ -> Random.State.float rs 2. -. 1.)
+    and im = Array.init d (fun _ -> Random.State.float rs 2. -. 1.) in
+    let norm =
+      sqrt
+        (Array.fold_left ( +. ) 0.
+           (Array.init d (fun i -> (re.(i) *. re.(i)) +. (im.(i) *. im.(i)))))
+    in
+    Linalg.Cmat.init d d (fun i j ->
+        Linalg.Cx.mul
+          (Linalg.Cx.make (re.(i) /. norm) (im.(i) /. norm))
+          (Linalg.Cx.make (re.(j) /. norm) (-.im.(j) /. norm)))
+  in
+  match Random.State.int rs 3 with
+  | 0 ->
+      let k = Random.State.int rs d in
+      Linalg.Cmat.init d d (fun i j ->
+          if i = k && j = k then Linalg.Cx.one else Linalg.Cx.zero)
+  | 1 -> pure ()
+  | _ ->
+      let p = Random.State.float rs 1. in
+      Linalg.Cmat.add (Linalg.Cmat.rscale p (pure ()))
+        (Linalg.Cmat.rscale (1. -. p) (pure ()))
+
+let random_pauli rs k =
+  Qstate.Pauli.of_string
+    (String.init k (fun _ -> "IXYZ".[Random.State.int rs 4]))
+
+(* a random approximation: [n_in] 1-3, sample counts below, at and above
+   [4^n_in], tracepoints of 1-3 qubits (tracepoint 1 as wide as the
+   input), and an output recorded under id 0 that the environment must
+   ignore in favour of the inputs *)
+let random_approx rs =
+  let n_in = 1 + Random.State.int rs 3 in
+  let d = 1 lsl n_in in
+  let full = d * d in
+  let count =
+    match Random.State.int rs 3 with
+    | 0 -> 1 + Random.State.int rs (full - 1)
+    | 1 -> full
+    | _ -> full + 1 + Random.State.int rs 4
+  in
+  let states dim = Array.init count (fun _ -> random_density rs dim) in
+  let widths =
+    n_in :: List.init (Random.State.int rs 3) (fun _ -> 1 + Random.State.int rs 3)
+  in
+  let outputs =
+    (0, states d) :: List.mapi (fun i w -> (i + 1, states (1 lsl w))) widths
+  in
+  ( Morphcore.Approx.make ~n_in ~inputs:(states d) ~outputs,
+    (0, n_in) :: List.mapi (fun i w -> (i + 1, w)) widths )
+
+(* every predicate kind over tracepoints [tps] (id, qubits), tracepoint 0
+   included, plus a [Custom] one that reads ids no predicate lists (and,
+   sometimes, one the approximation lacks) *)
+let random_predicate rs tps =
+  let module P = Morphcore.Predicate in
+  let pick () = List.nth tps (Random.State.int rs (List.length tps)) in
+  let pair () =
+    let a, w = pick () in
+    let same = List.filter (fun (_, w') -> w' = w) tps in
+    (a, fst (List.nth same (Random.State.int rs (List.length same))))
+  in
+  let f () = Random.State.float rs 1. in
+  let tp, w = pick () in
+  let dim = 1 lsl w in
+  match Random.State.int rs 11 with
+  | 0 -> P.Is_pure tp
+  | 1 -> P.Purity_ge (tp, f ())
+  | 2 -> let a, b = pair () in P.Equals (a, b)
+  | 3 -> P.Equals_const (tp, random_density rs dim)
+  | 4 -> P.Not_equals_const (tp, random_density rs dim, f ())
+  | 5 -> let a, b = pair () in P.Distance_le (a, b, f ())
+  | 6 -> P.Expect_ge (tp, random_pauli rs w, f () -. 0.5)
+  | 7 -> P.Expect_le (tp, random_pauli rs w, f () -. 0.5)
+  | 8 -> P.Diag_in_range (tp, Random.State.int rs dim, f () *. 0.3, 0.3 +. f ())
+  | 9 -> let a, b = pair () in P.Phase_diff (a, b, f () *. Float.pi)
+  | _ ->
+      let last = fst (List.nth tps (List.length tps - 1)) in
+      let stray = if Random.State.int rs 8 = 0 then [ 99 ] else [] in
+      P.Custom
+        ( "custom",
+          fun env ->
+            List.fold_left
+              (fun acc id ->
+                acc +. Linalg.Cx.re (Linalg.Cmat.trace (env id))
+                +. Linalg.Cmat.frob_norm (env id))
+              0.
+              ((last :: 0 :: stray) @ [ last ]) )
+
+(* alphas that reach every branch: generic, with exact (and negative)
+   zeros, all zero, a negative combination whose spectrum clips entirely,
+   and two whose trace cancels to within 1e-9 (to rounding, and to about
+   5e-10, between the thresholds a slip of scale would confuse) *)
+let random_alphas rs n =
+  let generic () = Array.init n (fun _ -> Random.State.float rs 2. -. 1.) in
+  let zeros () =
+    Array.map
+      (fun a ->
+        match Random.State.int rs 3 with 0 -> 0. | 1 -> -0. | _ -> a)
+      (generic ())
+  in
+  let clipped () = Array.init n (fun _ -> -.Random.State.float rs 1.) in
+  let traceless offset =
+    let a = generic () in
+    let s = ref 0. in
+    for i = 0 to n - 2 do
+      s := !s +. a.(i)
+    done;
+    a.(n - 1) <- offset -. !s;
+    a
+  in
+  let first = generic () in
+  [
+    first;
+    zeros ();
+    Array.make n 0.;
+    clipped ();
+    traceless 0.;
+    traceless 5e-10;
+    generic ();
+    first;
+  ]
+
+let objective_exact seed =
+  let rs = Random.State.make [| seed |] in
+  let approx, tps = random_approx rs in
+  let n = Morphcore.Approx.n_sample approx in
+  let preds k = List.init k (fun _ -> random_predicate rs tps) in
+  let assertion =
+    Morphcore.Assertion.make
+      ~assumes:(preds (Random.State.int rs 4))
+      ~guarantees:(preds (1 + Random.State.int rs 3))
+      ()
+  in
+  let alphas = random_alphas rs n in
+  let decompose = Reference.decomposer approx in
+  let ids = 0 :: List.map fst approx.Morphcore.Approx.outputs in
+  List.for_all
+    (fun projection ->
+      let ev = Morphcore.Verify.evaluator ~projection approx assertion in
+      (* one array rewritten in place, as the solvers' numeric gradients
+         do, so a stale environment would show *)
+      let x = Array.make n 0. in
+      List.for_all
+        (fun alpha ->
+          Array.blit alpha 0 x 0 n;
+          let ref_env () =
+            Reference.env_of_alpha ~projection ~decompose approx alpha
+          in
+          (* constraints first, then the objective, as the penalty
+             solver reads them *)
+          List.for_all2
+            (fun g p ->
+              same_outcome float_exact
+                (attempt (fun () -> g x))
+                (attempt (fun () -> Morphcore.Predicate.eval p (ref_env ()))))
+            ev.Morphcore.Verify.constraints assertion.Morphcore.Assertion.assumes
+          && same_outcome float_exact
+               (attempt (fun () -> ev.Morphcore.Verify.objective x))
+               (attempt (fun () ->
+                    Reference.guarantee_objective assertion (ref_env ())))
+          &&
+          let env = ev.Morphcore.Verify.env x and r = ref_env () in
+          List.for_all
+            (fun id ->
+              same_outcome cmat_exact
+                (attempt (fun () -> env id))
+                (attempt (fun () -> r id)))
+            (99 :: ids))
+        alphas)
+    [ `Psd; `Trace ]
+
+(* a Hermitian matrix of dimension [n]: generic, diagonal with repeated
+   values (eigenvalue ties), rank one minus a multiple of the identity
+   (clipped spectrum), or zero *)
+let random_hermitian rs n =
+  let c () = Linalg.Cx.make (Random.State.float rs 2. -. 1.) (Random.State.float rs 2. -. 1.) in
+  match Random.State.int rs 4 with
+  | 0 -> Linalg.Cmat.hermitize (Linalg.Cmat.init n n (fun _ _ -> c ()))
+  | 1 ->
+      let v = Array.init n (fun _ -> float_of_int (Random.State.int rs 3) /. 2.) in
+      Linalg.Cmat.init n n (fun i j -> if i = j then Linalg.Cx.of_float v.(i) else Linalg.Cx.zero)
+  | 2 ->
+      Linalg.Cmat.sub (random_density rs n)
+        (Linalg.Cmat.rscale (Random.State.float rs 1.) (Linalg.Cmat.identity n))
+  | _ -> Linalg.Cmat.create n n
+
+let eig_exact seed =
+  let rs = Random.State.make [| seed |] in
+  let n = 2 + Random.State.int rs 15 in
+  let a = random_hermitian rs n in
+  let w, v = Linalg.Eig.hermitian a and w', v' = Reference.hermitian a in
+  floats_exact w w' && cmat_exact v v'
+  && cmat_exact (Linalg.Eig.project_psd a) (Reference.project_psd a)
+  && cmat_exact (Linalg.Eig.sqrtm_psd a)
+       (Reference.funm (fun x -> sqrt (Float.max x 0.)) a)
+  && floats_exact (Linalg.Hsvec.encode a) (Reference.encode a)

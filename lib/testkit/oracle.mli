@@ -189,3 +189,21 @@ val sequential_vs_fixed_verdict : Gen.circ -> bool
     tested against their true mean are exact-KS-consistent with
     Uniform(0,1) at level 1e-4. The sketch only seeds the RNG stream. *)
 val pvalue_uniform_under_null : Gen.circ -> bool
+
+(** [objective_exact seed] — the validation objective's evaluator
+    ({!Morphcore.Verify.evaluator}) against a frozen copy of the
+    allocating path it replaced (per-alpha environment, Jacobi PSD
+    projection, HS encoding, normal-equation least squares, coefficient
+    combination), on a random approximation drawn from [seed]: [n_in] 1-3,
+    sample counts below, at and above [4^n_in], both projections, every
+    predicate kind ([Custom] and tracepoint 0 included) and alphas with
+    exact zeros, a fully clipped spectrum and a trace within [1e-9] of 0.
+    Objective values, constraint values (or the exceptions raised) and
+    environment matrices must agree in their Int64 bits. *)
+val objective_exact : int -> bool
+
+(** [eig_exact seed] — {!Linalg.Eig.hermitian}, [project_psd],
+    [sqrtm_psd] and {!Linalg.Hsvec.encode} against the same frozen copy,
+    bit for bit, on a random Hermitian matrix of dimension 2-16 (generic,
+    with tied eigenvalues, with a clipped spectrum, or zero). *)
+val eig_exact : int -> bool

@@ -35,6 +35,7 @@ let golden =
       "qreg q[1];\nT 1 q[0];\nh q[0];\nT 1 q[0];",
       "MQ004",
       Some (4, 1) );
+    ("reserved tracepoint", "qreg q[1];\nh q[0];\nT 0 q[0];", "MQ004", Some (3, 1));
     ( "feedback unwritten",
       "qreg q[2];\ncreg c[1];\nif (c[0]==1) x q[1];",
       "MQ005",

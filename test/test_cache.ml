@@ -1124,6 +1124,42 @@ let test_server_spec_error () =
         (Jsonx.mem_str "error" only)
   | out -> Alcotest.failf "expected one line, got %d" (List.length out)
 
+(* a user tracepoint 0 would be read as the program input by every spec;
+   the daemon refuses the program with one error line instead *)
+let test_server_reserved_tracepoint () =
+  let line =
+    Jsonx.to_string
+      (Jsonx.Obj
+         [
+           ("id", Jsonx.int 1);
+           ("method", Jsonx.Str "verify");
+           ( "params",
+             Jsonx.Obj
+               [
+                 ( "qasm",
+                   Jsonx.Str
+                     "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 0 q[0];\n\
+                      cx q[0],q[1];\nT 1 q[1];\n" );
+                 ("guarantee", Jsonx.Str "pure:0");
+                 ("count", Jsonx.int 4);
+               ] );
+         ])
+  in
+  let out = fst (drive (Server.make_state ()) [ line ]) in
+  Alcotest.(check bool)
+    "no result or verdict" true
+    (List.for_all
+       (fun j ->
+         Jsonx.member "result" j = None
+         && Jsonx.mem_str "event" j <> Some "verdict")
+       out);
+  match List.rev out with
+  | last :: _ ->
+      Alcotest.(check (option string))
+        "error" (Some "tracepoint id 0 is reserved for the program input")
+        (Jsonx.mem_str "error" last)
+  | [] -> Alcotest.fail "no response"
+
 let () =
   Alcotest.run "cache"
     [
@@ -1180,6 +1216,7 @@ let () =
           Alcotest.test_case "socket smoke" `Quick test_serve_socket_smoke;
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
           Alcotest.test_case "spec errors" `Quick test_server_spec_error;
+          Alcotest.test_case "reserved tracepoint 0" `Quick test_server_reserved_tracepoint;
           Alcotest.test_case "verify golden" `Quick test_server_verify_golden;
         ] );
     ]

@@ -561,6 +561,174 @@ let test_sequential_tomography_matches_fixed () =
         a.Characterize.traces b.Characterize.traces)
     fixed.Characterize.samples seq.Characterize.samples
 
+(* ---------------- verdict golden ---------------- *)
+
+(* [validate_golden.txt] pins [Verify.validate] bit for bit: the lock
+   with its assumption (correct and planted-bug), teleport, and a
+   mirror-2 program as serve-mix edits it (clean and detuned), each under
+   every solver and both projections. A line holds the verdict, the
+   objective and alpha as hex floats, a digest of the counterexample's
+   bits and the solver's objective evaluations ([solver_evals_total]). *)
+
+(* perfbench's serve-mix mirror on two qubits: rotations, a CX pair, the
+   inverse rotations ([inv] detunes them), tracepoints 3-4 before and
+   1-2 after *)
+let mirror2 ?inv angles =
+  let inv = Option.value ~default:angles inv in
+  let c = ref (Circuit.empty 2) in
+  for q = 0 to 1 do
+    c := Circuit.tracepoint (3 + q) [ q ] !c
+  done;
+  for q = 0 to 1 do
+    c := !c |> Circuit.ry angles.(2 * q) q |> Circuit.rz angles.((2 * q) + 1) q
+  done;
+  c := !c |> Circuit.cx 0 1 |> Circuit.cx 0 1;
+  for q = 1 downto 0 do
+    c := !c |> Circuit.rz (-.inv.((2 * q) + 1)) q |> Circuit.ry (-.inv.(2 * q)) q
+  done;
+  for q = 0 to 1 do
+    c := Circuit.tracepoint (q + 1) [ q ] !c
+  done;
+  Program.make !c
+
+let golden_cases () =
+  let mirror_angles = [| 0.9; 1.7; 2.3; 0.4 |] in
+  let mirror =
+    Assertion.make ~name:"mirror"
+      ~assumes:[]
+      ~guarantees:[ Predicate.Equals (3, 1); Predicate.Equals (4, 2) ]
+      ()
+  in
+  let teleport =
+    Assertion.make ~name:"teleport"
+      ~assumes:[ Predicate.Is_pure 0 ]
+      ~guarantees:[ Predicate.Equals (0, 2) ]
+      ()
+  in
+  [
+    ("lock", fst (lock_program ()), lock_assertion, None, 16);
+    ("lock.bug", fst (lock_program ~unexpected_key:6 ()), lock_assertion, None, 16);
+    ( "teleport",
+      Program.make ~input_qubits:[ 0 ] (Benchmarks.Teleport.single ()),
+      teleport,
+      Some Clifford.Sampling.Haar,
+      6 );
+    ("mirror-2", mirror2 mirror_angles, mirror, None, 8);
+    ( "mirror-2.bug",
+      mirror2 ~inv:[| 0.9; 1.7; 2.3; 1.2 |] mirror_angles,
+      mirror,
+      None,
+      8 );
+  ]
+
+let solver_evals () =
+  List.fold_left
+    (fun acc (name, v) ->
+      if String.starts_with ~prefix:"solver_evals_total" name then acc + v
+      else acc)
+    0 (Obs.Metrics.counters ())
+
+let cmat_digest m =
+  let b = Buffer.create 256 in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) m.Cmat.re;
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) m.Cmat.im;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let validate_golden_text () =
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, prog, assertion, kind, count) ->
+      let approx =
+        Approx.of_characterization
+          (Characterize.run ~rng:(Stats.Rng.make 2024) ?kind prog ~count)
+      in
+      List.iter
+        (fun solver ->
+          List.iter
+            (fun projection ->
+              let options =
+                { Verify.default_options with solver; projection }
+              in
+              let before = solver_evals () in
+              let verdict =
+                Verify.validate ~options ~rng:(Stats.Rng.make 7) ~confirm:prog
+                  approx assertion
+              in
+              let evals = solver_evals () - before in
+              Printf.bprintf b "%s %s %s " name
+                (Optimize.Solvers.method_to_string solver)
+                (match projection with `Psd -> "psd" | `Trace -> "trace");
+              (match verdict with
+              | Verify.Verified { max_objective; _ } ->
+                  Printf.bprintf b "verified max_objective=%h" max_objective
+              | Verify.Violated { counterexample; alpha; objective } ->
+                  Printf.bprintf b "violated objective=%h alpha=%s cex=%s"
+                    objective
+                    (String.concat ","
+                       (Array.to_list (Array.map (Printf.sprintf "%h") alpha)))
+                    (cmat_digest counterexample));
+              Printf.bprintf b " evals=%d\n" evals)
+            [ `Psd; `Trace ])
+        [ `Qp; `Adam; `Anneal; `Genetic ])
+    (golden_cases ());
+  Buffer.contents b
+
+(* the objective and every assumption at one alpha read one environment:
+   the evaluator projects once (two GEMMs), not once per predicate *)
+let test_evaluator_projects_once () =
+  let r = rng () in
+  let prog, _ = lock_program () in
+  let approx =
+    Approx.of_characterization (Characterize.run ~rng:r prog ~count:16)
+  in
+  let assertion =
+    Assertion.make
+      ~assumes:
+        [
+          Predicate.Diag_in_range (1, 1, 0., 0.01);
+          Predicate.Purity_ge (1, 0.5);
+        ]
+      ~guarantees:[ Predicate.Equals_const (2, zero_dm) ]
+      ()
+  in
+  let ev = Verify.evaluator ~projection:`Psd approx assertion in
+  let x = Array.init 16 (fun i -> Float.of_int (i mod 5) /. 4.) in
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  let macs () =
+    Option.value ~default:0 (Obs.Metrics.counter_value "gemm_macs_total")
+  in
+  let m0 = macs () in
+  List.iter (fun g -> ignore (g x)) ev.Verify.constraints;
+  ignore (ev.Verify.objective x);
+  let m1 = macs () in
+  Alcotest.(check bool) "MACs counted" true (m1 > m0);
+  ignore (Eig.project_psd (Approx.input_of_alpha approx x));
+  Alcotest.(check int) "one projection's MACs" (macs () - m1) (m1 - m0)
+
+(* the validation objective's evaluator against a frozen copy of the
+   allocating path it replaced, in Int64 bits (see
+   [Testkit.Oracle.objective_exact]) *)
+let prop_objective_exact =
+  QCheck.Test.make ~name:"objective bit-identical to the reference"
+    ~count:(Testkit.Config.count ())
+    QCheck.(int_range 0 1_000_000)
+    Testkit.Oracle.objective_exact
+
+let test_validate_golden () =
+  let expected =
+    List.find Sys.file_exists
+      [ "validate_golden.txt"; "test/validate_golden.txt" ]
+    |> Fun.flip In_channel.with_open_text In_channel.input_all
+  in
+  let got = validate_golden_text () in
+  if got <> expected then
+    Alcotest.failf "Verify.validate drifted from validate_golden.txt:\n%s" got
+
 let () =
   Alcotest.run "core"
     [
@@ -625,6 +793,9 @@ let () =
           Alcotest.test_case "check on program" `Quick test_verify_check_on_program;
           Alcotest.test_case "probe accuracies" `Quick test_verify_probe_accuracies_range;
           Alcotest.test_case "minimize counterexample" `Slow test_minimize_counterexample_lock;
+          Alcotest.test_case "one projection per alpha" `Quick
+            test_evaluator_projects_once;
+          Alcotest.test_case "validate golden" `Slow test_validate_golden;
         ] );
       ( "dist-verdicts",
         [
@@ -638,5 +809,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_isomorphism_linearity; prop_case1_exactness ] );
+          [ prop_isomorphism_linearity; prop_case1_exactness ]
+        @ [
+            QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ())
+              prop_objective_exact;
+          ] );
     ]

@@ -169,7 +169,9 @@ let test_rmat_cholesky () =
   assert (Rmat.equal ~eps:1e-9 spd (Rmat.mul l (Rmat.transpose l)));
   let x_true = Array.init n float_of_int in
   let b = Rmat.apply spd x_true in
-  let x = Rmat.solve_spd spd b in
+  (* the normal equations of a square SPD system go through its Cholesky
+     factor *)
+  let x = Rmat.lstsq ~ridge:0. spd b in
   Array.iteri (fun i xi -> check_float "spd solve" x_true.(i) xi ~eps:1e-8) x
 
 let test_rmat_lstsq () =
@@ -226,9 +228,18 @@ let prop_hsvec_norm =
       let n = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v) in
       Float.abs (n -. Cmat.frob_norm a) < 1e-9)
 
+(* the in-place eigensolve, PSD projection and HS encoding against a
+   frozen copy of the allocating arithmetic they replaced, bit for bit *)
+let prop_eig_exact =
+  QCheck.Test.make ~name:"eig and hsvec bit-identical to the reference"
+    ~count:(Testkit.Config.count ())
+    QCheck.(int_range 0 1_000_000)
+    Testkit.Oracle.eig_exact
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_eig_trace; prop_eig_frobenius; prop_hsvec_norm ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ()) prop_eig_exact ]
 
 let () =
   Alcotest.run "linalg"
