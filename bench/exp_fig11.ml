@@ -50,7 +50,7 @@ let fig11a () =
       let settings = Tomography.State_tomo.settings_count payload in
       let circuit_seconds =
         let m = Sim.Cost.create () in
-        Sim.Cost.record_circuit m program.Program.circuit ~shots:1;
+        Sim.Cost.record_circuit m (Sim.Cost.shape program.Program.circuit) ~shots:1;
         Sim.Cost.hardware_seconds m
       in
       let t_state_tomo = float_of_int (settings * shots) *. circuit_seconds in

@@ -50,6 +50,9 @@ let checks () =
     ( "cache-transparent",
       Gen.gen_program (),
       fun c -> Oracle.cache_transparent c );
+    ( "characterize-repeats-exact",
+      Gen.gen_program (),
+      fun c -> Oracle.characterize_repeats_exact c );
     ( "sequential-vs-fixed",
       Gen.gen_pure (),
       Oracle.sequential_vs_fixed_verdict );

@@ -231,26 +231,33 @@ let engine_name = function
   | `Rank -> "rank"
 
 (* characterize [count] basis inputs over [input_qubits] through [`Auto],
-   assert the static route and that dense never ran, and time it *)
+   assert the static route, that dense never ran and that the route ran
+   exactly once per distinct input (basis inputs repeat every 2^k
+   samples, and a pure run simulates each distinct input once), and time
+   it *)
 let scale_case ~name ~route ~input_qubits ~check c =
   let count = 3 in
   if Sim.Engine.auto_route c <> Some route then
     failwith (Printf.sprintf "scale: %s did not route to %s" name
                 (engine_name route));
   let program = Program.make ~input_qubits c in
+  let characterize () =
+    Characterize.run
+      ~rng:(Stats.Rng.make 31)
+      ~kind:Clifford.Sampling.Basis ~engine:`Auto program ~count
+  in
+  let distinct = min count (1 lsl List.length input_qubits) in
   let dense_before = routed "statevec" in
-  let expected_routed = routed (engine_name route) + count in
-  let ch, dt, reps =
-    Util.timed_samples ~name:("perf.scale." ^ name) (fun () ->
-        Characterize.run
-          ~rng:(Stats.Rng.make 31)
-          ~kind:Clifford.Sampling.Basis ~engine:`Auto program ~count)
+  let routed_before = routed (engine_name route) in
+  let ch = characterize () in
+  if routed (engine_name route) - routed_before <> distinct then
+    failwith (Printf.sprintf "scale: %s not routed once per distinct input on %s"
+                (engine_name route) name);
+  let _, dt, reps =
+    Util.timed_samples ~name:("perf.scale." ^ name) characterize
   in
   if routed "statevec" <> dense_before then
     failwith (Printf.sprintf "scale: dense engine invoked on %s" name);
-  if routed (engine_name route) < expected_routed then
-    failwith (Printf.sprintf "scale: %s not routed per sample on %s"
-                (engine_name route) name);
   Array.iter (fun (s : Characterize.sample) -> check s) ch.Characterize.samples;
   Util.row "scale %-14s %2dq   route=%-10s samples=%d   traces exact: yes" name
     (Circuit.num_qubits c) (engine_name route) count;

@@ -894,8 +894,11 @@ let verify_term =
   in
   let certify =
     certify_flag
-      "translation-validate the transpile pipeline before verifying; a \
-       failed certificate aborts with MQ021 and exit status 1"
+      "translation-validate the transpile plan (optimize, then \
+       prune_lightcone, then segment compile) before verifying; a failed \
+       certificate aborts with MQ021 and exit status 1. Characterization \
+       runs the source circuit, not the certified plan, so the run behind \
+       the verdict is not what the certificate covers"
   in
   Term.(
     const verify_cmd $ file_arg $ assumes $ guarantees $ count $ solver
@@ -932,8 +935,11 @@ let serve_term =
   in
   let certify =
     certify_flag
-      "translation-validate the transpile pipeline on every verify request \
-       (individual requests can also opt in with a certify:true param)"
+      "translation-validate the transpile plan (optimize, then \
+       prune_lightcone, then segment compile) on every verify request \
+       (individual requests can also opt in with a certify:true param). \
+       Characterization runs the source circuit, not the certified plan, \
+       so the run behind the verdict is not what the certificate covers"
   in
   let log =
     Arg.(
@@ -1004,7 +1010,11 @@ let client_term =
           ~doc:"characterization mode: exact | tomo:SHOTS | probs:SHOTS")
   in
   let certify =
-    certify_flag "ask the daemon to certify the transpile pipeline (MQ021)"
+    certify_flag
+      "ask the daemon to certify the transpile plan (optimize, then \
+       prune_lightcone, then segment compile; MQ021). Characterization \
+       runs the source circuit, not the certified plan, so the run behind \
+       the verdict is not what the certificate covers"
   in
   let request_id =
     Arg.(

@@ -30,6 +30,7 @@ let check ?rng ?(shots = 1000) ?(tol = 0.05) ?inputs ~tests ~kind ~tracepoint
         List.map (Qstate.Statevec.basis k)
           (Verifier.basis_inputs rng ~k ~count:tests)
   in
+  let shape = Sim.Cost.shape candidate.Program.circuit in
   let (bug_found, tests_used), seconds =
     Verifier.timed (fun () ->
         let rec go used = function
@@ -39,7 +40,7 @@ let check ?rng ?(shots = 1000) ?(tol = 0.05) ?inputs ~tests ~kind ~tracepoint
               let s_cand = tracepoint_state ~rng candidate ~tracepoint input in
               (* account program execution + discrimination overhead *)
               let n_t = Cmat.num_qubits s_cand in
-              Sim.Cost.record_circuit meter candidate.Program.circuit ~shots;
+              Sim.Cost.record_circuit meter shape ~shots;
               meter.Sim.Cost.gate_ops <-
                 meter.Sim.Cost.gate_ops
                 + (shots * discrimination_gates ~kind ~n_t);

@@ -19,16 +19,16 @@ type t = {
 }
 
 
-let degrade ?budget rng mode cost circuit (id, exact) =
+let degrade ?budget rng mode cost shape (id, exact) =
   match mode with
   | Exact ->
-      Sim.Cost.record_total cost circuit ~executions:1 ~total_shots:1;
+      Sim.Cost.record_total cost shape ~executions:1 ~total_shots:1;
       (id, exact)
   | Tomography { shots; project } ->
       let tomo =
         Tomography.State_tomo.run ~project ?budget rng ~shots ~truth:exact ()
       in
-      Sim.Cost.record_total cost circuit
+      Sim.Cost.record_total cost shape
         ~executions:tomo.Tomography.State_tomo.settings
         ~total_shots:tomo.Tomography.State_tomo.shots_used;
       (id, tomo.Tomography.State_tomo.rho)
@@ -36,7 +36,7 @@ let degrade ?budget rng mode cost circuit (id, exact) =
       let tomo =
         Tomography.State_tomo.probs_only ?budget rng ~shots ~truth:exact ()
       in
-      Sim.Cost.record_total cost circuit ~executions:1
+      Sim.Cost.record_total cost shape ~executions:1
         ~total_shots:tomo.Tomography.State_tomo.shots_used;
       (id, tomo.Tomography.State_tomo.rho)
 
@@ -57,8 +57,8 @@ let ns_characterize = "characterize"
    or the whole-result memo *)
 let unit_width_cap = 22
 
-(* How a characterization runs, decided once per run. With a cache, an
-   ideal deterministic program whose every cone unit fits under
+(* How a characterization runs, decided once per run. With a cache, a
+   pure program (see [run]) whose every cone unit fits under
    [unit_width_cap] is characterized one backward cone at a time
    ([Units], each unit memoized). Otherwise [`Auto] routes only with
    basis-state inputs on an ideal program: then [Sim.Engine.auto_route]
@@ -74,11 +74,11 @@ type decision =
   | Batched
   | Sequential
 
-let decide ?cache ~engine ~kind ~inputs ~ideal ?wall program =
+let decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program =
   let circuit = program.Program.circuit in
   let units =
     match cache with
-    | Some cache when ideal && Sim.Engine.is_deterministic circuit ->
+    | Some cache when pure ->
         let units =
           List.map
             (fun cone ->
@@ -121,12 +121,34 @@ let inputs_fingerprint ~kind ~count inputs =
       "explicit"
       ^ Cache.Canon.digest (String.concat "" (List.map statevec_fp states))
 
-(* The one per-sample loop: [exact i] runs sample [i] and returns the
-   generator its degradation draws from with its exact traces; every trace
-   but the input's (id 0) is degraded per [mode] into a private meter, and
-   the meters merge into [cost] in sample order, so results are
-   bit-identical for any domain count. *)
-let degrade_samples ~pool ~span ~cost ~mode ~budget circuit n exact =
+(* Distinct inputs by exact bits, in first-occurrence order: [slot.(i)]
+   is the distinct input sample [i] holds and [first.(j)] the first
+   sample holding distinct input [j]. The hash table only shortlists;
+   its string equality is equality of the states' bits. *)
+let distinct_inputs inputs =
+  let seen = Hashtbl.create 16 in
+  let first = ref [] in
+  let slot =
+    Array.mapi
+      (fun i st ->
+        let key = statevec_fp st in
+        match Hashtbl.find_opt seen key with
+        | Some j -> j
+        | None ->
+            let j = Hashtbl.length seen in
+            Hashtbl.add seen key j;
+            first := i :: !first;
+            j)
+      inputs
+  in
+  (slot, Array.of_list (List.rev !first))
+
+(* The one per-sample loop: [exact i] returns the generator sample [i]'s
+   degradation draws from with its exact traces; every trace but the
+   input's (id 0) is degraded per [mode] into a private meter, and the
+   meters merge into [cost] in sample order, so results are bit-identical
+   for any domain count. *)
+let degrade_samples ~pool ~span ~cost ~mode ~budget shape n exact =
   let results =
     Parallel.Pool.map_init pool n (fun i ->
         Obs.Span.with_ ~name:span @@ fun () ->
@@ -135,12 +157,16 @@ let degrade_samples ~pool ~span ~cost ~mode ~budget circuit n exact =
         ( List.map
             (fun (id, m) ->
               if id = 0 then (id, m)
-              else degrade ?budget rng mode meter circuit (id, m))
+              else degrade ?budget rng mode meter shape (id, m))
             traces,
           meter ))
   in
   Array.iter (fun (_, m) -> Sim.Cost.add cost m) results;
   Array.map fst results
+
+let input_density st =
+  let v = Qstate.Statevec.to_cvec st in
+  Cmat.outer v v
 
 let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     ?noise ?trajectories ?(engine = `Auto) ?inputs ?cache ?wall program ~count =
@@ -188,34 +214,63 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
   let rngs = Array.init n (Stats.Rng.split rng) in
   let ideal = match noise with None -> true | Some nz -> Sim.Noise.is_ideal nz in
   let circuit = program.Program.circuit in
+  (* Pure: ideal noise and no measurement, reset or feedback, so a
+     sample's exact traces are a function of its input's bits alone and
+     draw nothing from its generator. A pure run simulates each distinct
+     input once, on whichever engine the decision picked, and every
+     sample reads the traces of its input; any other run simulates every
+     sample on its own generator. Degradation, generators and meters stay
+     per sample either way, so only repeated simulations go. *)
+  let pure = ideal && Sim.Engine.is_deterministic circuit in
+  let slot, first =
+    if pure then distinct_inputs inputs_arr
+    else (Array.init n Fun.id, Array.init n Fun.id)
+  in
+  let m = Array.length first in
   let cost = Sim.Cost.create () in
+  let degrade_samples =
+    degrade_samples ~pool ~cost ~mode ~budget (Sim.Cost.shape circuit) n
+  in
+  (* [exact j] simulates distinct input [j] once; then sample [i]'s
+     degradation reads [slot.(i)]'s traces with generator [rng i]. The
+     traces are shared, never copied: a trace matrix is immutable once
+     made. *)
+  let share ~span ~rng exact =
+    let traces =
+      Parallel.Pool.map_init pool m (fun j ->
+          Obs.Span.with_ ~name:span @@ fun () -> exact j)
+    in
+    degrade_samples ~span (fun i -> (rng i, traces.(slot.(i))))
+  in
   (* Batched path: compile the circuit once into fused segment operators and
-     run every sampled input as one column of a packed batch, instead of
+     run every distinct input as one column of a packed batch, instead of
      re-walking the circuit gate by gate per sample. Trace values agree with
      the sequential path to ~1e-15 (fusion reorders segment arithmetic);
      generator streams, cost accounting and the batched engine's own results
      are bit-identical for any domain count. *)
   let batch_traces () =
     let plan = Transpile.Segments.compile circuit in
+    let embed j = Program.embed program inputs_arr.(first.(j)) in
     if Sim.Batch.is_deterministic plan then
-      Sim.Batch.run_traces ~pool plan ~count:n ~init:(fun i ->
-          Program.embed program inputs_arr.(i))
+      Sim.Batch.run_traces ~pool plan ~count:m ~init:embed
     else begin
       let t = Option.value trajectories ~default:64 in
-      (* one column per sample x trajectory, seeded with exactly the split
+      (* one column per input x trajectory, seeded with exactly the split
          children the sequential trajectory fan-out would derive — so each
          sample generator's stream position (consumed below by [degrade])
-         is unchanged *)
-      let per_sample =
-        Array.map (fun r -> Array.init t (Stats.Rng.split r)) rngs
+         is unchanged; a stochastic plan is impure, so every sample is its
+         own input here *)
+      let col_rngs =
+        Array.concat
+          (Array.to_list
+             (Array.map (fun i -> Array.init t (Stats.Rng.split rngs.(i))) first))
       in
-      let col_rngs = Array.concat (Array.to_list per_sample) in
       let per_col =
-        Sim.Batch.run_traces ~pool ~rngs:col_rngs plan ~count:(n * t)
-          ~init:(fun col -> Program.embed program inputs_arr.(col / t))
+        Sim.Batch.run_traces ~pool ~rngs:col_rngs plan ~count:(m * t)
+          ~init:(fun col -> embed (col / t))
       in
-      Array.init n (fun i ->
-          Sim.Engine.average_traces t (Array.sub per_col (i * t) t))
+      Array.init m (fun j ->
+          Sim.Engine.average_traces t (Array.sub per_col (j * t) t))
     end
   in
   (* Basis inputs are exact one-hot amplitudes, so recovering a routed
@@ -236,17 +291,15 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     go 0 None
   in
   let input_positions = Array.of_list program.Program.input_qubits in
-  let input_dm i =
-    let v = Qstate.Statevec.to_cvec inputs_arr.(i) in
-    Cmat.outer v v
-  in
-  let degrade_samples = degrade_samples ~pool ~cost ~mode ~budget circuit n in
-  (* every sample through one engine, tracepoints degraded per [mode] *)
+  (* every sample through one engine, tracepoints degraded per [mode]; a
+     trace list leads with the input's density (id 0), built once per
+     distinct input *)
   let simulate decision () =
     let batched_traces =
       match decision with Batched -> Some (batch_traces ()) | _ -> None
     in
-    degrade_samples ~span:"characterize.sample" (fun i ->
+    share ~span:"characterize.sample" ~rng:(Array.get rngs) (fun j ->
+        let i = first.(j) in
         let input_state = inputs_arr.(i) in
         (* full-register preparation index for a one-hot input *)
         let prep =
@@ -257,53 +310,58 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
                 (basis_index input_state)
           | Units _ | Batched | Sequential -> None
         in
-        ( rngs.(i),
-          match (prep, batched_traces) with
-          | Some (route, prep), _ ->
-              (0, input_dm i) :: Sim.Engine.cone_traces ~prep route circuit
-          | None, Some all -> (0, input_dm i) :: all.(i)
-          | None, None ->
-              Program.run_traces ~pool ?noise ?trajectories ~rng:rngs.(i)
-                program ~input:input_state ))
+        match (prep, batched_traces) with
+        | Some (route, prep), _ ->
+            (0, input_density input_state)
+            :: Sim.Engine.cone_traces ~prep route circuit
+        | None, Some all -> (0, input_density input_state) :: all.(j)
+        | None, None ->
+            Program.run_traces ~pool ?noise ?trajectories ~rng:rngs.(i) program
+              ~input:input_state)
     |> Array.mapi (fun i traces ->
-           { input_state = inputs_arr.(i); input_dm = input_dm i; traces })
+           { input_state = inputs_arr.(i); input_dm = List.assoc 0 traces; traces })
   in
   let samples =
-    match (decide ?cache ~engine ~kind ~inputs ~ideal ?wall program, cache) with
+    match
+      (decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program, cache)
+    with
     | Units (cache, units), _ ->
         let per_cone =
           List.map
             (fun ((cone : Analysis.Lightcone.cone), (u : Cache.Canon.unit_circuit)) ->
               let key = cache_key [ "unit-v1"; u.Cache.Canon.bytes ] in
-              ( cone.Analysis.Lightcone.id,
+              let id = cone.Analysis.Lightcone.id in
+              ( id,
                 Cache.memo cache ~ns:ns_characterize
                   ~valid:(fun arr -> Array.length arr = n)
                   key
                   (fun () ->
-                    (* one exact trace per sample, simulated in the unit's
-                       canonical qubit order so the computation is
-                       literally a function of the unit bytes; degradation
-                       draws from a generator derived from (cache key,
-                       sample index), independent of which other cones hit
-                       the cache and of the caller's stream *)
-                    degrade_samples ~span:"characterize.unit" (fun i ->
+                    (* one exact trace per distinct input, simulated in
+                       the unit's canonical qubit order so the computation
+                       is literally a function of the unit bytes;
+                       degradation draws from a generator derived from
+                       (cache key, sample index), independent of which
+                       other cones hit the cache and of the caller's
+                       stream *)
+                    share ~span:"characterize.unit"
+                      ~rng:(fun i ->
+                        Stats.Rng.make
+                          (Cache.Fnv.seed_of_string (Printf.sprintf "%s#%d" key i)))
+                      (fun j ->
                         let out =
                           Sim.Engine.run
                             ~initial:
                               (Qstate.Statevec.embed u.Cache.Canon.width
-                                 u.Cache.Canon.embed inputs_arr.(i))
+                                 u.Cache.Canon.embed inputs_arr.(first.(j)))
                             u.Cache.Canon.circuit
                         in
-                        let id = cone.Analysis.Lightcone.id in
-                        ( Stats.Rng.make
-                            (Cache.Fnv.seed_of_string
-                               (Printf.sprintf "%s#%d" key i)),
-                          [ (id, List.assoc id out.Sim.Engine.traces) ] ))
+                        [ (id, List.assoc id out.Sim.Engine.traces) ])
                     |> Array.map (fun traces -> snd (List.hd traces))) ))
             units
         in
+        let input_dms = Array.map (fun i -> input_density inputs_arr.(i)) first in
         Array.init n (fun i ->
-            let input_dm = input_dm i in
+            let input_dm = input_dms.(slot.(i)) in
             let traces =
               (0, input_dm) :: List.map (fun (id, arr) -> (id, arr.(i))) per_cone
             in

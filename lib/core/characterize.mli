@@ -79,7 +79,29 @@ type engine = [ `Auto | `Batched | `Sequential ]
     byte-for-byte the pre-cache one.
 
     [wall] replaces {!Sim.Engine.dense_amp_wall} in this run's routing
-    decision. *)
+    decision.
+
+    {b Repeated inputs.} A run is {e pure} when the noise is ideal and
+    {!Sim.Engine.is_deterministic} holds: a sample's exact traces are then
+    a function of its input's bits alone. A pure run groups its inputs by
+    exact bits (first-occurrence order) and simulates each distinct input
+    once, on whichever engine was decided — one [Engine.run] per cone
+    unit, one {!Sim.Engine.cone_traces} per routed preparation, one packed
+    {!Sim.Batch} column, or one [Program.run_traces] — and every sample
+    reads the traces of its input. Basis sampling repeats every [2^k]
+    samples, so a count above [2^k] repeats inputs. Impure runs (noise,
+    measurement, reset, feedback) simulate every sample on its own
+    generator, as before. Per sample, whatever the run: its
+    [Stats.Rng.split] child (derived in the same order), its
+    [Tomography] / [Probs_only] degradation drawn from that child, and
+    its private cost meter, merged in sample order — the meter models a
+    device, which runs every sample. So every result, generator stream
+    and cost total is bit-identical to simulating each sample alone;
+    only counters of simulation work ([sim_engine_routed_total],
+    [gate_applied_total], [batch_gemm_macs_total], ...) count distinct
+    simulations. Samples with equal inputs share their exact trace
+    matrices (and input density) physically: trace matrices are
+    immutable, and nothing downstream writes into them. *)
 val run :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->

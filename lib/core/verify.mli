@@ -24,7 +24,14 @@ type verdict =
 
 type options = {
   solver : Optimize.Solvers.method_;
-  budget : int;  (** objective-evaluation budget *)
+  budget : int;
+      (** the solver's evaluation budget, split across restarts and
+          penalty rounds. A target, not a cap:
+          [Optimize.Solvers.maximize] floors each method's iterations
+          (Adam 20 iterations, QP 10, genetic 5 generations, anneal 100),
+          so a small per-round share is exceeded — at the default 6,000,
+          sgd-adam spends 20,512 evaluations on the 3-key lock
+          (test/validate_golden.txt) *)
   epsilon_obj : float;  (** violation tolerance on the guarantee objective *)
   epsilon_acc : float;  (** accuracy threshold for confidence (Theorem 3) *)
   recovery : Approx.recovery;

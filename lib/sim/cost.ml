@@ -25,31 +25,39 @@ let reset t =
   t.two_qubit_gates <- 0;
   t.measurements <- 0
 
-let record_circuit t circuit ~shots =
-  let gates = Circuit.gate_count circuit in
-  let two_q = Circuit.two_qubit_count circuit in
-  let meas =
-    List.fold_left
-      (fun acc i -> match i with Circuit.Instr.Measure _ -> acc + 1 | _ -> acc)
-      0 (Circuit.instrs circuit)
-  in
+type shape = { gates : int; two_qubit : int; measures : int }
+
+(* the one place the meter counts a circuit's instructions: callers take
+   the shape once and record it per execution *)
+let shape circuit =
+  {
+    gates = Circuit.gate_count circuit;
+    two_qubit = Circuit.two_qubit_count circuit;
+    measures =
+      List.fold_left
+        (fun acc i ->
+          match i with Circuit.Instr.Measure _ -> acc + 1 | _ -> acc)
+        0 (Circuit.instrs circuit);
+  }
+
+let record_circuit t shape ~shots =
   t.executions <- t.executions + 1;
   t.shots <- t.shots + shots;
-  t.gate_ops <- t.gate_ops + (shots * gates);
-  t.one_qubit_gates <- t.one_qubit_gates + (shots * (gates - two_q));
-  t.two_qubit_gates <- t.two_qubit_gates + (shots * two_q);
-  t.measurements <- t.measurements + (shots * max 1 meas)
+  t.gate_ops <- t.gate_ops + (shots * shape.gates);
+  t.one_qubit_gates <-
+    t.one_qubit_gates + (shots * (shape.gates - shape.two_qubit));
+  t.two_qubit_gates <- t.two_qubit_gates + (shots * shape.two_qubit);
+  t.measurements <- t.measurements + (shots * max 1 shape.measures)
 
 (* an exact shot total rather than a per-execution count — sequential
    shot budgets spend unequal shots per execution *)
-let record_total t circuit ~executions ~total_shots =
-  let gates = Circuit.gate_count circuit in
-  let two_q = Circuit.two_qubit_count circuit in
+let record_total t shape ~executions ~total_shots =
   t.executions <- t.executions + executions;
   t.shots <- t.shots + total_shots;
-  t.gate_ops <- t.gate_ops + (total_shots * gates);
-  t.one_qubit_gates <- t.one_qubit_gates + (total_shots * (gates - two_q));
-  t.two_qubit_gates <- t.two_qubit_gates + (total_shots * two_q);
+  t.gate_ops <- t.gate_ops + (total_shots * shape.gates);
+  t.one_qubit_gates <-
+    t.one_qubit_gates + (total_shots * (shape.gates - shape.two_qubit));
+  t.two_qubit_gates <- t.two_qubit_gates + (total_shots * shape.two_qubit);
   t.measurements <- t.measurements + total_shots
 
 let add t other =
@@ -68,7 +76,8 @@ let add t other =
    actionable as the exact value. *)
 let estimate_characterization ?(shots = 256) c =
   let t = create () in
-  let gates = max 1 (Circuit.gate_count c) in
+  let shape = shape c in
+  let gates = max 1 shape.gates in
   (* keep total_shots * gates comfortably inside int range *)
   let cap = max 1 (max_int / (max 1 shots * gates * 4)) in
   let pow3_sat k =
@@ -81,7 +90,7 @@ let estimate_characterization ?(shots = 256) c =
     (function
       | Circuit.Instr.Tracepoint { qubits; _ } ->
           let settings = pow3_sat (List.length qubits) in
-          record_total t c ~executions:settings ~total_shots:(settings * shots)
+          record_total t shape ~executions:settings ~total_shots:(settings * shots)
       | _ -> ())
     (Circuit.instrs c);
   t

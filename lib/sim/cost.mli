@@ -16,16 +16,27 @@ type t = {
 val create : unit -> t
 val reset : t -> unit
 
-(** [record_circuit t circuit ~shots] accounts one execution of [circuit]
-    with the given number of shots. *)
-val record_circuit : t -> Circuit.t -> shots:int -> unit
+(** What the meter counts of a circuit, per shot: gate applications
+    (classically controlled gates included), the two-qubit-or-wider ones
+    among them, and measurements. *)
+type shape = { gates : int; two_qubit : int; measures : int }
 
-(** [record_total t circuit ~executions ~total_shots] accounts
-    [executions] submissions of (variants of) [circuit] spending
-    [total_shots] shots in total — e.g. one tomography pass over many
-    measurement settings, or a sequential shot budget, where executions
-    spend unequal shots. *)
-val record_total : t -> Circuit.t -> executions:int -> total_shots:int -> unit
+(** [shape c] counts [c]'s instructions once — the only function that
+    does; callers metering many executions of one circuit take it once
+    and hand it to every {!record_circuit} / {!record_total}. *)
+val shape : Circuit.t -> shape
+
+(** [record_circuit t shape ~shots] accounts one execution of a circuit
+    of this [shape] with the given number of shots (at least one
+    measurement per shot). *)
+val record_circuit : t -> shape -> shots:int -> unit
+
+(** [record_total t shape ~executions ~total_shots] accounts
+    [executions] submissions of (variants of) a circuit of this [shape]
+    spending [total_shots] shots in total — e.g. one tomography pass over
+    many measurement settings, or a sequential shot budget, where
+    executions spend unequal shots. Each shot counts one measurement. *)
+val record_total : t -> shape -> executions:int -> total_shots:int -> unit
 
 (** [add t other] accumulates [other] into [t]. *)
 val add : t -> t -> unit

@@ -437,14 +437,15 @@ let sample_counts ?pool ?rng ?(noise = Noise.ideal) ?initial ?meter ~shots c =
   if is_deterministic c && Noise.is_ideal noise then begin
     let { state; _ } = run ~rng ~noise ?initial c in
     (match meter with
-    | Some m -> Cost.record_circuit m c ~shots
+    | Some m -> Cost.record_circuit m (Cost.shape c) ~shots
     | None -> ());
     List.iter (fun (k, n) -> bump k n) (Statevec.counts ~pool rng state ~shots)
   end
   else begin
+    let shape = Cost.shape c in
     let sampled =
       fan_out pool rng ~meter ~count:shots (fun rng m ->
-          Option.iter (fun m -> Cost.record_circuit m c ~shots:1) m;
+          Option.iter (fun m -> Cost.record_circuit m shape ~shots:1) m;
           let { state; _ } = run ~rng ~noise ?initial c in
           Statevec.sample rng state)
     in

@@ -1088,3 +1088,160 @@ let eig_exact seed =
   && cmat_exact (Linalg.Eig.sqrtm_psd a)
        (Reference.funm (fun x -> sqrt (Float.max x 0.)) a)
   && floats_exact (Linalg.Hsvec.encode a) (Reference.encode a)
+
+(* ---- repeated inputs: one exact simulation per distinct input ---- *)
+
+let traces_exact a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (ia, ma) (ib, mb) -> ia = ib && cmat_exact ma mb) a b
+
+let input_density st =
+  let v = Qstate.Statevec.to_cvec st in
+  Linalg.Cmat.outer v v
+
+(* the same real parts, the imaginary parts negated: another state
+   whenever [st] has a complex amplitude *)
+let conjugate st =
+  Qstate.Statevec.of_cvec
+    (Qstate.Statevec.num_qubits st)
+    (Linalg.Cvec.of_arrays st.Qstate.Statevec.re
+       (Array.map Float.neg st.Qstate.Statevec.im))
+
+let basis_of st =
+  let rec go k =
+    if Qstate.Statevec.amplitude st k = Linalg.Cx.one then k else go (k + 1)
+  in
+  go 0
+
+let characterize_repeats_exact ?pool circ =
+  let full = Gen.build circ in
+  let pure =
+    Gen.build
+      {
+        circ with
+        Gen.specs =
+          List.filter
+            (function Gen.Meas _ | Gen.Reset _ | Gen.Feedback _ -> false | _ -> true)
+            circ.Gen.specs;
+      }
+  in
+  let k = min 2 (Circuit.num_qubits full) in
+  let input_qubits = List.init k Fun.id in
+  let trajectories = 3 in
+  (* planted repeats: a copy (equal bits, another value) and a conjugate
+     (equal real parts, other bits) *)
+  let explicit =
+    let draw seed =
+      Clifford.Sampling.state (Stats.Rng.make seed) Clifford.Sampling.Clifford
+        k ~index:0
+    in
+    let a = draw 17 and b = draw 18 in
+    [ a; b; Qstate.Statevec.copy a; conjugate a; a; b ]
+  in
+  (* One characterization of [c] over [inputs] (explicit, or else
+     3*2^k+1 basis inputs): sample [i] must hold its input, and its exact
+     traces must equal in their bits [reference program rngs.(i) input],
+     a run that shares nothing ([rngs] being the per-sample generators
+     the run derives: inputs drawn first, then one split child per
+     sample); under [Exact] and [Tomography] the meter must equal the sum
+     of single-input runs' meters. *)
+  let check ?noise ?cache ?wall ~engine ~reference c inputs =
+    let program = Morphcore.Program.make ~input_qubits c in
+    let count = (3 lsl k) + 1 in
+    let run ?inputs mode =
+      Morphcore.Characterize.run ?pool ~rng:(Stats.Rng.make 99)
+        ~kind:Clifford.Sampling.Basis ~mode ?noise ~trajectories ~engine
+        ?inputs ?cache:(Option.map (fun make -> make ()) cache) ?wall program
+        ~count
+    in
+    let rng = Stats.Rng.make 99 in
+    let states =
+      match inputs with
+      | Some l -> Array.of_list l
+      | None ->
+          Array.init count (fun index ->
+              Clifford.Sampling.state rng Clifford.Sampling.Basis k ~index)
+    in
+    let rngs = Array.init (Array.length states) (Stats.Rng.split rng) in
+    let meter_matches (ch : Morphcore.Characterize.t) mode =
+      let sum = Sim.Cost.create () in
+      Array.iter
+        (fun st ->
+          Sim.Cost.add sum (run ~inputs:[ st ] mode).Morphcore.Characterize.cost)
+        states;
+      costs_equal ch.Morphcore.Characterize.cost sum
+    in
+    let exact = run ?inputs Morphcore.Characterize.Exact in
+    let samples = exact.Morphcore.Characterize.samples in
+    let tomography =
+      Morphcore.Characterize.Tomography { shots = 16; project = false }
+    in
+    Array.length samples = Array.length states
+    && Array.for_all
+         (fun i ->
+           let s = samples.(i) and st = states.(i) in
+           let got = s.Morphcore.Characterize.input_state in
+           floats_exact got.Qstate.Statevec.re st.Qstate.Statevec.re
+           && floats_exact got.Qstate.Statevec.im st.Qstate.Statevec.im
+           && cmat_exact s.Morphcore.Characterize.input_dm (input_density st)
+           && traces_exact s.Morphcore.Characterize.traces
+                (reference program rngs.(i) st))
+         (Array.init (Array.length states) Fun.id)
+    && meter_matches exact Morphcore.Characterize.Exact
+    && meter_matches (run ?inputs tomography) tomography
+  in
+  let with_input st traces = (0, input_density st) :: traces in
+  let sequential ?noise program rng st =
+    Morphcore.Program.run_traces ?noise ~trajectories ~rng program ~input:st
+  in
+  let batched plan program rng st =
+    let embedded = Morphcore.Program.embed program st in
+    with_input st
+      (if Sim.Batch.is_deterministic plan then
+         (Sim.Batch.run_seq plan embedded).Sim.Engine.traces
+       else
+         Array.init trajectories (fun j ->
+             (Sim.Batch.run_seq ~rng:(Stats.Rng.split rng j) plan embedded)
+               .Sim.Engine.traces)
+         |> Sim.Engine.average_traces trajectories)
+  in
+  let units c _ _ st =
+    with_input st
+      (List.map
+         (fun (cone : Analysis.Lightcone.cone) ->
+           let u = Cache.Canon.cone_unit c ~input_qubits cone in
+           let id = cone.Analysis.Lightcone.id in
+           let out =
+             Sim.Engine.run
+               ~initial:
+                 (Qstate.Statevec.embed u.Cache.Canon.width u.Cache.Canon.embed st)
+               u.Cache.Canon.circuit
+           in
+           (id, List.assoc id out.Sim.Engine.traces))
+         (Analysis.Lightcone.cones c))
+  in
+  let routed route c _ _ st =
+    let prep =
+      Qstate.Statevec.embed_index (Array.of_list input_qubits) (basis_of st)
+    in
+    with_input st (Sim.Engine.cone_traces ~prep route c)
+  in
+  let both f = f (Some explicit) && f None in
+  let plan c = batched (Transpile.Segments.compile c) in
+  (* pure: every decision shares *)
+  both (check ~engine:`Batched ~reference:(plan pure) pure)
+  && both (check ~engine:`Sequential ~reference:(sequential ?noise:None) pure)
+  && both
+       (check ~cache:Cache.create ~engine:`Auto ~reference:(units pure) pure)
+  && (match Sim.Engine.auto_route ~wall:0. pure with
+     | Some route ->
+         check ~wall:0. ~engine:`Auto ~reference:(routed route pure) pure None
+     | None -> true)
+  (* impure — noise, or a measurement, reset or feedback: nothing shares *)
+  && both
+       (check ~noise:Sim.Noise.ibm_cairo ~engine:`Sequential
+          ~reference:(sequential ~noise:Sim.Noise.ibm_cairo)
+          pure)
+  && (Sim.Engine.is_deterministic full
+     || both (check ~engine:`Sequential ~reference:(sequential ?noise:None) full)
+        && both (check ~engine:`Batched ~reference:(plan full) full))

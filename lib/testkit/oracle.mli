@@ -158,6 +158,25 @@ val characterize_scale_route : ?pool:Parallel.Pool.t -> Gen.circ -> bool
     fingerprint the uncached run left it with. *)
 val cache_transparent : ?pool:Parallel.Pool.t -> ?dir:string -> Gen.circ -> bool
 
+(** [characterize_repeats_exact ?pool c] — a characterization whose
+    inputs repeat simulates each distinct input once only where that is
+    exact. Inputs: an explicit list with planted repeats (a copy with
+    equal bits, and a conjugate with equal real parts but other bits) and
+    [3 * 2^k + 1] basis inputs ([k] = the first [min 2 n] qubits). On the
+    pure part of [c] (measurements, resets and feedback dropped), under
+    [`Batched], [`Sequential], the cached per-cone units and — when
+    [auto_route ~wall:0.] names one — the routed cone backend, sample
+    [i]'s traces must equal in their Int64 bits a reference that shares
+    nothing ({!Sim.Batch.run_seq} on the compiled plan,
+    {!Morphcore.Program.run_traces}, {!Sim.Engine.run} on the unit,
+    {!Sim.Engine.cone_traces} from the sample's basis index). On impure
+    runs — the pure part under noise, and [c] itself when it measures,
+    resets or feeds back — each sample must match the same references
+    run on its own split generator. Every sample holds its own input,
+    and the [Exact] and [Tomography] cost meters equal the sum of
+    single-input runs' meters. *)
+val characterize_repeats_exact : ?pool:Parallel.Pool.t -> Gen.circ -> bool
+
 (** [characterize_engines_agree ?pool c] — [Morphcore.Characterize.run]
     under [`Batched] vs [`Sequential] on the same seed: identical cost
     meters and input density matrices (bitwise), traces within {!eps}. *)

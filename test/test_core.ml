@@ -628,10 +628,13 @@ let solver_evals () =
       else acc)
     0 (Obs.Metrics.counters ())
 
+let bits_into b (re, im) =
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) re;
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) im
+
 let cmat_digest m =
   let b = Buffer.create 256 in
-  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) m.Cmat.re;
-  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) m.Cmat.im;
+  bits_into b (m.Cmat.re, m.Cmat.im);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let validate_golden_text () =
@@ -719,15 +722,154 @@ let prop_objective_exact =
     QCheck.(int_range 0 1_000_000)
     Testkit.Oracle.objective_exact
 
+let read_golden name =
+  List.find Sys.file_exists [ name; "test/" ^ name ]
+  |> Fun.flip In_channel.with_open_text In_channel.input_all
+
+(* repeated inputs share one exact simulation only where that is exact:
+   every pure decision bit-identical to references that share nothing,
+   impure runs per sample (see [Testkit.Oracle.characterize_repeats_exact]) *)
+let prop_characterize_repeats_exact =
+  QCheck.Test.make ~name:"repeated inputs share exact simulations"
+    ~count:(max 10 (Testkit.Config.count () / 2))
+    (Testkit.Gen.program ())
+    (fun c -> Testkit.Oracle.characterize_repeats_exact c)
+
 let test_validate_golden () =
-  let expected =
-    List.find Sys.file_exists
-      [ "validate_golden.txt"; "test/validate_golden.txt" ]
-    |> Fun.flip In_channel.with_open_text In_channel.input_all
-  in
+  let expected = read_golden "validate_golden.txt" in
   let got = validate_golden_text () in
   if got <> expected then
     Alcotest.failf "Verify.validate drifted from validate_golden.txt:\n%s" got
+
+(* ---------------- characterization golden ---------------- *)
+
+(* [characterize_golden.txt] pins [Characterize.run] bit for bit on every
+   engine decision: the stabilizer, sparse and rank routes, dense and
+   measured batches, noisy and ideal sequential runs, cached units and
+   explicit inputs, each drawing more samples than it has distinct inputs
+   and each under every mode. A line holds an MD5 of every sample's input
+   state, input density and traces (Int64 bits, in sample order), the
+   cost meter's fields and the fingerprint of the caller's generator
+   after the run. *)
+
+let characterization_digest (ch : Characterize.t) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (s : Characterize.sample) ->
+      let st = s.Characterize.input_state in
+      bits_into b (st.Qstate.Statevec.re, st.Qstate.Statevec.im);
+      bits_into b (s.Characterize.input_dm.Cmat.re, s.Characterize.input_dm.Cmat.im);
+      List.iter
+        (fun (id, m) ->
+          Buffer.add_int32_le b (Int32.of_int id);
+          bits_into b (m.Cmat.re, m.Cmat.im))
+        s.Characterize.traces)
+    ch.Characterize.samples;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_characterizations () =
+  let clifford =
+    Circuit.(
+      empty 4 |> h 0 |> cx 0 2 |> s 1 |> cx 1 3 |> tracepoint 1 [ 2; 3 ]
+      |> h 3 |> cz 3 0 |> tracepoint 2 [ 0; 3 ])
+  in
+  let diagonal =
+    Circuit.(
+      empty 6 |> x 0 |> t_gate 0 |> h 5
+      |> mcz [ 0; 1; 2; 3; 4; 5 ]
+      |> tracepoint 1 [ 0 ] |> tracepoint 2 [ 1; 5 ])
+  in
+  let near_clifford =
+    let c = ref Circuit.(empty 8 |> h 0) in
+    for q = 0 to 6 do
+      c := Circuit.cx q (q + 1) !c
+    done;
+    Circuit.(!c |> t_gate 7 |> tracepoint 1 [ 6; 7 ])
+  in
+  let dense =
+    Circuit.(
+      empty 3 |> h 0 |> t_gate 0 |> cp 0.3 0 1 |> ry 0.7 2 |> cx 1 2
+      |> tracepoint 1 [ 1; 2 ] |> rz 0.4 0 |> tracepoint 2 [ 0 ])
+  in
+  let clifford_state index =
+    Clifford.Sampling.state (Stats.Rng.make 5) Clifford.Sampling.Clifford 2
+      ~index
+  in
+  let a = clifford_state 0 and b = clifford_state 1 in
+  let basis = Clifford.Sampling.Basis in
+  (* name, expected route at its wall, program, run *)
+  let case name ?route ?wall ?(kind = basis) ?noise ?engine ?inputs ?cache
+      ~input_qubits c ~count =
+    ( name,
+      (fun () ->
+        match route with
+        | None -> ()
+        | Some r ->
+            if Sim.Engine.auto_route ?wall c <> Some r then
+              Alcotest.failf "%s: not routed as expected" name),
+      fun mode ->
+        let rng = Stats.Rng.make 2024 in
+        let ch =
+          Characterize.run ~rng ~kind ~mode ?noise ~trajectories:4 ?engine
+            ?inputs ?cache:(Option.map (fun f -> f ()) cache) ?wall
+            (Program.make ~input_qubits c) ~count
+        in
+        (ch, Stats.Rng.fingerprint rng) )
+  in
+  [
+    case "stabilizer" ~route:`Stabilizer ~input_qubits:[ 0; 1 ] clifford ~count:9;
+    case "sparse" ~route:`Sparse ~wall:0. ~input_qubits:[ 1; 2 ] diagonal
+      ~count:9;
+    case "rank" ~route:`Rank ~wall:0. ~input_qubits:[ 0 ] near_clifford ~count:5;
+    case "batched" ~input_qubits:[ 0; 1 ] dense ~count:9;
+    case "batched-clifford" ~kind:Clifford.Sampling.Clifford
+      ~input_qubits:[ 0; 1 ] dense ~count:9;
+    case "batched-measure" ~input_qubits:[ 0 ]
+      (Benchmarks.Teleport.single ()) ~count:5;
+    case "noisy-sequential" ~noise:Sim.Noise.ibm_cairo ~input_qubits:[ 0; 1 ]
+      dense ~count:5;
+    case "sequential" ~engine:`Sequential ~input_qubits:[ 0; 1 ] dense
+      ~count:9;
+    case "units" ~cache:Cache.create ~input_qubits:[ 0; 1 ] dense ~count:9;
+    case "explicit" ~inputs:[ a; b; a; a; b ] ~input_qubits:[ 0; 1 ] dense
+      ~count:0;
+    case "explicit-sequential" ~engine:`Sequential ~inputs:[ a; b; a; a; b ]
+      ~input_qubits:[ 0; 1 ] dense ~count:0;
+    case "explicit-units" ~cache:Cache.create ~inputs:[ a; b; a; a; b ]
+      ~input_qubits:[ 0; 1 ] dense ~count:0;
+  ]
+
+let characterize_golden_text () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, check_route, run) ->
+      check_route ();
+      List.iter
+        (fun (mode_name, mode) ->
+          let ch, rng_after = run mode in
+          let c = ch.Characterize.cost in
+          Printf.bprintf b
+            "%s %s samples=%d digest=%s executions=%d shots=%d gate_ops=%d \
+             1q=%d 2q=%d meas=%d rng=%d\n"
+            name mode_name
+            (Array.length ch.Characterize.samples)
+            (characterization_digest ch) c.Sim.Cost.executions c.Sim.Cost.shots
+            c.Sim.Cost.gate_ops c.Sim.Cost.one_qubit_gates
+            c.Sim.Cost.two_qubit_gates c.Sim.Cost.measurements rng_after)
+        [
+          ("exact", Characterize.Exact);
+          ("tomography", Characterize.Tomography { shots = 64; project = true });
+          ("probs", Characterize.Probs_only { shots = 64 });
+        ])
+    (golden_characterizations ());
+  Buffer.contents b
+
+let test_characterize_golden () =
+  let expected = read_golden "characterize_golden.txt" in
+  let got = characterize_golden_text () in
+  if got <> expected then
+    Alcotest.failf "Characterize.run drifted from characterize_golden.txt:\n%s"
+      got
 
 let () =
   Alcotest.run "core"
@@ -756,6 +898,8 @@ let () =
           Alcotest.test_case "shapes" `Quick test_characterize_shapes;
           Alcotest.test_case "custom inputs" `Quick test_characterize_custom_inputs;
           Alcotest.test_case "tomography cost" `Quick test_characterize_tomography_cost;
+          Alcotest.test_case "characterize golden" `Quick
+            test_characterize_golden;
         ] );
       ( "approx",
         [
@@ -813,5 +957,7 @@ let () =
         @ [
             QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ())
               prop_objective_exact;
+            QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ())
+              prop_characterize_repeats_exact;
           ] );
     ]

@@ -381,6 +381,38 @@ let test_lock32_characterize () =
   | Morphcore.Verify.Verified _ -> ()
   | Morphcore.Verify.Violated _ -> Alcotest.fail "lock32 assertion violated"
 
+(* more samples than basis inputs: basis sampling repeats every 2^k
+   samples, and a pure run simulates each distinct input once, so nine
+   samples over two input qubits route exactly four sparse runs — and
+   every sample still reads its own input's exact trace *)
+let test_lock32_repeated_inputs () =
+  let key = lock_key and c = lock32 in
+  with_metrics @@ fun () ->
+  let program = Morphcore.Program.make ~input_qubits:[ 1; 2 ] c in
+  let ch =
+    Morphcore.Characterize.run ~rng:(Stats.Rng.make 13)
+      ~kind:Clifford.Sampling.Basis ~engine:`Auto program ~count:9
+  in
+  Alcotest.(check int) "nine samples" 9
+    (Array.length ch.Morphcore.Characterize.samples);
+  Alcotest.(check int) "sparse routed once per distinct input" 4
+    (routed_count "sparse");
+  Alcotest.(check int) "dense never invoked" 0 (routed_count "statevec");
+  Alcotest.(check int) "sparse peak support" 8 (counter "sparse_amps_peak_total");
+  (* the meter still accounts every sample *)
+  Alcotest.(check int) "executions" 9
+    ch.Morphcore.Characterize.cost.Sim.Cost.executions;
+  Array.iteri
+    (fun i (s : Morphcore.Characterize.sample) ->
+      let b = basis_index s.Morphcore.Characterize.input_state in
+      Alcotest.(check int) "basis inputs cycle" (i mod 4) b;
+      let expected = if b = key then 1 else 0 in
+      let m = List.assoc 2 s.Morphcore.Characterize.traces in
+      Alcotest.(check bool) "probe reads key match" true
+        (Float.abs (Linalg.Cx.re (Linalg.Cmat.get m expected expected) -. 1.)
+        <= 1e-9))
+    ch.Morphcore.Characterize.samples
+
 (* 24-qubit GHZ with six T gates: the support bound blows up (every cx
    spreads), so the router must fall through to the stabilizer-rank
    engine; the traced pair of a (phased) GHZ state is the exact
@@ -539,6 +571,8 @@ let () =
             test_bv28_characterize;
           Alcotest.test_case "lock 32q sparse characterize" `Quick
             test_lock32_characterize;
+          Alcotest.test_case "lock 32q repeated inputs" `Quick
+            test_lock32_repeated_inputs;
           Alcotest.test_case "ghz+t 24q rank characterize" `Quick
             test_rank24_characterize;
         ] );

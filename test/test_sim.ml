@@ -150,7 +150,7 @@ let test_dm_readout_error () =
 let test_cost_record () =
   let m = Sim.Cost.create () in
   let c = Circuit.(empty 2 |> h 0 |> cx 0 1) in
-  Sim.Cost.record_circuit m c ~shots:100;
+  Sim.Cost.record_circuit m (Sim.Cost.shape c) ~shots:100;
   Alcotest.(check int) "executions" 1 m.Sim.Cost.executions;
   Alcotest.(check int) "shots" 100 m.Sim.Cost.shots;
   Alcotest.(check int) "ops" 200 m.Sim.Cost.gate_ops;
@@ -168,8 +168,8 @@ let test_cost_hardware_time () =
 let test_cost_add () =
   let a = Sim.Cost.create () and b = Sim.Cost.create () in
   let c = Circuit.(empty 1 |> h 0) in
-  Sim.Cost.record_circuit a c ~shots:10;
-  Sim.Cost.record_circuit b c ~shots:5;
+  Sim.Cost.record_circuit a (Sim.Cost.shape c) ~shots:10;
+  Sim.Cost.record_circuit b (Sim.Cost.shape c) ~shots:5;
   Sim.Cost.add a b;
   Alcotest.(check int) "merged shots" 15 a.Sim.Cost.shots
 
