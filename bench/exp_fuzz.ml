@@ -53,6 +53,7 @@ let checks () =
     ( "characterize-repeats-exact",
       Gen.gen_program (),
       fun c -> Oracle.characterize_repeats_exact c );
+    ("norm-bounds-sound", Gen.gen_program (), Oracle.norm_bounds_sound);
     ( "sequential-vs-fixed",
       Gen.gen_pure (),
       Oracle.sequential_vs_fixed_verdict );

@@ -8,6 +8,7 @@ type t = {
   outputs : (int * Cmat.t array) list;
   basis : Rmat.t Lazy.t;
   solver : Rmat.lstsq Lazy.t;
+  lstsq_map : Rmat.t Lazy.t;
 }
 
 let build_basis ~n_in inputs =
@@ -23,6 +24,22 @@ let build_basis ~n_in inputs =
        inputs;
      b)
 
+(* column k is the factor's solve of the k-th HS unit vector: the very
+   map [decompose_into] applies, ridge and LU fallback included *)
+let build_lstsq_map ~n_in ~n solver =
+  lazy
+    (let rows = Hsvec.dim (1 lsl n_in) in
+     let factor = Lazy.force solver in
+     let g = Rmat.create n rows in
+     let unit = Array.make rows 0. and col = Array.make n 0. in
+     for k = 0 to rows - 1 do
+       unit.(k) <- 1.;
+       Rmat.lstsq_solve_into factor unit ~dst:col;
+       unit.(k) <- 0.;
+       Array.iteri (fun i x -> Rmat.set g i k x) col
+     done;
+     g)
+
 let make ~n_in ~inputs ~outputs =
   if Array.length inputs = 0 then invalid_arg "Approx.make: no samples";
   List.iter
@@ -32,7 +49,8 @@ let make ~n_in ~inputs ~outputs =
     outputs;
   let basis = build_basis ~n_in inputs in
   let solver = lazy (Rmat.lstsq_factor ~ridge:1e-9 (Lazy.force basis)) in
-  { n_in; inputs; outputs; basis; solver }
+  let lstsq_map = build_lstsq_map ~n_in ~n:(Array.length inputs) solver in
+  { n_in; inputs; outputs; basis; solver; lstsq_map }
 
 let of_characterization (c : Characterize.t) =
   let n_in = Program.num_input_qubits c.Characterize.program in

@@ -22,6 +22,12 @@ type t = private {
   basis : Linalg.Rmat.t Lazy.t;  (** HS-vectorized inputs for least squares *)
   solver : Linalg.Rmat.lstsq Lazy.t;
       (** cached normal-equation factorization *)
+  lstsq_map : Linalg.Rmat.t Lazy.t;
+      (** [G], the least-squares map itself: [n_sample] x [4^n_in], column
+          [k] the solve of the [k]-th HS unit vector, so
+          [decompose_into] computes [G (Hsvec.encode rho)] up to rounding.
+          Built on first use from [solver]; the norm bounds of
+          {!Verify.validate} read it. *)
 }
 
 (** [make ~n_in ~inputs ~outputs] assembles an approximation directly from

@@ -164,20 +164,27 @@ let check_on_program ?rng ?tol program assertion ~input =
   in
   Assertion.holds ?tol assertion env
 
+let confidence options approx =
+  Confidence.estimate ~epsilon:options.epsilon_acc ~n_in:approx.Approx.n_in
+    ~n_sample:(Approx.n_sample approx) [||]
+
+let violates ?rng program assertion input =
+  not (check_on_program ?rng ~tol:0.02 program assertion ~input)
+
 let confirmed_violation ?rng confirm assertion counterexample =
   match confirm with
   | None -> true
   | Some program ->
       List.exists
-        (fun input ->
-          not (check_on_program ?rng ~tol:0.02 program assertion ~input))
+        (violates ?rng program assertion)
         [ dominant_eigenvector counterexample; nearest_basis_state counterexample ]
 
-let validate_direct ?(options = default_options) ?rng ?confirm approx assertion =
-  Obs.Span.with_ ~name:"verify.validate" @@ fun () ->
+(* The solver: maximize the guarantee objective under the assumption
+   penalties from [restarts] starting points, replaying each feasible
+   candidate above the tolerance on [confirm]. *)
+let solve ~options ~rng ?confirm approx assertion =
   if Obs.enabled () then
     Obs.Metrics.counter_add "verify_restarts_total" (max 1 options.restarts);
-  let rng = match rng with Some r -> r | None -> Stats.Rng.make 11 in
   let dim = Approx.n_sample approx in
   let ev = evaluator ~projection:options.projection approx assertion in
   let objective = Optimize.Objective.make ~dim ev.objective in
@@ -219,25 +226,165 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
   match !best_violation with
   | Some v -> v
   | None ->
-      let confidence =
-        Confidence.estimate ~epsilon:options.epsilon_acc ~n_in:approx.Approx.n_in
-          ~n_sample:dim [||]
-      in
       Verified
         {
-          confidence;
+          confidence = confidence options approx;
           max_objective = Option.value ~default:neg_infinity !best_clean;
         }
 
+(* ---------- norm guarantees: two bounds before the solver ---------- *)
+
+(* the tracepoint's states over the samples, the sampled inputs as id 0 *)
+let states_of (approx : Approx.t) tp =
+  if tp = 0 then Some approx.Approx.inputs
+  else List.assoc_opt tp approx.Approx.outputs
+
+(* every guarantee as [(states of A, states of B, allowed distance)], when
+   each is [Equals] or [Distance_le] between known tracepoints of one
+   width *)
+let norm_guarantees approx assertion =
+  let norm p =
+    let pair a b d =
+      match (states_of approx a, states_of approx b) with
+      | Some sa, Some sb when Cmat.dims sa.(0) = Cmat.dims sb.(0) ->
+          Some (sa, sb, d)
+      | _ -> None
+    in
+    match p with
+    | Predicate.Equals (a, b) -> pair a b 0.
+    | Predicate.Distance_le (a, b, d) -> pair a b d
+    | _ -> None
+  in
+  List.fold_right
+    (fun p acc ->
+      match (norm p, acc) with
+      | Some g, Some gs -> Some (g :: gs)
+      | _ -> None)
+    assertion.Assertion.guarantees (Some [])
+
+(* ||D G||_F for D whose rows are the real and the imaginary part of one
+   entry of sigma_a,i - sigma_b,i over the samples i: the evaluator's
+   value ||sum_i phys_i (sigma_a,i - sigma_b,i)||_F is ||D G v|| for the
+   HS encoding v of a unit-trace PSD matrix, and ||v|| <= 1 *)
+let guarantee_bound g (sa, sb, d) =
+  let n = Array.length sa in
+  let entries = Array.length sa.(0).Cmat.re in
+  let dm = Rmat.create (2 * entries) n in
+  for i = 0 to n - 1 do
+    let a = sa.(i) and b = sb.(i) in
+    for k = 0 to entries - 1 do
+      Rmat.set dm k i (a.Cmat.re.(k) -. b.Cmat.re.(k));
+      Rmat.set dm (entries + k) i (a.Cmat.im.(k) -. b.Cmat.im.(k))
+    done
+  done;
+  let dg = Rmat.mul dm g in
+  let rows, cols = Rmat.dims dg in
+  let s = ref 0. in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      let x = Rmat.get dg r c in
+      s := !s +. (x *. x)
+    done
+  done;
+  sqrt !s -. d
+
+let upper_bound approx norms =
+  let g = Lazy.force approx.Approx.lstsq_map in
+  List.fold_left
+    (fun acc n -> Float.max acc (guarantee_bound g n))
+    neg_infinity norms
+
+let norm_bound approx assertion =
+  Option.map (upper_bound approx) (norm_guarantees approx assertion)
+
+(* [Optimize.Constrained.maximize]'s feasibility tolerance *)
+let feasible_tol = 1e-3
+
+let sample_env (approx : Approx.t) i tp =
+  match states_of approx tp with
+  | Some states -> states.(i)
+  | None -> raise Not_found
+
+let best_sample approx assertion =
+  let best = ref None in
+  for i = 0 to Approx.n_sample approx - 1 do
+    let env = sample_env approx i in
+    if
+      List.for_all
+        (fun p -> Predicate.eval p env <= feasible_tol)
+        assertion.Assertion.assumes
+    then begin
+      let v = guarantee_objective assertion env in
+      match !best with
+      | Some (_, b) when not (v > b) -> ()
+      | _ -> best := Some (i, v)
+    end
+  done;
+  !best
+
+(* the largest guarantee value over the feasible samples, when it breaks
+   the tolerance and the sample's own input violates the assertion on
+   [confirm]. The replay draws from a generator derived from [rng]'s
+   state, so a refuted sample leaves the solver's stream as it was. *)
+let sample_violation ~options ~rng ?confirm approx assertion =
+  match best_sample approx assertion with
+  | Some (i, objective) when objective > options.epsilon_obj ->
+      let counterexample = Cmat.copy approx.Approx.inputs.(i) in
+      let replay = Stats.Rng.make (Stats.Rng.fingerprint rng) in
+      let confirmed =
+        match confirm with
+        | None -> true
+        | Some program ->
+            violates ~rng:replay program assertion
+              (dominant_eigenvector counterexample)
+      in
+      if confirmed then
+        Some
+          (Violated
+             {
+               counterexample;
+               alpha =
+                 Array.init (Approx.n_sample approx) (fun j ->
+                     if j = i then 1. else 0.);
+               objective;
+             })
+      else None
+  | _ -> None
+
+let validate_direct ?(options = default_options) ?rng ?confirm approx assertion =
+  let rng = match rng with Some r -> r | None -> Stats.Rng.make 11 in
+  let verdict, by =
+    Obs.Span.with_ ~name:"verify.validate"
+      ~finish:(fun (_, by) -> [ ("by", by) ])
+    @@ fun () ->
+    let solver () = (solve ~options ~rng ?confirm approx assertion, "solver") in
+    match norm_guarantees approx assertion with
+    | Some norms when options.projection = `Psd -> (
+        match sample_violation ~options ~rng ?confirm approx assertion with
+        | Some v -> (v, "sample")
+        | None ->
+            let bound = upper_bound approx norms in
+            (* the evaluator's rounding can exceed the exact bound *)
+            if bound <= options.epsilon_obj -. 1e-9 then
+              let confidence = confidence options approx in
+              (Verified { confidence; max_objective = bound }, "bound")
+            else solver ())
+    | _ -> solver ()
+  in
+  if Obs.enabled () then
+    Obs.Metrics.counter_add ~labels:[ ("by", by) ] "verify_decided_total" 1;
+  verdict
+
 (* Verdict memo: the key folds in everything the verdict is a function
    of — the characterized relation (the approximation's data fields; its
-   lazy basis/solver are derived from them), the assertion, the solver
-   options, the entry generator fingerprint and the confirmation program.
-   Unlike the characterization layer, a hit does NOT replay the solver's
-   generator consumption (that would cost the solve being skipped), so
-   callers memoizing verdicts should give [validate] a generator whose
-   continuation they don't rely on — every orchestration layer here
-   (CLI, server, bench) uses it as the final consumer. *)
+   lazy basis, factor and least-squares map are derived from them), the
+   assertion, the solver options, the entry generator fingerprint and the
+   confirmation program. Unlike the characterization layer, a hit does
+   NOT replay the solver's generator consumption (that would cost the
+   solve being skipped), so callers memoizing verdicts should give
+   [validate] a generator whose continuation they don't rely on — every
+   orchestration layer here (CLI, server, bench) uses it as the final
+   consumer. *)
 let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion =
   match cache with
   | None -> validate_direct ~options ?rng ?confirm approx assertion
@@ -254,7 +401,7 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
         Cache.Canon.digest
           (String.concat "\x00"
              [
-               "verdict-v1";
+               "verdict-v2";
                Cache.Canon.digest
                  (Marshal.to_string
                     ( approx.Approx.n_in,

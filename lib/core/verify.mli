@@ -14,11 +14,15 @@
 type verdict =
   | Verified of {
       confidence : Confidence.t;
-      max_objective : float;  (** best guarantee violation found (<= tolerance) *)
+      max_objective : float;
+          (** the best guarantee value the solver found, or the norm
+              bound that decided (see {!validate}); [<=] the tolerance *)
     }
   | Violated of {
       counterexample : Linalg.Cmat.t;  (** input density matrix triggering the bug *)
       alpha : float array;
+          (** the solver's coefficients, or the unit vector of the
+              violating sample *)
       objective : float;
     }
 
@@ -72,13 +76,42 @@ type evaluator = {
 val evaluator :
   projection:[ `Trace | `Psd ] -> Approx.t -> Assertion.t -> evaluator
 
-(** [validate ?options ?rng ?confirm approx assertion] solves the
-    constrained maximization and returns the verdict. When [confirm] is
-    given, a candidate counter-example is replayed on the actual program
-    (dominant eigenvector input, plus its nearest basis state) and demoted
-    to [Verified] if the real execution satisfies the assertion —
-    eliminating optimizer artifacts, as the paper's validation step does by
-    reporting concrete counter-examples.
+(** [validate ?options ?rng ?confirm approx assertion] decides the
+    assertion on the characterized map and returns the verdict.
+
+    {b Norm guarantees.} When every guarantee is [Equals] or
+    [Distance_le] between two recorded tracepoints of one width (id 0
+    being the sampled input; assumptions may be of any kind) and the
+    projection is [`Psd], two bounds come first:
+    + the {i lower bound}: the largest guarantee value over the samples
+      whose every assumption evaluates to [<= 1e-3] (the solver's
+      feasibility tolerance) on the sample's recorded traces. Above
+      [epsilon_obj], and when [confirm] is given confirmed by replaying
+      the sample's own input on it (on a generator derived from [rng]'s
+      state), it is [Violated] with [counterexample] the sample's input
+      density, [alpha] the unit vector of the sample and [objective] its
+      value;
+    + the {i upper bound} ({!norm_bound}) on every value the evaluator
+      can produce. At most [epsilon_obj - 1e-9], it is [Verified] with
+      [max_objective] the bound: a certified upper bound, not an attained
+      value.
+    Otherwise (a refuted sample, a bound in the gap, the [`Trace]
+    projection, or any other guarantee, [Equals_const] included) the
+    solver runs as before, from the same generator. Neither bound can
+    move a verdict the wrong way: no input the solver searches exceeds
+    the upper bound, and a sample is a characterized input, confirmed on
+    the program. [verify_decided_total{by}] and the [by] attribute of
+    the [verify.validate] span say which of [sample], [bound] and
+    [solver] decided.
+
+    {b The solver} maximizes the guarantee objective under the
+    assumption penalties. When [confirm] is given, a candidate
+    counter-example is replayed on the actual program (dominant
+    eigenvector input, plus its nearest basis state) and demoted to
+    [Verified] if the real execution satisfies the assertion —
+    eliminating optimizer artifacts, as the paper's validation step does
+    by reporting concrete counter-examples. Its [Verified] carries the
+    best value a restart found.
 
     [cache] memoizes the verdict, keyed by the approximation's data (its
     characterized relation), the assertion, [options], the entry
@@ -94,6 +127,19 @@ val validate :
   Approx.t ->
   Assertion.t ->
   verdict
+
+(** [norm_bound approx assertion] is the upper bound {!validate} decides
+    norm guarantees with: the maximum over the guarantees of
+    [||D G||_F - d], where [d] is the allowed distance ([0] for
+    [Equals]), [G] is {!Approx.t.lstsq_map} and [D] stacks the real and
+    the imaginary part of every entry of [sigma_A,i - sigma_B,i] as a row
+    over the samples [i]. Under [`Psd] an evaluation decomposes the HS
+    encoding [v] of a unit-trace PSD matrix, [||v|| <= 1], and reads
+    [||D G v||] for each guarantee, so no objective value of
+    {!evaluator} exceeds the bound beyond rounding. [None] unless every
+    guarantee is [Equals] or [Distance_le] between recorded tracepoints
+    of one width. *)
+val norm_bound : Approx.t -> Assertion.t -> float option
 
 (** [check_on_program ?rng ?tol program assertion ~input] executes the
     program on one concrete input and evaluates the assertion on the true

@@ -45,10 +45,17 @@ module Span : sig
 
   type summary = row list
 
-  val with_ : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
+  val with_ :
+    ?attrs:(string * string) list ->
+    ?finish:('a -> (string * string) list) ->
+    name:string ->
+    (unit -> 'a) ->
+    'a
   (** [with_ ~name f] runs [f] inside a span: a [B] event now, an [E]
-      event when [f] returns or raises. When disabled this is exactly
-      [f ()]. *)
+      event when [f] returns or raises. [attrs] go on the [B] event;
+      [finish], applied to [f]'s result, gives attributes known only at
+      the end, which go on the [E] event (trace viewers merge the two).
+      When disabled this is exactly [f ()]. *)
 
   val mark : unit -> int
   (** Watermark for scoped reads: [events ~since:(mark ()) ()] later

@@ -77,7 +77,7 @@ let push r ev =
     r.len <- r.len + 1
   end
 
-let with_ ?(attrs = []) ~name f =
+let with_ ?(attrs = []) ?finish ~name f =
   if not (Control.enabled ()) then f ()
   else begin
     let r = my_ring () in
@@ -95,13 +95,18 @@ let with_ ?(attrs = []) ~name f =
       { seq = sid; ts_us = Control.now_us (); name; ph = B; tid = r.tid;
         span = sid; parent; attrs };
     r.stack <- sid :: r.stack;
+    (* attributes only known once [f] has returned go on the E event *)
+    let end_attrs = ref [] in
     Fun.protect
       ~finally:(fun () ->
         (match r.stack with s :: tl when s = sid -> r.stack <- tl | _ -> ());
         push r
           { seq = next_seq (); ts_us = Control.now_us (); name; ph = E;
-            tid = r.tid; span = sid; parent; attrs = [] })
-      f
+            tid = r.tid; span = sid; parent; attrs = !end_attrs })
+      (fun () ->
+        let x = f () in
+        Option.iter (fun g -> end_attrs := g x) finish;
+        x)
   end
 
 (* [mark ()] is a watermark: [events ~since:(mark ())] later returns only

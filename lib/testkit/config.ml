@@ -14,6 +14,17 @@ let repro ~exe =
   Printf.sprintf "MORPHQPV_SEED=%d QCHECK_COUNT=%d dune exec %s" (seed ())
     (count ()) exe
 
-let announce ~exe =
+(* the path below the build context, _build/<context>/, is the one
+   [dune exec] takes *)
+let exe () =
+  let rec below = function
+    | "_build" :: _ :: (_ :: _ as rest) -> Some (String.concat "/" rest)
+    | _ :: rest -> below rest
+    | [] -> None
+  in
+  let path = Sys.executable_name in
+  Option.value ~default:path (below (String.split_on_char '/' path))
+
+let announce () =
   Printf.printf "testkit: seed=%d count=%d  repro: %s\n%!" (seed ()) (count ())
-    (repro ~exe)
+    (repro ~exe:(exe ()))

@@ -22,6 +22,13 @@ val rand : unit -> Random.State.t
     seed/count configuration against the given executable. *)
 val repro : exe:string -> string
 
-(** [announce ~exe] prints the active seed, count and repro command (call
-    once at test-binary startup, before the alcotest runner takes over). *)
-val announce : exe:string -> unit
+(** [exe ()] is the running executable as [dune exec] names it: its path
+    below the build context ([test/test_core.exe] for
+    [_build/default/test/test_core.exe]), or [Sys.executable_name] outside
+    a build tree. *)
+val exe : unit -> string
+
+(** [announce ()] prints the active seed, count and the repro command for
+    {!exe} (call once at test-binary startup, before the alcotest runner
+    takes over). *)
+val announce : unit -> unit

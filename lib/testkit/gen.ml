@@ -76,7 +76,7 @@ let print_circ c =
   Printf.sprintf "qubits=%d specs=%d\n%s-- replay: %s <test name>\n" c.qubits
     (List.length c.specs)
     (Qasm.to_string (build c))
-    (Config.repro ~exe:"test/test_differential.exe --")
+    (Config.repro ~exe:(Config.exe () ^ " --"))
 
 (* ------------------------------------------------------------------ *)
 (* Gate pools.                                                         *)

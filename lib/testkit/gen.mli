@@ -40,7 +40,8 @@ type circ = { qubits : int; specs : spec list }
 val build : circ -> Circuit.t
 
 (** [print_circ c] renders the sketch as mini-QASM plus the current repro
-    command — this is what QCheck prints for a failing case. *)
+    command for the running executable ({!Config.exe}) — this is what
+    QCheck prints for a failing case. *)
 val print_circ : circ -> string
 
 (* Raw generators (for [QCheck.Gen.generate] loops, e.g. the fuzz bench) *)

@@ -1113,18 +1113,20 @@ let basis_of st =
   in
   go 0
 
+(* the circuit with its measurements, resets and feedback dropped *)
+let pure_part circ =
+  Gen.build
+    {
+      circ with
+      Gen.specs =
+        List.filter
+          (function Gen.Meas _ | Gen.Reset _ | Gen.Feedback _ -> false | _ -> true)
+          circ.Gen.specs;
+    }
+
 let characterize_repeats_exact ?pool circ =
   let full = Gen.build circ in
-  let pure =
-    Gen.build
-      {
-        circ with
-        Gen.specs =
-          List.filter
-            (function Gen.Meas _ | Gen.Reset _ | Gen.Feedback _ -> false | _ -> true)
-            circ.Gen.specs;
-      }
-  in
+  let pure = pure_part circ in
   let k = min 2 (Circuit.num_qubits full) in
   let input_qubits = List.init k Fun.id in
   let trajectories = 3 in
@@ -1245,3 +1247,144 @@ let characterize_repeats_exact ?pool circ =
   && (Sim.Engine.is_deterministic full
      || both (check ~engine:`Sequential ~reference:(sequential ?noise:None) full)
         && both (check ~engine:`Batched ~reference:(plan full) full))
+
+(* ------------- norm guarantees: the bounds validation decides by ------------- *)
+
+let norm_bounds_sound circ =
+  let module V = Morphcore.Verify in
+  let module P = Morphcore.Predicate in
+  let full = Gen.build circ in
+  let k = min 2 (Circuit.num_qubits full) in
+  let input_qubits = List.init k Fun.id in
+  let tps = Circuit.tracepoints full in
+  (* two trailing tracepoints on the input qubits: equal on every input,
+     but read apart by tomography *)
+  let p1 = 1 + List.fold_left (fun m (id, _) -> max m id) 0 tps in
+  let p2 = p1 + 1 in
+  let plant c =
+    Circuit.(c |> tracepoint p1 input_qubits |> tracepoint p2 input_qubits)
+  in
+  let pair =
+    List.find_map
+      (fun (a, qa) ->
+        List.find_map
+          (fun (b, qb) ->
+            if a < b && List.length qa = List.length qb then Some (a, b)
+            else None)
+          tps)
+      tps
+  in
+  let assertions =
+    [
+      Morphcore.Assertion.make ~assumes:[] ~guarantees:[ P.Equals (p1, p2) ] ();
+      Morphcore.Assertion.make ~assumes:[ P.Is_pure 0 ]
+        ~guarantees:[ P.Equals (0, p1) ] ();
+    ]
+    @
+    match pair with
+    | Some (a, b) ->
+        [
+          Morphcore.Assertion.make
+            ~assumes:[ P.Purity_ge (p1, 0.9) ]
+            ~guarantees:[ P.Distance_le (a, b, 0.3); P.Equals (p1, p2) ]
+            ();
+        ]
+    | None -> []
+  in
+  let slack = 1e-9 in
+  let methods = [| `Qp; `Adam; `Anneal; `Genetic |] in
+  let sound ~pure c (m, kind, mode) =
+    let program = Morphcore.Program.make ~input_qubits (plant c) in
+    let ch =
+      Morphcore.Characterize.run ~rng:(Stats.Rng.make 31) ~kind ~mode program
+        ~count:(2 lsl k)
+    in
+    let approx = Morphcore.Approx.of_characterization ch in
+    let n = Morphcore.Approx.n_sample approx in
+    let samples = ch.Morphcore.Characterize.samples in
+    let sample_value assertion (s : Morphcore.Characterize.sample) =
+      Reference.guarantee_objective assertion (fun tp ->
+          List.assoc tp s.Morphcore.Characterize.traces)
+    in
+    List.for_all
+      (fun (j, assertion) ->
+        match V.norm_bound approx assertion with
+        | None -> false
+        | Some bound ->
+            let ev = V.evaluator ~projection:`Psd approx assertion in
+            let below x = ev.V.objective x <= bound +. slack in
+            (* (a) random alphas and a solver's end point, the method
+               turning over the assertions and modes *)
+            let rs = Stats.Rng.make 7 in
+            let problem =
+              {
+                Optimize.Constrained.objective =
+                  Optimize.Objective.make ~dim:n ev.V.objective;
+                constraints = ev.V.constraints;
+              }
+            in
+            List.for_all below
+              (List.init 8 (fun _ ->
+                   Array.init n (fun _ -> Stats.Rng.uniform rs (-1.) 1.)))
+            && below
+                 (Optimize.Constrained.maximize ~budget:100 ~rounds:1
+                    ~method_:methods.((j + m) mod Array.length methods)
+                    rs problem)
+                   .Optimize.Constrained.x
+            (* (b) exact samples of the pure part are inputs the bound
+               covers *)
+            && ((not (pure && mode = Morphcore.Characterize.Exact))
+               || Array.for_all
+                    (fun s -> sample_value assertion s <= bound +. slack)
+                    samples)
+            (* (c) a sample verdict is a real violation of the program *)
+            && ((not pure)
+               ||
+               let by_sample () =
+                 Option.value ~default:0
+                   (Obs.Metrics.counter_value ~labels:[ ("by", "sample") ]
+                      "verify_decided_total")
+               in
+               let before = by_sample () in
+               let options =
+                 { V.default_options with budget = 300; restarts = 1 }
+               in
+               match
+                 V.validate ~options ~rng:(Stats.Rng.make 3) ~confirm:program
+                   approx assertion
+               with
+               | _ when by_sample () = before -> true
+               | V.Verified _ -> false
+               | V.Violated { alpha; objective; _ } -> (
+                   match
+                     List.filter (fun i -> alpha.(i) <> 0.) (List.init n Fun.id)
+                   with
+                   | [ i ] ->
+                       let s = samples.(i) in
+                       alpha.(i) = 1.
+                       && objective > options.V.epsilon_obj
+                       && float_exact objective (sample_value assertion s)
+                       && not
+                            (V.check_on_program ~rng:(Stats.Rng.make 5)
+                               ~tol:0.02 program assertion
+                               ~input:s.Morphcore.Characterize.input_state)
+                   | _ -> false)))
+      (List.mapi (fun j a -> (j, a)) assertions)
+  in
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  (* Haar inputs can be nearly dependent, where the least-squares map
+     amplifies: a bound that leaves it out fails there *)
+  let modes =
+    [
+      (0, Clifford.Sampling.Clifford, Morphcore.Characterize.Exact);
+      ( 1,
+        Clifford.Sampling.Clifford,
+        Morphcore.Characterize.Tomography { shots = 64; project = true } );
+      (2, Clifford.Sampling.Haar, Morphcore.Characterize.Exact);
+    ]
+  in
+  List.for_all (sound ~pure:true (pure_part circ)) modes
+  && (Sim.Engine.is_deterministic full
+     || List.for_all (sound ~pure:false full) modes)

@@ -226,3 +226,26 @@ val objective_exact : int -> bool
     bit for bit, on a random Hermitian matrix of dimension 2-16 (generic,
     with tied eigenvalues, with a clipped spectrum, or zero). *)
 val eig_exact : int -> bool
+
+(** [norm_bounds_sound c] — the bounds {!Morphcore.Verify.validate}
+    decides norm guarantees by. Two tracepoints on the input qubits are
+    appended to [c] (equal on every input; tomography reads them apart),
+    and three assertions are checked: [Equals] of that pair, [Equals] of
+    the input and the first of them under an [Is_pure 0] assumption, and,
+    when [c] has two tracepoints of one width, [Distance_le] of them plus
+    the planted [Equals] under a [Purity_ge] assumption. On [c]'s pure
+    part, and on [c] itself when it measures, resets or feeds back, each
+    characterized under [Exact] (Clifford and Haar inputs) and
+    [Tomography] (Clifford inputs):
+    (a) [Verify.evaluator ~projection:`Psd]'s objective never exceeds
+        {!Morphcore.Verify.norm_bound} + 1e-9, at random alphas and at
+        the end point of an [Optimize.Constrained.maximize] run (one
+        round; the method turns over the assertions and modes);
+    (b) on the pure part under [Exact], no sample's guarantee value
+        exceeds the bound + 1e-9;
+    (c) on the pure part, a verdict decided by a sample
+        ([verify_decided_total{by="sample"}] moved) is [Violated] with the
+        sample's unit alpha and value, and
+        {!Morphcore.Verify.check_on_program} refutes the assertion on the
+        sample's input state. Restores the caller's [Obs] setting. *)
+val norm_bounds_sound : Gen.circ -> bool

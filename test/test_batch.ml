@@ -301,7 +301,7 @@ let test_probe_accuracies_batched () =
     accs
 
 let () =
-  Config.announce ~exe:"test/test_batch.exe";
+  Config.announce ();
   Alcotest.run "batch"
     [
       ( "properties",

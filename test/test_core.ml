@@ -741,6 +741,97 @@ let test_validate_golden () =
   if got <> expected then
     Alcotest.failf "Verify.validate drifted from validate_golden.txt:\n%s" got
 
+(* Norm guarantees are decided by the two bounds, not the solver
+   (DESIGN.md section 5): the golden's teleport and mirror cases spend no
+   solver evaluation under [`Psd], whatever the solver, and say which
+   bound decided; under [`Trace], or with an [Equals_const] guarantee
+   added, the solver runs. *)
+let test_norm_guarantees_skip_solver () =
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  let decided by =
+    Option.value ~default:0
+      (Obs.Metrics.counter_value ~labels:[ ("by", by) ] "verify_decided_total")
+  in
+  List.iter
+    (fun (name, prog, assertion, kind, count) ->
+      let approx =
+        Approx.of_characterization
+          (Characterize.run ~rng:(Stats.Rng.make 2024) ?kind prog ~count)
+      in
+      let with_const =
+        Assertion.make ~name:"with-const"
+          ~assumes:assertion.Assertion.assumes
+          ~guarantees:
+            (assertion.Assertion.guarantees
+            @ [ Predicate.Equals_const (2, zero_dm) ])
+          ()
+      in
+      let expected = if name = "mirror-2.bug" then "sample" else "bound" in
+      List.iter
+        (fun solver ->
+          let run ?(projection = `Psd) assertion =
+            let options = { Verify.default_options with solver; projection } in
+            let evals = solver_evals () and by = decided expected in
+            let mark = Obs.Span.mark () in
+            ignore
+              (Verify.validate ~options ~rng:(Stats.Rng.make 7) ~confirm:prog
+                 approx assertion);
+            let span_by =
+              List.find_map
+                (fun (ev : Obs.Span.event) ->
+                  if
+                    ev.Obs.Span.name = "verify.validate"
+                    && ev.Obs.Span.ph = Obs.Span.E
+                  then List.assoc_opt "by" ev.Obs.Span.attrs
+                  else None)
+                (Obs.Span.events ~since:mark ())
+            in
+            (solver_evals () - evals, decided expected - by, span_by)
+          in
+          let label what =
+            Printf.sprintf "%s %s %s" name
+              (Optimize.Solvers.method_to_string solver)
+              what
+          in
+          let evals, by, span_by = run assertion in
+          Alcotest.(check int) (label "psd evals") 0 evals;
+          Alcotest.(check int) (label ("decided by " ^ expected)) 1 by;
+          Alcotest.(check (option string)) (label "span by") (Some expected)
+            span_by;
+          let evals, _, span_by = run ~projection:`Trace assertion in
+          Alcotest.(check bool) (label "trace solves") true (evals > 0);
+          Alcotest.(check (option string)) (label "trace span by")
+            (Some "solver") span_by;
+          let evals, _, _ = run with_const in
+          Alcotest.(check bool) (label "equals_const solves") true (evals > 0))
+        [ `Qp; `Adam; `Anneal; `Genetic ])
+    (List.filter
+       (fun (name, _, _, _, _) ->
+         List.mem name [ "teleport"; "mirror-2"; "mirror-2.bug" ])
+       (golden_cases ()))
+
+(* the upper bound covers every objective value and the sample verdicts
+   are real (see [Testkit.Oracle.norm_bounds_sound]) *)
+let prop_norm_bounds_sound =
+  QCheck.Test.make ~name:"norm bounds are sound"
+    ~count:(max 10 (Testkit.Config.count () / 2))
+    (Testkit.Gen.program ())
+    Testkit.Oracle.norm_bounds_sound
+
+(* a failing property prints a replay command for this executable *)
+let test_replay_names_running_exe () =
+  let printed =
+    Testkit.Gen.print_circ { Testkit.Gen.qubits = 1; specs = [] }
+  in
+  let want =
+    Printf.sprintf "-- replay: %s <test name>\n"
+      (Testkit.Config.repro ~exe:"test/test_core.exe --")
+  in
+  if not (String.ends_with ~suffix:want printed) then
+    Alcotest.failf "replay line %S does not end with %S" printed want
+
 (* ---------------- characterization golden ---------------- *)
 
 (* [characterize_golden.txt] pins [Characterize.run] bit for bit on every
@@ -940,6 +1031,10 @@ let () =
           Alcotest.test_case "one projection per alpha" `Quick
             test_evaluator_projects_once;
           Alcotest.test_case "validate golden" `Slow test_validate_golden;
+          Alcotest.test_case "norm guarantees skip the solver" `Slow
+            test_norm_guarantees_skip_solver;
+          Alcotest.test_case "replay names the running executable" `Quick
+            test_replay_names_running_exe;
         ] );
       ( "dist-verdicts",
         [
@@ -959,5 +1054,7 @@ let () =
               prop_objective_exact;
             QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ())
               prop_characterize_repeats_exact;
+            QCheck_alcotest.to_alcotest ~rand:(Testkit.Config.rand ())
+              prop_norm_bounds_sound;
           ] );
     ]

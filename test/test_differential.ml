@@ -196,7 +196,7 @@ let controlled_sx =
     }
 
 let () =
-  Config.announce ~exe:"test/test_differential.exe";
+  Config.announce ();
   Alcotest.run "differential"
     [
       ( "oracles",

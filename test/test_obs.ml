@@ -553,7 +553,7 @@ let prop_obs_transparent =
     Oracle.obs_transparent
 
 let () =
-  Config.announce ~exe:"test_obs";
+  Config.announce ();
   Alcotest.run "obs"
     [
       ( "spans",
