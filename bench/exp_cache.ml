@@ -52,11 +52,7 @@ let circuit theta =
 let count = 4
 let mode = Characterize.Tomography { shots = 48; project = true }
 
-let options =
-  (* trace projection: the PSD projection eigendecomposes the 64-dim input
-     candidate on every objective evaluation — two orders of magnitude
-     slower, and irrelevant to what this experiment measures *)
-  { Verify.default_options with budget = 150; restarts = 1; projection = `Trace }
+let options = { Verify.default_options with budget = 150; restarts = 1 }
 
 (* the full pipeline against one cache; a fixed seed makes the unit keys
    (which embed the entry-generator fingerprint) reproducible per run *)
@@ -70,7 +66,9 @@ let verify_once ~pool ~cache theta =
       ~guarantees:[ Predicate.Purity_ge (3, 0.2) ]
       ()
   in
-  let verdict = Verify.validate ~options ~rng ~cache approx assertion in
+  let verdict =
+    Verify.validate ~options ~rng ~confirm:program ~cache approx assertion
+  in
   (ch, verdict)
 
 let traces_identical (a : Characterize.t) (b : Characterize.t) =

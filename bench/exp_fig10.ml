@@ -37,7 +37,7 @@ let qram_assertion table =
 let morph_detects rng program assertion count =
   let ch = Characterize.run ~rng program ~count in
   let approx = Approx.of_characterization ch in
-  let options = { Verify.default_options with budget = 2000; restarts = 2; projection = `Trace } in
+  let options = { Verify.default_options with budget = 2000; restarts = 2 } in
   match Verify.validate ~options ~rng ~confirm:program approx assertion with
   | Verify.Violated _ -> true
   | Verify.Verified _ -> false

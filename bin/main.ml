@@ -192,10 +192,12 @@ let print_verify_event ~file = function
   | Pipeline.Asserting assertion ->
       Format.printf "%s@." (Assertion.describe assertion)
   | Pipeline.Verdict (Verify.Verified { confidence; max_objective }) ->
-      Format.printf
-        "VERIFIED: max guarantee objective %.3g; confidence %.4f (%a, \
-         threshold %.2f)@."
-        max_objective confidence.Confidence.confidence Stats.Beta_dist.pp
+      let objective =
+        if max_objective = neg_infinity then "no feasible candidate found"
+        else Printf.sprintf "max guarantee objective %.3g" max_objective
+      in
+      Format.printf "VERIFIED: %s; confidence %.4f (%a, threshold %.2f)@."
+        objective confidence.Confidence.confidence Stats.Beta_dist.pp
         confidence.Confidence.dist confidence.Confidence.epsilon
   | Pipeline.Verdict (Verify.Violated { counterexample; objective; _ }) ->
       Format.printf "VIOLATED (objective %.4f). Counter-example input:@.%a@."

@@ -48,9 +48,12 @@ let haar_like_circuit rng n =
   done;
   !c
 
-let basis_circuit n ~index =
+let basis_index n ~index =
   let d = 1 lsl n in
-  let k = ((index mod d) + d) mod d in
+  ((index mod d) + d) mod d
+
+let basis_circuit n ~index =
+  let k = basis_index n ~index in
   let c = ref (Circuit.empty n) in
   for q = 0 to n - 1 do
     if (k lsr q) land 1 = 1 then c := Circuit.x q !c
@@ -63,15 +66,20 @@ let prep_circuit rng kind n ~index =
   | Clifford -> clifford_circuit rng n
   | Haar -> haar_like_circuit rng n
 
+(* the [index]-th input, prepared by [c]; a basis input is built
+   directly, since its X-only circuit draws nothing *)
+let prepare rng kind n ~index c =
+  match kind with
+  | Basis -> Statevec.basis n (basis_index n ~index)
+  | Clifford | Haar -> (Sim.Engine.run ~rng c).Sim.Engine.state
+
 let state rng kind n ~index =
-  let c = prep_circuit rng kind n ~index in
-  (Sim.Engine.run ~rng c).Sim.Engine.state
+  prepare rng kind n ~index (prep_circuit rng kind n ~index)
 
 let sample_set rng kind n ~count =
   List.init count (fun index ->
       let c = prep_circuit rng kind n ~index in
-      let st = (Sim.Engine.run ~rng c).Sim.Engine.state in
-      (c, st))
+      (c, prepare rng kind n ~index c))
 
 let haar_state rng n =
   let d = 1 lsl n in

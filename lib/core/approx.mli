@@ -15,19 +15,32 @@
 
 type recovery = [ `Least_squares | `Expectation ]
 
+(** The sampled inputs in the coordinates the least squares runs in.
+    When [N] inputs cannot fill the [2^n_in]-dimensional input space
+    ([N < 2^n_in]; characterized inputs are pure), an isometry [Q] onto
+    their joint range is computed once, from the eigendecomposition of
+    [sum_i sigma_i] (eigenvalues above [1e-12] of the largest), and each
+    input is held as the [r] x [r] matrix [Q^dag sigma_i Q]. Every input
+    lies in the range, so Hilbert-Schmidt inner products, the
+    least-squares factor and every coefficient equal those of the full
+    space. When the inputs fill the space ([r = 2^n_in]) the coordinates
+    are the inputs themselves and the arithmetic is the full-space one,
+    bit for bit. *)
+type range
+
 type t = private {
   n_in : int;  (** input qubits *)
   inputs : Linalg.Cmat.t array;  (** sampled input density matrices *)
   outputs : (int * Linalg.Cmat.t array) list;  (** per-tracepoint states *)
-  basis : Linalg.Rmat.t Lazy.t;  (** HS-vectorized inputs for least squares *)
-  solver : Linalg.Rmat.lstsq Lazy.t;
-      (** cached normal-equation factorization *)
+  range : range Lazy.t;
+      (** range coordinates and the least-squares factor of their HS
+          encodings (ridge [1e-9]), built on first use *)
   lstsq_map : Linalg.Rmat.t Lazy.t;
-      (** [G], the least-squares map itself: [n_sample] x [4^n_in], column
-          [k] the solve of the [k]-th HS unit vector, so
-          [decompose_into] computes [G (Hsvec.encode rho)] up to rounding.
-          Built on first use from [solver]; the norm bounds of
-          {!Verify.validate} read it. *)
+      (** [G], the least-squares map itself: [n_sample] x [r^2], column
+          [k] the solve of the [k]-th HS unit vector of the range
+          coordinates, so {!physical_into} computes [G v] for the HS
+          encoding [v] of its projected matrix, up to rounding. Built on
+          first use; the norm bounds of {!Verify.validate} read it. *)
 }
 
 (** [make ~n_in ~inputs ~outputs] assembles an approximation directly from
@@ -50,19 +63,27 @@ val n_sample : t -> int
 val tracepoint_ids : t -> int list
 
 (** [decompose ?mode t rho] recovers the coefficient vector for an input
-    density matrix. *)
+    density matrix. [`Least_squares] restricts [rho] to the inputs' range
+    first: its part off the range is HS-orthogonal to every input, so the
+    solution is the full-space one. *)
 val decompose : ?mode:recovery -> t -> Linalg.Cmat.t -> float array
 
-(** Buffers for {!decompose_into}: the HS re-encoding of the input and the
-    forced least-squares factorization of one approximation. *)
+(** Buffers for {!physical_into}, sized by the range of one
+    approximation; making one forces its factor. *)
 type workspace
 
 val workspace : t -> workspace
 
-(** [decompose_into w rho ~dst] writes [decompose t rho] (least squares)
-    into [dst] without allocating, for the approximation [t] that [w] was
-    made from. *)
-val decompose_into : workspace -> Linalg.Cmat.t -> dst:float array -> unit
+(** [physical_into w alpha ~dst] writes the coefficients of the physical
+    input nearest [rho(alpha) = sum_i alpha_i sigma_i]: [rho(alpha)]
+    projected onto the PSD cone at unit trace ({!Linalg.Eig.project_psd})
+    and decomposed by least squares, all in range coordinates, without
+    allocating. A fully clipped spectrum gives the maximally mixed state
+    of the whole input space, [I / 2^n_in] ([I_r / 2^n_in] in range
+    coordinates). When the inputs fill the space this is
+    [decompose t (Eig.project_psd (input_of_alpha t alpha))] bit for
+    bit; otherwise it equals it up to rounding. *)
+val physical_into : workspace -> float array -> dst:float array -> unit
 
 (** [combine_into states alpha ~dst] writes [sum_i alpha_i states_i] into
     [dst] without allocating. Terms with [alpha_i = 0] are skipped; the

@@ -13,8 +13,6 @@ type options = {
   budget : int;
   epsilon_obj : float;
   epsilon_acc : float;
-  recovery : Approx.recovery;
-  projection : [ `Trace | `Psd ];
   restarts : int;
 }
 
@@ -24,8 +22,6 @@ let default_options =
     budget = 6_000;
     epsilon_obj = 0.05;
     epsilon_acc = 0.5;
-    recovery = `Least_squares;
-    projection = `Psd;
     restarts = 2;
   }
 
@@ -57,20 +53,17 @@ let rec slot ids tp s =
   else slot ids tp (s + 1)
 
 (* The environment over tracepoints for one alpha, built in buffers the
-   evaluator owns. The input (id 0) is made physical per the chosen
-   projection; every tracepoint, the input included, is then recombined
-   from the SAME physical coefficients, so predicates compare exactly the
-   characterized relation rather than approximation residue. The
-   projection runs on the first read at an alpha, and each tracepoint on
-   its own first read; the objective and every constraint at that alpha
-   share them. *)
-let evaluator ~projection (approx : Approx.t) assertion =
+   evaluator owns. The candidate input is made physical
+   ([Approx.physical_into]: PSD projection and re-decomposition, in the
+   sampled inputs' range); every tracepoint, the input included, is then
+   recombined from the SAME physical coefficients and the original
+   states, so predicates compare exactly the characterized relation
+   rather than approximation residue. The projection runs on the first
+   read at an alpha, and each tracepoint on its own first read; the
+   objective and every constraint at that alpha share them. *)
+let evaluator (approx : Approx.t) assertion =
   let n = Approx.n_sample approx in
-  let d = 1 lsl approx.Approx.n_in in
-  let rho = Cmat.create d d and projected = Cmat.create d d in
-  let eig = Eig.workspace d in
-  (* the least-squares factor is built on the first [`Psd] projection *)
-  let lsq = lazy (Approx.workspace approx) in
+  let ws = Approx.workspace approx in
   let phys = Array.make n 0. in
   (* slot 0 is the input, slot s > 0 the s-th recorded tracepoint *)
   let ids = Array.of_list (0 :: List.map fst approx.Approx.outputs) in
@@ -97,22 +90,7 @@ let evaluator ~projection (approx : Approx.t) assertion =
   let make_physical () =
     if !phys_gen <> !gen then begin
       phys_gen := !gen;
-      Approx.combine_into approx.Approx.inputs alpha ~dst:rho;
-      match projection with
-      | `Trace ->
-          let t = ref 0. in
-          for i = 0 to d - 1 do
-            t := !t +. rho.Cmat.re.((i * d) + i)
-          done;
-          let t = !t in
-          if Float.abs t > 1e-9 then
-            for i = 0 to n - 1 do
-              phys.(i) <- alpha.(i) /. t
-            done
-          else Array.blit alpha 0 phys 0 n
-      | `Psd ->
-          Eig.project_psd_into eig rho ~dst:projected;
-          Approx.decompose_into (Lazy.force lsq) projected ~dst:phys
+      Approx.physical_into ws alpha ~dst:phys
     end
   in
   let env tp =
@@ -181,56 +159,36 @@ let confirmed_violation ?rng confirm assertion counterexample =
 
 (* The solver: maximize the guarantee objective under the assumption
    penalties from [restarts] starting points, replaying each feasible
-   candidate above the tolerance on [confirm]. *)
+   candidate above the tolerance on [confirm]. A [Verified] verdict
+   carries the largest value over the feasible restarts, refuted
+   candidates included; infeasible restarts never count. *)
 let solve ~options ~rng ?confirm approx assertion =
   if Obs.enabled () then
     Obs.Metrics.counter_add "verify_restarts_total" (max 1 options.restarts);
   let dim = Approx.n_sample approx in
-  let ev = evaluator ~projection:options.projection approx assertion in
+  let ev = evaluator approx assertion in
   let objective = Optimize.Objective.make ~dim ev.objective in
   let constraints = ev.constraints in
   let problem = { Optimize.Constrained.objective; constraints } in
-  let best_violation = ref None and best_clean = ref None in
-  (try
-     for _ = 1 to max 1 options.restarts do
-       let sol =
-         Optimize.Constrained.maximize ~budget:(options.budget / max 1 options.restarts)
-           ~method_:options.solver rng problem
-       in
-       if
-         sol.Optimize.Constrained.feasible
-         && sol.Optimize.Constrained.value > options.epsilon_obj
-       then begin
-         let counterexample =
-           Eig.project_psd (ev.env sol.Optimize.Constrained.x 0)
-         in
-         if confirmed_violation ~rng confirm assertion counterexample then begin
-           best_violation :=
-             Some
-               (Violated
-                  {
-                    counterexample;
-                    alpha = sol.Optimize.Constrained.x;
-                    objective = sol.Optimize.Constrained.value;
-                  });
-           raise Exit
-         end
-       end
-       else begin
-         match !best_clean with
-         | Some v when v >= sol.Optimize.Constrained.value -> ()
-         | _ -> best_clean := Some sol.Optimize.Constrained.value
-       end
-     done
-   with Exit -> ());
-  match !best_violation with
-  | Some v -> v
-  | None ->
-      Verified
-        {
-          confidence = confidence options approx;
-          max_objective = Option.value ~default:neg_infinity !best_clean;
-        }
+  let rec restart k best =
+    if k = 0 then
+      Verified { confidence = confidence options approx; max_objective = best }
+    else
+      let sol =
+        Optimize.Constrained.maximize
+          ~budget:(options.budget / max 1 options.restarts)
+          ~method_:options.solver rng problem
+      in
+      let { Optimize.Constrained.x; value; feasible; _ } = sol in
+      if not feasible then restart (k - 1) best
+      else if value > options.epsilon_obj then
+        let counterexample = Eig.project_psd (ev.env x 0) in
+        if confirmed_violation ~rng confirm assertion counterexample then
+          Violated { counterexample; alpha = x; objective = value }
+        else restart (k - 1) (Float.max best value)
+      else restart (k - 1) (Float.max best value)
+  in
+  restart (max 1 options.restarts) neg_infinity
 
 (* ---------- norm guarantees: two bounds before the solver ---------- *)
 
@@ -359,7 +317,7 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
     @@ fun () ->
     let solver () = (solve ~options ~rng ?confirm approx assertion, "solver") in
     match norm_guarantees approx assertion with
-    | Some norms when options.projection = `Psd -> (
+    | Some norms -> (
         match sample_violation ~options ~rng ?confirm approx assertion with
         | Some v -> (v, "sample")
         | None ->
@@ -401,7 +359,7 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
         Cache.Canon.digest
           (String.concat "\x00"
              [
-               "verdict-v2";
+               "verdict-v3";
                Cache.Canon.digest
                  (Marshal.to_string
                     ( approx.Approx.n_in,

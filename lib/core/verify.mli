@@ -3,20 +3,22 @@
     decomposition coefficients [alpha] and solve it classically.
 
     The candidate input is [rho(alpha) = sum alpha_i sigma_in_i]. Each
-    evaluation makes it physical per [options.projection]: under [`Psd]
-    (the default) it is projected onto the PSD cone at unit trace and
-    re-decomposed, under [`Trace] only its trace is normalized. Every
-    tracepoint is recombined from the resulting coefficients (see
-    {!evaluator}). A reported counter-example is PSD-projected under
-    either setting. The assertion holds when the maximal guarantee
-    objective stays [<= epsilon_obj]. *)
+    evaluation makes it physical: it is projected onto the PSD cone at
+    unit trace and re-decomposed, in the coordinates of the sampled
+    inputs' joint range ({!Approx.physical_into}). Every tracepoint is
+    recombined from the resulting coefficients (see {!evaluator}). A
+    reported counter-example is PSD-projected. The assertion holds when
+    the maximal guarantee objective stays [<= epsilon_obj]. *)
 
 type verdict =
   | Verified of {
       confidence : Confidence.t;
       max_objective : float;
-          (** the best guarantee value the solver found, or the norm
-              bound that decided (see {!validate}); [<=] the tolerance *)
+          (** the largest guarantee value over the solver's feasible
+              restarts, or the norm bound that decided (see {!validate}).
+              A value above [epsilon_obj] means that restart's candidate
+              was refuted on the program; [neg_infinity] means no
+              restart was feasible. *)
     }
   | Violated of {
       counterexample : Linalg.Cmat.t;  (** input density matrix triggering the bug *)
@@ -38,31 +40,32 @@ type options = {
           (test/validate_golden.txt) *)
   epsilon_obj : float;  (** violation tolerance on the guarantee objective *)
   epsilon_acc : float;  (** accuracy threshold for confidence (Theorem 3) *)
-  recovery : Approx.recovery;
-  projection : [ `Trace | `Psd ];
-      (** how candidate states are made physical inside the objective:
-          trace normalization only (cheap) or a full PSD projection
-          (slower, much tighter search space) *)
   restarts : int;  (** independent optimization attempts *)
 }
 
 val default_options : options
 
 (** The validation objective over [alpha], as {!validate} evaluates it.
-    One evaluator owns preallocated buffers for the candidate input
-    [rho(alpha) = sum_i alpha_i sigma_in_i], the eigensolve of its PSD
-    projection, the HS re-encoding and least-squares solve that
-    re-decompose it, and one matrix per tracepoint; building the
-    environment for an alpha writes into them and allocates nothing
-    (predicates then evaluate as they always do). The projection runs on
-    the first read at an alpha and each tracepoint on its own first read,
-    so the objective and every constraint at the same alpha share one
-    environment. Every value is bit-identical to the allocating path
-    ({!Approx.input_of_alpha}, {!Linalg.Eig.project_psd},
-    {!Approx.decompose}, {!Approx.tracepoint_of_alpha}); the testkit
-    oracle [objective_exact] pins this against a frozen copy of that
-    path. An environment is valid until the next evaluation, and an
-    evaluator must stay on one domain. *)
+    One path: combine, PSD-project, least squares, recombine. One
+    evaluator owns preallocated buffers for the candidate input
+    [rho(alpha) = sum_i alpha_i sigma_in_i] in range coordinates, the
+    eigensolve of its PSD projection, the HS re-encoding and
+    least-squares solve that re-decompose it ({!Approx.workspace}), and
+    one matrix per tracepoint; building the environment for an alpha
+    writes into them and allocates nothing (predicates then evaluate as
+    they always do). Tracepoints and the input (id 0) are recombined
+    from the original states, so every environment matrix keeps its
+    shape. The projection runs on the first read at an alpha and each
+    tracepoint on its own first read, so the objective and every
+    constraint at the same alpha share one environment. For inputs that
+    fill the input space every value is bit-identical to the allocating
+    full-space path ({!Approx.input_of_alpha}, {!Linalg.Eig.project_psd},
+    {!Approx.decompose}, {!Approx.tracepoint_of_alpha}); for fewer
+    inputs the projection runs at the rank of their range and agrees
+    with that path up to rounding. The testkit oracle [objective_exact]
+    pins both against a frozen copy of the full-space path. An
+    environment is valid until the next evaluation, and an evaluator
+    must stay on one domain. *)
 type evaluator = {
   objective : float array -> float;
       (** the worst guarantee: the maximum of their objective values *)
@@ -72,17 +75,16 @@ type evaluator = {
           raises [Not_found] on another id *)
 }
 
-(** [evaluator ~projection approx assertion] allocates the buffers. *)
-val evaluator :
-  projection:[ `Trace | `Psd ] -> Approx.t -> Assertion.t -> evaluator
+(** [evaluator approx assertion] allocates the buffers. *)
+val evaluator : Approx.t -> Assertion.t -> evaluator
 
 (** [validate ?options ?rng ?confirm approx assertion] decides the
     assertion on the characterized map and returns the verdict.
 
     {b Norm guarantees.} When every guarantee is [Equals] or
     [Distance_le] between two recorded tracepoints of one width (id 0
-    being the sampled input; assumptions may be of any kind) and the
-    projection is [`Psd], two bounds come first:
+    being the sampled input; assumptions may be of any kind), two bounds
+    come first:
     + the {i lower bound}: the largest guarantee value over the samples
       whose every assumption evaluates to [<= 1e-3] (the solver's
       feasibility tolerance) on the sample's recorded traces. Above
@@ -95,9 +97,9 @@ val evaluator :
       can produce. At most [epsilon_obj - 1e-9], it is [Verified] with
       [max_objective] the bound: a certified upper bound, not an attained
       value.
-    Otherwise (a refuted sample, a bound in the gap, the [`Trace]
-    projection, or any other guarantee, [Equals_const] included) the
-    solver runs as before, from the same generator. Neither bound can
+    Otherwise (a refuted sample, a bound in the gap, or any other
+    guarantee, [Equals_const] included) the solver runs, from the same
+    generator. Neither bound can
     move a verdict the wrong way: no input the solver searches exceeds
     the upper bound, and a sample is a characterized input, confirmed on
     the program. [verify_decided_total{by}] and the [by] attribute of
@@ -111,7 +113,9 @@ val evaluator :
     [Verified] if the real execution satisfies the assertion —
     eliminating optimizer artifacts, as the paper's validation step does
     by reporting concrete counter-examples. Its [Verified] carries the
-    best value a restart found.
+    largest value over the feasible restarts, refuted candidates
+    included; infeasible restarts never count, and [neg_infinity] means
+    none was feasible.
 
     [cache] memoizes the verdict, keyed by the approximation's data (its
     characterized relation), the assertion, [options], the entry
@@ -133,10 +137,12 @@ val validate :
     [||D G||_F - d], where [d] is the allowed distance ([0] for
     [Equals]), [G] is {!Approx.t.lstsq_map} and [D] stacks the real and
     the imaginary part of every entry of [sigma_A,i - sigma_B,i] as a row
-    over the samples [i]. Under [`Psd] an evaluation decomposes the HS
-    encoding [v] of a unit-trace PSD matrix, [||v|| <= 1], and reads
-    [||D G v||] for each guarantee, so no objective value of
-    {!evaluator} exceeds the bound beyond rounding. [None] unless every
+    over the samples [i]. An evaluation decomposes the HS encoding [v]
+    of a PSD matrix of trace at most one in range coordinates,
+    [||v|| <= 1], and reads [||D G v||] for each guarantee, so no
+    objective value of {!evaluator} exceeds the bound beyond rounding;
+    [||D G||_F] depends on the inputs only through their HS Gram matrix,
+    which range coordinates preserve. [None] unless every
     guarantee is [Equals] or [Distance_le] between recorded tracepoints
     of one width. *)
 val norm_bound : Approx.t -> Assertion.t -> float option

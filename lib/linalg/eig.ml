@@ -220,18 +220,20 @@ let project_psd_into ws a ~dst =
     let c = 1. /. float_of_int n in
     for i = 0 to n - 1 do
       dst.Cmat.re.((i * n) + i) <- c
-    done
+    done;
+    true
   end
   else begin
     let c = 1. /. !t in
     for k = 0 to (n * n) - 1 do
       dst.Cmat.re.(k) <- c *. dst.Cmat.re.(k);
       dst.Cmat.im.(k) <- c *. dst.Cmat.im.(k)
-    done
+    done;
+    false
   end
 
 let project_psd a =
   let n = fst (Cmat.dims a) in
   let dst = Cmat.create n n in
-  project_psd_into (workspace n) a ~dst;
+  ignore (project_psd_into (workspace n) a ~dst);
   dst

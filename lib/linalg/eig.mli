@@ -42,5 +42,6 @@ val sqrtm_psd : Cmat.t -> Cmat.t
 val project_psd : Cmat.t -> Cmat.t
 
 (** [project_psd_into ws a ~dst] writes [project_psd a] into [dst], which
-    must not be a buffer of [ws]. *)
-val project_psd_into : workspace -> Cmat.t -> dst:Cmat.t -> unit
+    must not be a buffer of [ws], and returns [true] when the spectrum
+    was fully clipped, so [dst] is the maximally mixed fallback. *)
+val project_psd_into : workspace -> Cmat.t -> dst:Cmat.t -> bool

@@ -211,14 +211,19 @@ val pvalue_uniform_under_null : Gen.circ -> bool
 
 (** [objective_exact seed] — the validation objective's evaluator
     ({!Morphcore.Verify.evaluator}) against a frozen copy of the
-    allocating path it replaced (per-alpha environment, Jacobi PSD
-    projection, HS encoding, normal-equation least squares, coefficient
-    combination), on a random approximation drawn from [seed]: [n_in] 1-3,
-    sample counts below, at and above [4^n_in], both projections, every
-    predicate kind ([Custom] and tracepoint 0 included) and alphas with
-    exact zeros, a fully clipped spectrum and a trace within [1e-9] of 0.
-    Objective values, constraint values (or the exceptions raised) and
-    environment matrices must agree in their Int64 bits. *)
+    allocating full-space path it replaced (per-alpha environment, Jacobi
+    PSD projection of the [2^n_in]-dimensional candidate, HS encoding,
+    normal-equation least squares, coefficient combination), on a random
+    approximation drawn from [seed]: [n_in] 1-3, sample counts below
+    [2^n_in], below, at and above [4^n_in], every predicate kind
+    ([Custom] and tracepoint 0 included) and alphas with exact zeros, a
+    fully clipped spectrum and a trace within [1e-9] of 0. With at least
+    [2^n_in] inputs, objective values, constraint values (or the
+    exceptions raised) and environment matrices must agree in their
+    Int64 bits. With fewer, the evaluator projects in the inputs' joint
+    range, and the same values must agree within [1e-5] relative to
+    [max 1 |reference|] (Frobenius norm for matrices; exceptions still
+    equal). *)
 val objective_exact : int -> bool
 
 (** [eig_exact seed] — {!Linalg.Eig.hermitian}, [project_psd],
@@ -235,14 +240,15 @@ val eig_exact : int -> bool
     when [c] has two tracepoints of one width, [Distance_le] of them plus
     the planted [Equals] under a [Purity_ge] assumption. On [c]'s pure
     part, and on [c] itself when it measures, resets or feeds back, each
-    characterized under [Exact] (Clifford and Haar inputs) and
-    [Tomography] (Clifford inputs):
-    (a) [Verify.evaluator ~projection:`Psd]'s objective never exceeds
+    characterized under [Exact] (Clifford and Haar inputs, and Haar
+    inputs fewer than the input dimension, where the evaluator works in
+    range coordinates) and [Tomography] (Clifford inputs):
+    (a) [Verify.evaluator]'s objective never exceeds
         {!Morphcore.Verify.norm_bound} + 1e-9, at random alphas and at
         the end point of an [Optimize.Constrained.maximize] run (one
         round; the method turns over the assertions and modes);
-    (b) on the pure part under [Exact], no sample's guarantee value
-        exceeds the bound + 1e-9;
+    (b) on the pure part under [Exact] at the full sample count, no
+        sample's guarantee value exceeds the bound + 1e-9;
     (c) on the pure part, a verdict decided by a sample
         ([verify_decided_total{by="sample"}] moved) is [Violated] with the
         sample's unit alpha and value, and

@@ -361,7 +361,7 @@ let test_verdict_memo () =
         ()
     in
     let options =
-      { Verify.default_options with budget = 100; restarts = 1; projection = `Trace }
+      { Verify.default_options with budget = 100; restarts = 1 }
     in
     Verify.validate ~options ~rng:(Stats.Rng.make 5) ~cache approx assertion
   in

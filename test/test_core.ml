@@ -650,31 +650,25 @@ let validate_golden_text () =
       in
       List.iter
         (fun solver ->
-          List.iter
-            (fun projection ->
-              let options =
-                { Verify.default_options with solver; projection }
-              in
-              let before = solver_evals () in
-              let verdict =
-                Verify.validate ~options ~rng:(Stats.Rng.make 7) ~confirm:prog
-                  approx assertion
-              in
-              let evals = solver_evals () - before in
-              Printf.bprintf b "%s %s %s " name
-                (Optimize.Solvers.method_to_string solver)
-                (match projection with `Psd -> "psd" | `Trace -> "trace");
-              (match verdict with
-              | Verify.Verified { max_objective; _ } ->
-                  Printf.bprintf b "verified max_objective=%h" max_objective
-              | Verify.Violated { counterexample; alpha; objective } ->
-                  Printf.bprintf b "violated objective=%h alpha=%s cex=%s"
-                    objective
-                    (String.concat ","
-                       (Array.to_list (Array.map (Printf.sprintf "%h") alpha)))
-                    (cmat_digest counterexample));
-              Printf.bprintf b " evals=%d\n" evals)
-            [ `Psd; `Trace ])
+          let options = { Verify.default_options with solver } in
+          let before = solver_evals () in
+          let verdict =
+            Verify.validate ~options ~rng:(Stats.Rng.make 7) ~confirm:prog
+              approx assertion
+          in
+          let evals = solver_evals () - before in
+          Printf.bprintf b "%s %s " name
+            (Optimize.Solvers.method_to_string solver);
+          (match verdict with
+          | Verify.Verified { max_objective; _ } ->
+              Printf.bprintf b "verified max_objective=%h" max_objective
+          | Verify.Violated { counterexample; alpha; objective } ->
+              Printf.bprintf b "violated objective=%h alpha=%s cex=%s"
+                objective
+                (String.concat ","
+                   (Array.to_list (Array.map (Printf.sprintf "%h") alpha)))
+                (cmat_digest counterexample));
+          Printf.bprintf b " evals=%d\n" evals)
         [ `Qp; `Adam; `Anneal; `Genetic ])
     (golden_cases ());
   Buffer.contents b
@@ -697,7 +691,7 @@ let test_evaluator_projects_once () =
       ~guarantees:[ Predicate.Equals_const (2, zero_dm) ]
       ()
   in
-  let ev = Verify.evaluator ~projection:`Psd approx assertion in
+  let ev = Verify.evaluator approx assertion in
   let x = Array.init 16 (fun i -> Float.of_int (i mod 5) /. 4.) in
   let was = Obs.enabled () in
   Obs.configure ~enabled:true;
@@ -712,6 +706,42 @@ let test_evaluator_projects_once () =
   Alcotest.(check bool) "MACs counted" true (m1 > m0);
   ignore (Eig.project_psd (Approx.input_of_alpha approx x));
   Alcotest.(check int) "one projection's MACs" (macs () - m1) (m1 - m0)
+
+(* Range coordinates: 4 Clifford samples of 6 input qubits span a
+   4-dimensional range, so one evaluation projects a 4 x 4 matrix, not a
+   64 x 64 one. The assertion reads no predicate that multiplies
+   matrices, so the projection's recomposition is every GEMM the
+   evaluation runs. *)
+let test_evaluator_projects_in_range () =
+  let prog =
+    Program.make Circuit.(empty 6 |> h 0 |> cx 0 1 |> tracepoint 1 [ 0; 1 ])
+  in
+  let approx =
+    Approx.of_characterization
+      (Characterize.run ~rng:(Stats.Rng.make 6) prog ~count:4)
+  in
+  let assertion =
+    Assertion.make ~assumes:[]
+      ~guarantees:
+        [ Predicate.Equals_const (1, dm_of_state (Qstate.Statevec.basis 2 0)) ]
+      ()
+  in
+  let ev = Verify.evaluator approx assertion in
+  let dense =
+    Cmat.init 4 4 (fun i j ->
+        if i = j then Cx.of_float 2. else Cx.make 0.25 (0.1 *. float_of_int (i - j)))
+  in
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  let macs () =
+    Option.value ~default:0 (Obs.Metrics.counter_value "gemm_macs_total")
+  in
+  let m0 = macs () in
+  ignore (ev.Verify.objective [| 0.4; 0.3; 0.2; 0.1 |]);
+  let m1 = macs () in
+  ignore (Eig.project_psd dense);
+  Alcotest.(check int) "a 4x4 projection's MACs" (macs () - m1) (m1 - m0)
 
 (* the validation objective's evaluator against a frozen copy of the
    allocating path it replaced, in Int64 bits (see
@@ -743,9 +773,8 @@ let test_validate_golden () =
 
 (* Norm guarantees are decided by the two bounds, not the solver
    (DESIGN.md section 5): the golden's teleport and mirror cases spend no
-   solver evaluation under [`Psd], whatever the solver, and say which
-   bound decided; under [`Trace], or with an [Equals_const] guarantee
-   added, the solver runs. *)
+   solver evaluation, whatever the solver, and say which bound decided;
+   with an [Equals_const] guarantee added, the solver runs. *)
 let test_norm_guarantees_skip_solver () =
   let was = Obs.enabled () in
   Obs.configure ~enabled:true;
@@ -771,8 +800,8 @@ let test_norm_guarantees_skip_solver () =
       let expected = if name = "mirror-2.bug" then "sample" else "bound" in
       List.iter
         (fun solver ->
-          let run ?(projection = `Psd) assertion =
-            let options = { Verify.default_options with solver; projection } in
+          let run assertion =
+            let options = { Verify.default_options with solver } in
             let evals = solver_evals () and by = decided expected in
             let mark = Obs.Span.mark () in
             ignore
@@ -796,16 +825,14 @@ let test_norm_guarantees_skip_solver () =
               what
           in
           let evals, by, span_by = run assertion in
-          Alcotest.(check int) (label "psd evals") 0 evals;
+          Alcotest.(check int) (label "evals") 0 evals;
           Alcotest.(check int) (label ("decided by " ^ expected)) 1 by;
           Alcotest.(check (option string)) (label "span by") (Some expected)
             span_by;
-          let evals, _, span_by = run ~projection:`Trace assertion in
-          Alcotest.(check bool) (label "trace solves") true (evals > 0);
-          Alcotest.(check (option string)) (label "trace span by")
-            (Some "solver") span_by;
-          let evals, _, _ = run with_const in
-          Alcotest.(check bool) (label "equals_const solves") true (evals > 0))
+          let evals, _, span_by = run with_const in
+          Alcotest.(check bool) (label "equals_const solves") true (evals > 0);
+          Alcotest.(check (option string)) (label "equals_const span by")
+            (Some "solver") span_by)
         [ `Qp; `Adam; `Anneal; `Genetic ])
     (List.filter
        (fun (name, _, _, _, _) ->
@@ -1030,6 +1057,8 @@ let () =
           Alcotest.test_case "minimize counterexample" `Slow test_minimize_counterexample_lock;
           Alcotest.test_case "one projection per alpha" `Quick
             test_evaluator_projects_once;
+          Alcotest.test_case "projection in the inputs' range" `Quick
+            test_evaluator_projects_in_range;
           Alcotest.test_case "validate golden" `Slow test_validate_golden;
           Alcotest.test_case "norm guarantees skip the solver" `Slow
             test_norm_guarantees_skip_solver;
