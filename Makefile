@@ -16,7 +16,7 @@ test-fast:
 # / MORPHQPV_FUZZ_N to reproduce a reported failure.
 test-full: build
 	dune build @runtest --force
-	dune exec bench/main.exe -- fuzz --no-bechamel
+	dune exec bench/main.exe -- fuzz
 
 # Static-analysis diagnostics over the example corpus; --strict makes any
 # warning fail the target, so the shipped examples must stay lint-clean.
@@ -57,9 +57,9 @@ bench: build
 # stripped). scale also asserts its routing invariants — every 24-32q
 # workload runs on the sparse/stabilizer/rank engines, never dense.
 bench-smoke: build
-	@MORPHQPV_DOMAINS=1 dune exec bench/main.exe -- cache certify fig1b scale --no-bechamel \
+	@MORPHQPV_DOMAINS=1 dune exec bench/main.exe -- cache certify fig1b scale \
 	  | grep -v -E 'finished in|done in' > bench_smoke_1.out
-	@MORPHQPV_DOMAINS=2 dune exec bench/main.exe -- cache certify fig1b scale --no-bechamel \
+	@MORPHQPV_DOMAINS=2 dune exec bench/main.exe -- cache certify fig1b scale \
 	  | grep -v -E 'finished in|done in' > bench_smoke_2.out
 	@if diff -u bench_smoke_1.out bench_smoke_2.out; then \
 	  echo "bench-smoke: outputs identical across 1 and 2 domains"; \

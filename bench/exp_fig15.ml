@@ -54,7 +54,7 @@ let fig15b () =
       let approx = Approx.of_characterization ch in
       let time_of solver =
         let options =
-          { Verify.default_options with solver; budget = 1500; restarts = 1 }
+          { Verify.solver; budget = 1500; restarts = 1 }
         in
         let _, t =
           Util.time (fun () -> Verify.validate ~options ~rng approx assertion)

@@ -268,10 +268,6 @@ let deviation_detector ?(probes = 12) ?tracepoints rng ~reference ~count =
       probe_dms;
     !worst
 
-(* one-shot variant *)
-let max_probe_deviation ?probes ?tracepoints rng ~reference ~candidate ~count =
-  (deviation_detector ?probes ?tracepoints rng ~reference ~count) candidate
-
 (* Mutation testing per the paper requires every test case to carry a real
    bug: reject "equivalent mutants" whose phase gate provably does not change
    the program's behaviour on the variable input space (checked exactly on a

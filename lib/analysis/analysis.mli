@@ -187,6 +187,4 @@ module Lint : sig
 
   (** [pp ?file ppf d] prints [file:line:col: severity[CODE]: message]. *)
   val pp : ?file:string -> Format.formatter -> diagnostic -> unit
-
-  val has_errors : diagnostic list -> bool
 end

@@ -21,7 +21,7 @@ let codes =
     ("MQ000", Error, "syntax error");
     ("MQ001", Error, "qubit index out of range");
     ("MQ002", Error, "clbit index out of range");
-    ("MQ003", Error, "duplicate qubit among gate operands");
+    ("MQ003", Error, "duplicate qubit among operands");
     ("MQ004", Error, "duplicate or reserved tracepoint id");
     ("MQ005", Error, "feedback reads a clbit never written by a measurement");
     ("MQ006", Warning, "measurement result overwritten before any read");
@@ -59,8 +59,6 @@ let pp ?file ppf d =
   | None, Some (line, col) -> Format.fprintf ppf "%d:%d: " line col
   | None, None -> ());
   Format.fprintf ppf "%s[%s]: %s" (severity_string d.severity) d.code d.message
-
-let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 let int_list_string qs = String.concat "," (List.map string_of_int qs)
 

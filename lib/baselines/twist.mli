@@ -14,11 +14,6 @@
     purity, at the final tracepoint-free state. *)
 val purity_vector : Morphcore.Program.t -> input:int -> float array
 
-(** [purity_vector_of_state program ~input] — same, for an arbitrary input
-    state (Twist reasons about programs applied to any expression). *)
-val purity_vector_of_state :
-  Morphcore.Program.t -> input:Qstate.Statevec.t -> float array
-
 (** [check ?rng ?tol ?inputs ~tests ~reference ~candidate ()] compares
     purity vectors across test inputs (explicit states, or basis states by
     default). *)

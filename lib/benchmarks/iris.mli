@@ -14,6 +14,3 @@ val generate : Stats.Rng.t -> count:int -> flower array
 (** [normalize_features f] maps raw attribute values into rotation angles in
     [[0, 2pi)] using fixed attribute ranges (paper's encoder convention). *)
 val normalize_features : float array -> float array
-
-(** Fixed attribute ranges [(lo, hi)] used by {!normalize_features}. *)
-val feature_ranges : (float * float) array

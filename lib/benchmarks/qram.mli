@@ -43,10 +43,8 @@ type sparse = {
 val make_cells :
   ?addr_tracepoint:bool -> cells:(int * float) list -> int -> sparse
 
-(** [cell_angle t addr] is the stored angle ([0.] when unlisted). *)
-val cell_angle : sparse -> int -> float
-
-(** [expected_p1_cells t addr] is [sin^2 (cell_angle t addr)]. *)
+(** [expected_p1_cells t addr] is [sin^2] of the angle stored at [addr]
+    ([0.] when unlisted). *)
 val expected_p1_cells : sparse -> int -> float
 
 (** [read t addr] runs the QRAM with basis address [addr] and returns the

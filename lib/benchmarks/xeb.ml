@@ -32,15 +32,3 @@ let linear_xeb ~ideal_probs ~samples =
     /. float_of_int (Array.length samples)
   in
   (d *. mean) -. 1.
-
-let fidelity_of_counts ~ideal_probs counts =
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
-  if total = 0 then invalid_arg "Xeb.fidelity_of_counts: empty counts";
-  let d = float_of_int (Array.length ideal_probs) in
-  let mean =
-    List.fold_left
-      (fun acc (k, c) -> acc +. (float_of_int c *. ideal_probs.(k)))
-      0. counts
-    /. float_of_int total
-  in
-  (d *. mean) -. 1.

@@ -13,7 +13,3 @@ val make : Stats.Rng.t -> n:int -> depth:int -> Circuit.t
 (** [linear_xeb ~ideal_probs ~samples] computes the linear cross-entropy
     fidelity estimate [2^n * mean(p_ideal(sampled)) - 1]. *)
 val linear_xeb : ideal_probs:float array -> samples:int array -> float
-
-(** [fidelity_of_counts ~ideal_probs counts] applies {!linear_xeb} to
-    [(index, count)] pairs. *)
-val fidelity_of_counts : ideal_probs:float array -> (int * int) list -> float

@@ -33,9 +33,6 @@ val exact_bytes : Circuit.t -> string
 val digest : string -> string
 (** [digest bytes] is {!Fnv.hex}[ bytes]. *)
 
-val cone_digest : Circuit.t -> Analysis.Lightcone.cone -> string
-(** Content hash of the cone's restricted subcircuit in canonical form. *)
-
 val cone_digests : Circuit.t -> (int * string) list
 (** [(tracepoint id, cone digest)] per tracepoint, program order. *)
 

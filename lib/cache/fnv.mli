@@ -1,11 +1,9 @@
 (** Hand-rolled FNV-1a hashing for content-addressed cache keys (no
     dependencies, not cryptographic). *)
 
-val offset_basis : int64
-(** The standard 64-bit FNV-1a offset basis. *)
-
 val fnv1a64 : ?offset:int64 -> string -> int64
-(** [fnv1a64 s] is the 64-bit FNV-1a hash of [s]. *)
+(** [fnv1a64 s] is the 64-bit FNV-1a hash of [s], from the standard
+    64-bit offset basis unless [offset] says otherwise. *)
 
 val hex : string -> string
 (** [hex s] is a 32-character hex digest: two independent FNV-1a lanes

@@ -37,6 +37,11 @@ let add i c =
   (match i with
   | Instr.Measure { clbit; _ } -> check_clbit c clbit
   | Instr.If_gate { clbits; _ } -> List.iter (check_clbit c) clbits
+  | Instr.Tracepoint { id; qubits } ->
+      (* a repeated qubit would make the recorded state a matrix that is
+         not the density of any register *)
+      if List.length (List.sort_uniq compare qubits) <> List.length qubits then
+        Cerror.error "MQ003" "Circuit: duplicate qubit in tracepoint %d" id
   | _ -> ());
   { c with rev_instrs = i :: c.rev_instrs }
 
@@ -81,7 +86,6 @@ let mcz qubits c =
   | [] -> Cerror.error "MQ015" "Circuit.mcz: empty qubit list"
   | tgt :: rev_controls -> gate ~controls:(List.rev rev_controls) "z" [ tgt ] c
 
-let mcrx th controls tgt c = gate ~params:[ th ] ~controls "rx" [ tgt ] c
 let mcry th controls tgt c = gate ~params:[ th ] ~controls "ry" [ tgt ] c
 let tracepoint id qubits c = add (Instr.Tracepoint { id; qubits }) c
 let measure qubit clbit c = add (Instr.Measure { qubit; clbit }) c

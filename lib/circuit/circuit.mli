@@ -42,7 +42,8 @@ val num_clbits : t -> int
 (** [instrs c] returns instructions in program order. *)
 val instrs : t -> Instr.t list
 
-(** [add i c] appends an instruction after validating qubit/clbit ranges. *)
+(** [add i c] appends an instruction after validating qubit/clbit ranges
+    and that a tracepoint names each qubit once (MQ003). *)
 val add : Instr.t -> t -> t
 
 (** [append a b] concatenates the instructions of [b] after [a] (registers
@@ -86,7 +87,6 @@ val mcx : int list -> int -> t -> t
     taken as target and the rest as controls. *)
 val mcz : int list -> t -> t
 
-val mcrx : float -> int list -> int -> t -> t
 val mcry : float -> int list -> int -> t -> t
 
 (* Non-gate instructions *)

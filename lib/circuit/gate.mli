@@ -1,6 +1,6 @@
 (** A single gate application: a named base operation with optional real
     parameters, an optional list of control qubits, and one or two target
-    qubits. Multi-controlled gates (e.g. the paper's [mcz], [mcrx]) are plain
+    qubits. Multi-controlled gates (e.g. the paper's [mcz], [mcry]) are plain
     gates with several controls. *)
 
 type t = private {

@@ -13,6 +13,10 @@
 
 type kind = Basis | Clifford | Haar
 
+(** [basis_index n ~index] is the computational-basis index of the
+    [index]-th [Basis] input on [n] qubits: [index] modulo [2^n]. *)
+val basis_index : int -> index:int -> int
+
 (** [prep_circuit rng kind n ~index] builds the preparation circuit of the
     [index]-th sampled input on [n] qubits. [Basis] enumerates bitstrings in
     order; [Clifford] and [Haar] draw fresh random circuits. *)

@@ -94,10 +94,6 @@ val combine_into :
 (** [input_of_alpha t alpha] is [sum_i alpha_i sigma_in_i]. *)
 val input_of_alpha : t -> float array -> Linalg.Cmat.t
 
-(** [tracepoint_of_alpha t ~tracepoint alpha] is [sum_i alpha_i sigma_T_i].
-    Raises [Not_found] for an unknown tracepoint. *)
-val tracepoint_of_alpha : t -> tracepoint:int -> float array -> Linalg.Cmat.t
-
 (** [state_at ?mode ?physical t ~tracepoint rho_in] approximates the
     tracepoint state under input [rho_in]. When [physical] is true (default)
     the result is projected back to a valid density matrix. *)

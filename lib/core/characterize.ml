@@ -254,7 +254,9 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     if Sim.Batch.is_deterministic plan then
       Sim.Batch.run_traces ~pool plan ~count:m ~init:embed
     else begin
-      let t = Option.value trajectories ~default:64 in
+      let t =
+        Option.value trajectories ~default:Sim.Engine.default_trajectories
+      in
       (* one column per input x trajectory, seeded with exactly the split
          children the sequential trajectory fan-out would derive — so each
          sample generator's stream position (consumed below by [degrade])
@@ -263,7 +265,7 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
       let col_rngs =
         Array.concat
           (Array.to_list
-             (Array.map (fun i -> Array.init t (Stats.Rng.split rngs.(i))) first))
+             (Array.map (fun i -> Sim.Engine.split_children rngs.(i) t) first))
       in
       let per_col =
         Sim.Batch.run_traces ~pool ~rngs:col_rngs plan ~count:(m * t)
@@ -272,23 +274,6 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
       Array.init m (fun j ->
           Sim.Engine.average_traces t (Array.sub per_col (j * t) t))
     end
-  in
-  (* Basis inputs are exact one-hot amplitudes, so recovering a routed
-     sample's preparation index below is exact — and sidesteps
-     [Program.embed]'s dense allocation, which cannot exist at 28+
-     qubits. *)
-  let basis_index st =
-    let d = Qstate.Statevec.dim st in
-    let rec go k found =
-      if k = d then found
-      else
-        match Qstate.Statevec.amplitude st k with
-        | { Complex.re = 1.0; im = 0.0 } -> (
-            match found with None -> go (k + 1) (Some k) | Some _ -> None)
-        | { Complex.re = 0.0; im = 0.0 } -> go (k + 1) found
-        | _ -> None
-    in
-    go 0 None
   in
   let input_positions = Array.of_list program.Program.input_qubits in
   (* every sample through one engine, tracepoints degraded per [mode]; a
@@ -301,13 +286,17 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     share ~span:"characterize.sample" ~rng:(Array.get rngs) (fun j ->
         let i = first.(j) in
         let input_state = inputs_arr.(i) in
-        (* full-register preparation index for a one-hot input *)
+        (* A routed run samples its own basis inputs, so sample [i]'s
+           input is basis state [Sampling.basis_index k ~index:i]; its
+           full-register preparation index sidesteps [Program.embed]'s
+           dense allocation, which cannot exist at 28+ qubits. *)
         let prep =
           match decision with
           | Routed route ->
-              Option.map
-                (fun a -> (route, Qstate.Statevec.embed_index input_positions a))
-                (basis_index input_state)
+              Some
+                ( route,
+                  Qstate.Statevec.embed_index input_positions
+                    (Clifford.Sampling.basis_index k ~index:i) )
           | Units _ | Batched | Sequential -> None
         in
         match (prep, batched_traces) with

@@ -38,6 +38,14 @@ let parse_predicate circuit n_in spec =
             (%d qubits)"
         spec k tp w
   in
+  (* [float_of_string] also reads nan, inf and 1e999; a NaN bound makes
+     every comparison false, so the objective could never exceed the
+     tolerance *)
+  let finite v =
+    let x = float_of_string v in
+    if Float.is_finite x then Ok x
+    else fail "predicate spec %S: %s is not a finite number" spec v
+  in
   let pauli tp p =
     let* w = width tp in
     let p = Qstate.Pauli.of_string p in
@@ -77,14 +85,16 @@ let parse_predicate circuit n_in spec =
         match String.split_on_char ',' rest with
         | [ t; k; lo; hi ] ->
             let t = int_of_string t and k = int_of_string k in
-            let lo = float_of_string lo and hi = float_of_string hi in
+            let* lo = finite lo in
+            let* hi = finite hi in
             let* _ = basis_index t k in
             Ok (Predicate.Diag_in_range (t, k, lo, hi))
         | _ -> fail "diag expects T,K,LO,HI")
     | [ (("expect-ge" | "expect-le") as form); rest ] -> (
         match String.split_on_char ',' rest with
         | [ t; p; v ] ->
-            let t = int_of_string t and v = float_of_string v in
+            let t = int_of_string t in
+            let* v = finite v in
             let* p = pauli t p in
             Ok
               (if form = "expect-ge" then Predicate.Expect_ge (t, p, v)
@@ -93,7 +103,8 @@ let parse_predicate circuit n_in spec =
     | [ "purity-ge"; rest ] -> (
         match String.split_on_char ',' rest with
         | [ t; v ] ->
-            let t = int_of_string t and v = float_of_string v in
+            let t = int_of_string t in
+            let* v = finite v in
             let* _ = width t in
             Ok (Predicate.Purity_ge (t, v))
         | _ -> fail "purity-ge expects T,V")

@@ -9,17 +9,14 @@
     Mode specs: [exact] | [tomo:SHOTS] | [probs:SHOTS].
     Solver names: [qp] | [sgd] | [anneal] | [genetic]. *)
 
-val qubits_of_tracepoint : Circuit.t -> int -> int option
-(** Width of tracepoint [tp]'s recorded state; [None] for the reserved
-    input id 0 and for unknown ids. *)
-
 val parse_predicate :
   Circuit.t -> int -> string -> (Predicate.t, string) result
 (** [parse_predicate circuit n_in spec] ([n_in] = the width of tracepoint
-    0). Malformed numbers, unknown forms and predicates the program cannot
-    evaluate — an unknown tracepoint, [equals] across different widths, a
-    basis index [K >= 2^width], a Pauli string whose length is not the
-    width — return [Error], never raise. *)
+    0). Malformed or non-finite numbers ([nan], [inf], [1e999]), unknown
+    forms and predicates the program cannot evaluate — an unknown
+    tracepoint, [equals] across different widths, a basis index
+    [K >= 2^width], a Pauli string whose length is not the width — return
+    [Error], never raise. *)
 
 val parse_budget : string -> (Stats.Tests.budget, string) result
 val parse_mode : string -> (Characterize.mode, string) result

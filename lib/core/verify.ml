@@ -11,19 +11,12 @@ type verdict =
 type options = {
   solver : Optimize.Solvers.method_;
   budget : int;
-  epsilon_obj : float;
-  epsilon_acc : float;
   restarts : int;
 }
 
-let default_options =
-  {
-    solver = `Qp;
-    budget = 6_000;
-    epsilon_obj = 0.05;
-    epsilon_acc = 0.5;
-    restarts = 2;
-  }
+let default_options = { solver = `Qp; budget = 6_000; restarts = 2 }
+let epsilon_obj = 0.05
+let epsilon_acc = 0.5
 
 let guarantee_objective assertion env =
   List.fold_left
@@ -142,8 +135,8 @@ let check_on_program ?rng ?tol program assertion ~input =
   in
   Assertion.holds ?tol assertion env
 
-let confidence options approx =
-  Confidence.estimate ~epsilon:options.epsilon_acc ~n_in:approx.Approx.n_in
+let confidence approx =
+  Confidence.estimate ~epsilon:epsilon_acc ~n_in:approx.Approx.n_in
     ~n_sample:(Approx.n_sample approx) [||]
 
 let violates ?rng program assertion input =
@@ -172,7 +165,7 @@ let solve ~options ~rng ?confirm approx assertion =
   let problem = { Optimize.Constrained.objective; constraints } in
   let rec restart k best =
     if k = 0 then
-      Verified { confidence = confidence options approx; max_objective = best }
+      Verified { confidence = confidence approx; max_objective = best }
     else
       let sol =
         Optimize.Constrained.maximize
@@ -181,7 +174,7 @@ let solve ~options ~rng ?confirm approx assertion =
       in
       let { Optimize.Constrained.x; value; feasible; _ } = sol in
       if not feasible then restart (k - 1) best
-      else if value > options.epsilon_obj then
+      else if value > epsilon_obj then
         let counterexample = Eig.project_psd (ev.env x 0) in
         if confirmed_violation ~rng confirm assertion counterexample then
           Violated { counterexample; alpha = x; objective = value }
@@ -255,9 +248,6 @@ let upper_bound approx norms =
 let norm_bound approx assertion =
   Option.map (upper_bound approx) (norm_guarantees approx assertion)
 
-(* [Optimize.Constrained.maximize]'s feasibility tolerance *)
-let feasible_tol = 1e-3
-
 let sample_env (approx : Approx.t) i tp =
   match states_of approx tp with
   | Some states -> states.(i)
@@ -269,7 +259,7 @@ let best_sample approx assertion =
     let env = sample_env approx i in
     if
       List.for_all
-        (fun p -> Predicate.eval p env <= feasible_tol)
+        (fun p -> Predicate.eval p env <= Optimize.Constrained.feasible_tol)
         assertion.Assertion.assumes
     then begin
       let v = guarantee_objective assertion env in
@@ -284,9 +274,9 @@ let best_sample approx assertion =
    the tolerance and the sample's own input violates the assertion on
    [confirm]. The replay draws from a generator derived from [rng]'s
    state, so a refuted sample leaves the solver's stream as it was. *)
-let sample_violation ~options ~rng ?confirm approx assertion =
+let sample_violation ~rng ?confirm approx assertion =
   match best_sample approx assertion with
-  | Some (i, objective) when objective > options.epsilon_obj ->
+  | Some (i, objective) when objective > epsilon_obj ->
       let counterexample = Cmat.copy approx.Approx.inputs.(i) in
       let replay = Stats.Rng.make (Stats.Rng.fingerprint rng) in
       let confirmed =
@@ -318,13 +308,13 @@ let validate_direct ?(options = default_options) ?rng ?confirm approx assertion 
     let solver () = (solve ~options ~rng ?confirm approx assertion, "solver") in
     match norm_guarantees approx assertion with
     | Some norms -> (
-        match sample_violation ~options ~rng ?confirm approx assertion with
+        match sample_violation ~rng ?confirm approx assertion with
         | Some v -> (v, "sample")
         | None ->
             let bound = upper_bound approx norms in
             (* the evaluator's rounding can exceed the exact bound *)
-            if bound <= options.epsilon_obj -. 1e-9 then
-              let confidence = confidence options approx in
+            if bound <= epsilon_obj -. 1e-9 then
+              let confidence = confidence approx in
               (Verified { confidence; max_objective = bound }, "bound")
             else solver ())
     | _ -> solver ()
@@ -359,7 +349,7 @@ let validate ?(options = default_options) ?rng ?confirm ?cache approx assertion 
         Cache.Canon.digest
           (String.concat "\x00"
              [
-               "verdict-v3";
+               "verdict-v4";
                Cache.Canon.digest
                  (Marshal.to_string
                     ( approx.Approx.n_in,
@@ -542,80 +532,6 @@ let check_counts ?(budget = `Fixed 2048) ?rng ?noise program
         | Stats.Sprt.Continue -> fixed_holds
       in
       { counts_hold = holds; test; shots_used = used; early_stop = early }
-
-(* ------------------- sequential assertion probing ---------------------- *)
-
-type probe_result = {
-  probe_holds : bool;
-  trials : int;
-  failures : int;
-  probe_early_stop : bool;
-  counterexample_input : Qstate.Statevec.t option;
-}
-
-(* Bernoulli SPRT hypotheses on the per-input violation rate: H0 "the
-   assertion effectively holds" (violation rate <= 1%) against H1
-   "broken" (>= 25%). With the default alpha = beta = 0.05 boundaries a
-   single observed violation crosses the reject line immediately, and
-   ~14 consecutive passes cross the accept line. *)
-let probe_p0 = 0.01
-let probe_p1 = 0.25
-
-let probe_assertion ?rng ?tol ?(budget = `Fixed 32) program assertion =
-  Obs.Span.with_ ~name:"verify.probe_assertion" @@ fun () ->
-  let rng = match rng with Some r -> r | None -> Stats.Rng.make 29 in
-  let k = Program.num_input_qubits program in
-  let failures = ref 0 and counterexample = ref None in
-  let trial () =
-    let input = Clifford.Sampling.haar_state rng k in
-    let ok = check_on_program ~rng ?tol program assertion ~input in
-    if not ok then begin
-      incr failures;
-      if !counterexample = None then counterexample := Some input
-    end;
-    not ok
-  in
-  match budget with
-  | `Fixed n ->
-      if n <= 0 then invalid_arg "Verify.probe_assertion: non-positive trials";
-      for _ = 1 to n do
-        ignore (trial ())
-      done;
-      {
-        probe_holds = !failures = 0;
-        trials = n;
-        failures = !failures;
-        probe_early_stop = false;
-        counterexample_input = !counterexample;
-      }
-  | `Sequential { Stats.Tests.alpha; beta; max_shots = cap } ->
-      if cap <= 0 then
-        invalid_arg "Verify.probe_assertion: non-positive max_shots";
-      let sprt = ref (Stats.Sprt.make ~alpha ~beta) in
-      let trials = ref 0 in
-      let verdict = ref Stats.Sprt.Continue in
-      while !verdict = Stats.Sprt.Continue && !trials < cap do
-        let violated = trial () in
-        incr trials;
-        sprt :=
-          Stats.Sprt.observe_bernoulli ~p0:probe_p0 ~p1:probe_p1 !sprt violated;
-        verdict := Stats.Sprt.decide !sprt
-      done;
-      let early = !trials < cap in
-      seq_counters ~cap ~used:!trials ~early;
-      let holds =
-        match !verdict with
-        | Stats.Sprt.Accept_h0 -> true
-        | Stats.Sprt.Reject_h0 -> false
-        | Stats.Sprt.Continue -> !failures = 0
-      in
-      {
-        probe_holds = holds;
-        trials = !trials;
-        failures = !failures;
-        probe_early_stop = early;
-        counterexample_input = !counterexample;
-      }
 
 let probe_accuracies ?rng ?(count = 20) approx program ~tracepoint =
   Obs.Span.with_ ~name:"verify.probe_accuracies" @@ fun () ->

@@ -38,12 +38,15 @@ type options = {
           so a small per-round share is exceeded — at the default 6,000,
           sgd-adam spends 20,512 evaluations on the 3-key lock
           (test/validate_golden.txt) *)
-  epsilon_obj : float;  (** violation tolerance on the guarantee objective *)
-  epsilon_acc : float;  (** accuracy threshold for confidence (Theorem 3) *)
   restarts : int;  (** independent optimization attempts *)
 }
 
+(** [{ solver = `Qp; budget = 6_000; restarts = 2 }] *)
 val default_options : options
+
+(** The violation tolerance on the guarantee objective: 0.05. The
+    assertion holds when the maximal objective stays at or below it. *)
+val epsilon_obj : float
 
 (** The validation objective over [alpha], as {!validate} evaluates it.
     One path: combine, PSD-project, least squares, recombine. One
@@ -60,7 +63,7 @@ val default_options : options
     constraint at the same alpha share one environment. For inputs that
     fill the input space every value is bit-identical to the allocating
     full-space path ({!Approx.input_of_alpha}, {!Linalg.Eig.project_psd},
-    {!Approx.decompose}, {!Approx.tracepoint_of_alpha}); for fewer
+    {!Approx.decompose}, then [sum_i alpha_i sigma_T_i]); for fewer
     inputs the projection runs at the rank of their range and agrees
     with that path up to rounding. The testkit oracle [objective_exact]
     pins both against a frozen copy of the full-space path. An
@@ -86,13 +89,13 @@ val evaluator : Approx.t -> Assertion.t -> evaluator
     being the sampled input; assumptions may be of any kind), two bounds
     come first:
     + the {i lower bound}: the largest guarantee value over the samples
-      whose every assumption evaluates to [<= 1e-3] (the solver's
-      feasibility tolerance) on the sample's recorded traces. Above
-      [epsilon_obj], and when [confirm] is given confirmed by replaying
-      the sample's own input on it (on a generator derived from [rng]'s
-      state), it is [Violated] with [counterexample] the sample's input
-      density, [alpha] the unit vector of the sample and [objective] its
-      value;
+      whose every assumption evaluates to at most
+      {!Optimize.Constrained.feasible_tol} on the sample's recorded
+      traces. Above [epsilon_obj], and when [confirm] is given confirmed
+      by replaying the sample's own input on it (on a generator derived
+      from [rng]'s state), it is [Violated] with [counterexample] the
+      sample's input density, [alpha] the unit vector of the sample and
+      [objective] its value;
     + the {i upper bound} ({!norm_bound}) on every value the evaluator
       can produce. At most [epsilon_obj - 1e-9], it is [Verified] with
       [max_objective] the bound: a certified upper bound, not an attained
@@ -213,32 +216,6 @@ val check_counts :
   Assertion.Dist.t ->
   input:Qstate.Statevec.t ->
   counts_result
-
-(** Result of sequential assertion probing over random inputs. *)
-type probe_result = {
-  probe_holds : bool;
-  trials : int;
-  failures : int;  (** inputs on which the assertion failed *)
-  probe_early_stop : bool;
-  counterexample_input : Qstate.Statevec.t option;
-      (** first violating input, when any *)
-}
-
-(** [probe_assertion ?rng ?tol ?budget program assertion] draws Haar-random
-    inputs and checks the assertion on the real program per input
-    ({!check_on_program}), treating each input as a Bernoulli trial of the
-    violation rate. [`Fixed n] (default 32) runs exactly [n] trials and
-    holds iff none fail. [`Sequential] runs a Bernoulli SPRT of
-    "violation rate <= 1%" against ">= 25%": one observed violation
-    rejects immediately at the default boundaries, ~14 consecutive passes
-    accept early; at [max_shots] the fixed rule applies. *)
-val probe_assertion :
-  ?rng:Stats.Rng.t ->
-  ?tol:float ->
-  ?budget:Stats.Tests.budget ->
-  Program.t ->
-  Assertion.t ->
-  probe_result
 
 (** [probe_accuracies ?rng ?count approx program ~tracepoint] measures
     approximation accuracy on random Haar inputs against fresh program

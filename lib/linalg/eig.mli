@@ -26,10 +26,6 @@ val hermitian : Cmat.t -> float array * Cmat.t
     matrix [a]: [funm f a = v * diag (f w) * adjoint v]. *)
 val funm : (float -> float) -> Cmat.t -> Cmat.t
 
-(** [funm_into ws f a ~dst] writes [funm f a] into [dst], which must not
-    be a buffer of [ws]. *)
-val funm_into : workspace -> (float -> float) -> Cmat.t -> dst:Cmat.t -> unit
-
 (** [sqrtm_psd a] is the principal square root of a positive semi-definite
     Hermitian matrix. Slightly negative eigenvalues (numerical noise) are
     clamped to zero. *)

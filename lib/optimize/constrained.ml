@@ -14,8 +14,9 @@ type solution = {
 let violation constraints x =
   List.fold_left (fun acc g -> Float.max acc (Float.max 0. (g x))) 0. constraints
 
-let maximize ?(budget = 10_000) ?(rounds = 4) ?(tol = 1e-3) ~method_ rng problem
-    =
+let feasible_tol = 1e-3
+
+let maximize ?(budget = 10_000) ?(rounds = 4) ~method_ rng problem =
   let obj = problem.objective in
   let total_evals = ref 0 in
   let best = ref None in
@@ -37,7 +38,7 @@ let maximize ?(budget = 10_000) ?(rounds = 4) ?(tol = 1e-3) ~method_ rng problem
     total_evals := !total_evals + sol.Solvers.evals;
     let value = obj.Objective.f sol.Solvers.x in
     let max_violation = violation problem.constraints sol.Solvers.x in
-    let candidate = { x = sol.Solvers.x; value; max_violation; feasible = max_violation <= tol; evals = 0 } in
+    let candidate = { x = sol.Solvers.x; value; max_violation; feasible = max_violation <= feasible_tol; evals = 0 } in
     (match !best with
     | None -> best := Some candidate
     | Some b ->

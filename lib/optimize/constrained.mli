@@ -14,17 +14,19 @@ type solution = {
   x : float array;
   value : float;  (** objective at [x] *)
   max_violation : float;  (** max over constraints of [max 0 g(x)] *)
-  feasible : bool;  (** violation below tolerance *)
+  feasible : bool;  (** [max_violation <= feasible_tol] *)
   evals : int;
 }
 
-(** [maximize ?budget ?rounds ?tol ~method_ rng problem] runs the penalty
+(** The largest constraint violation a feasible solution may have: 1e-3. *)
+val feasible_tol : float
+
+(** [maximize ?budget ?rounds ~method_ rng problem] runs the penalty
     loop. [rounds] (default 4) controls how many times the penalty weight is
     increased (x10 each round, starting at 10). *)
 val maximize :
   ?budget:int ->
   ?rounds:int ->
-  ?tol:float ->
   method_:Solvers.method_ ->
   Stats.Rng.t ->
   problem ->

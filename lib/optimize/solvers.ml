@@ -20,7 +20,10 @@ let record_solver name ~iterations ~evals =
     Obs.Metrics.counter_add ~labels "solver_evals_total" evals
   end
 
-let adam ?(iters = 200) ?(restarts = 4) ?(lr = 0.05) rng obj =
+(* Adam's step size *)
+let lr = 0.05
+
+let adam ?(iters = 200) ?(restarts = 4) rng obj =
   Obs.Span.with_ ~name:"solver.sgd-adam" @@ fun () ->
   let obj, evals = counting_objective obj in
   let dim = obj.Objective.dim in
@@ -46,7 +49,10 @@ let adam ?(iters = 200) ?(restarts = 4) ?(lr = 0.05) rng obj =
   record_solver "sgd-adam" ~iterations:(restarts * iters) ~evals:!evals;
   { !best with evals = !evals }
 
-let anneal ?(iters = 2000) ?(restarts = 2) ?(temp0 = 1.) rng obj =
+(* the annealing temperature at the first step *)
+let temp0 = 1.
+
+let anneal ?(iters = 2000) ?(restarts = 2) rng obj =
   Obs.Span.with_ ~name:"solver.annealing" @@ fun () ->
   let obj, evals = counting_objective obj in
   let dim = obj.Objective.dim in
@@ -80,7 +86,10 @@ let anneal ?(iters = 2000) ?(restarts = 2) ?(temp0 = 1.) rng obj =
   record_solver "annealing" ~iterations:(restarts * iters) ~evals:!evals;
   { !best with evals = !evals }
 
-let genetic ?(generations = 60) ?(population = 40) ?(mutation = 0.15) rng obj =
+(* the per-coordinate probability that a child mutates *)
+let mutation = 0.15
+
+let genetic ?(generations = 60) ?(population = 40) rng obj =
   Obs.Span.with_ ~name:"solver.genetic" @@ fun () ->
   let obj, evals = counting_objective obj in
   let dim = obj.Objective.dim in

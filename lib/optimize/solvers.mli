@@ -5,25 +5,20 @@
 
 type solution = { x : float array; value : float; evals : int }
 
-(** [adam ?iters ?restarts ?lr rng obj] — Adam gradient ascent with numeric
-    gradients and random restarts (the paper's "SGD" solver). *)
-val adam :
-  ?iters:int -> ?restarts:int -> ?lr:float -> Stats.Rng.t -> Objective.t -> solution
+(** [adam ?iters ?restarts rng obj] — Adam gradient ascent with numeric
+    gradients, step size 0.05 and random restarts (the paper's "SGD"
+    solver). *)
+val adam : ?iters:int -> ?restarts:int -> Stats.Rng.t -> Objective.t -> solution
 
-(** [anneal ?iters ?restarts ?temp0 rng obj] — simulated annealing with a
-    geometric cooling schedule. *)
-val anneal :
-  ?iters:int -> ?restarts:int -> ?temp0:float -> Stats.Rng.t -> Objective.t -> solution
+(** [anneal ?iters ?restarts rng obj] — simulated annealing with a
+    geometric cooling schedule from temperature 1. *)
+val anneal : ?iters:int -> ?restarts:int -> Stats.Rng.t -> Objective.t -> solution
 
-(** [genetic ?generations ?population ?mutation rng obj] — tournament
-    selection, blend crossover, Gaussian mutation, elitism. *)
+(** [genetic ?generations ?population rng obj] — tournament selection,
+    blend crossover, Gaussian mutation of each coordinate with
+    probability 0.15, elitism. *)
 val genetic :
-  ?generations:int ->
-  ?population:int ->
-  ?mutation:float ->
-  Stats.Rng.t ->
-  Objective.t ->
-  solution
+  ?generations:int -> ?population:int -> Stats.Rng.t -> Objective.t -> solution
 
 (** [qp ?iters ?restarts rng obj] — projected conjugate-direction ascent with
     exact line search under a local quadratic model; exact for quadratic

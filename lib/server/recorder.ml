@@ -1,4 +1,4 @@
-(* Flight recorder: a bounded ring of the last N completed request
+(* Flight recorder: a bounded ring of the last 256 completed request
    summaries, kept in memory by the serve daemon.
 
    Each summary holds what an operator needs to reconstruct a request
@@ -26,11 +26,10 @@ type summary = {
 
 type t = { cap : int; slots : summary option array; mutable n : int }
 
-let create ?(capacity = 256) () =
-  let cap = max 1 capacity in
+let create () =
+  let cap = 256 in
   { cap; slots = Array.make cap None; n = 0 }
 
-let capacity t = t.cap
 let recorded t = t.n
 
 let record t s =

@@ -47,13 +47,13 @@ type state = {
          registry so `stats` reports them even with obs disabled *)
 }
 
-let make_state ?cache ?(certify = false) ?recorder_capacity () =
+let make_state ?cache ?(certify = false) () =
   {
     cache;
     certify;
     started = Unix.gettimeofday ();
     requests = 0;
-    recorder = Recorder.create ?capacity:recorder_capacity ();
+    recorder = Recorder.create ();
     next_rid = 0;
     by_verb = Hashtbl.create 8;
   }

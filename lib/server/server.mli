@@ -37,9 +37,8 @@ type state
     checker ({!Transpile.Certify}), and a ["certify"] event reports the
     verdict. A failed check aborts the request with an MQ021 error line.
     Individual requests can also opt in with a ["certify": true] param.
-    [recorder_capacity] (default 256) bounds the flight-recorder ring. *)
-val make_state :
-  ?cache:Cache.t -> ?certify:bool -> ?recorder_capacity:int -> unit -> state
+    The flight-recorder ring keeps the last 256 requests. *)
+val make_state : ?cache:Cache.t -> ?certify:bool -> unit -> state
 
 val recorder : state -> Recorder.t
 (** The state's flight recorder (tests and the [trace] RPC read it). *)

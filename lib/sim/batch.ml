@@ -339,9 +339,9 @@ let exec ?pool ?rngs plan ~count ~init ~want_states =
           invalid_arg "Batch: rngs length must equal the column count";
         a
     | None ->
-        (* same per-trajectory default seed policy as [Engine.run]: a
-           fresh generator per column, never a shared one *)
-        Array.init count (fun _ -> Stats.Rng.make 0xC0FFEE)
+        (* [Engine.run]'s default seed policy: a fresh generator per
+           column, never a shared one *)
+        Array.init count (fun _ -> Engine.default_rng ())
   in
   let traces = Array.make count [] in
   let clbits = Array.init count (fun _ -> Array.make plan.num_clbits 0) in

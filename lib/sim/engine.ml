@@ -110,6 +110,8 @@ let is_deterministic c =
       | _ -> true)
     (Circuit.instrs c)
 
+let split_children rng count = Array.init count (Stats.Rng.split rng)
+
 let get_pool = function
   | Some p -> p
   | None -> Parallel.Pool.global ()
@@ -120,7 +122,7 @@ let get_pool = function
    the fan-out and the merge order is fixed, so results are bit-identical
    for any domain count. *)
 let fan_out pool rng ~meter ~count job =
-  let rngs = Array.init count (Stats.Rng.split rng) in
+  let rngs = split_children rng count in
   let metered = meter <> None in
   let results =
     Parallel.Pool.map_init pool count (fun i ->
@@ -386,19 +388,12 @@ let average_traces trajectories per_traj =
       ))
     !order
 
-let tracepoint_states ?pool ?rng ?(noise = Noise.ideal) ?(trajectories = 64)
-    ?initial ?(engine = `Auto) ?wall c =
-  let ideal_start = initial = None && Noise.is_ideal noise in
+let default_trajectories = 64
+
+let tracepoint_states ?pool ?rng ?(noise = Noise.ideal)
+    ?(trajectories = default_trajectories) ?initial c =
   let route =
-    match engine with
-    | `Statevec -> None
-    | `Auto -> if ideal_start then auto_route ?wall c else None
-    | #route as route ->
-        if not (ideal_start && applicable route c) then
-          invalid_arg
-            ("Engine.tracepoint_states: " ^ route_name route
-           ^ " engine inapplicable");
-        Some route
+    if initial = None && Noise.is_ideal noise then auto_route c else None
   in
   let engine_name =
     match route with Some route -> route_name route | None -> "statevec"

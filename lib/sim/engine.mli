@@ -107,25 +107,36 @@ val sim_class : Circuit.t -> string
 val average_traces :
   int -> (int * Linalg.Cmat.t) list array -> (int * Linalg.Cmat.t) list
 
-(** [tracepoint_states ?pool ?rng ?noise ?trajectories ?initial ?engine
-    ?wall c] returns the expected reduced density matrix at every
-    tracepoint. [`Auto] (default) applies {!auto_route} to ideal
-    programs starting from [|0...0>] and runs the chosen route through
-    {!cone_traces}; other deterministic ideal circuits use one
+(** [default_rng ()] is the generator every entry point here, and
+    [Sim.Batch], starts from when the caller passes none: a fresh one
+    per call from one fixed seed, never a shared mutable generator. *)
+val default_rng : unit -> Stats.Rng.t
+
+(** [split_children rng count] derives the [count] child generators of a
+    trajectory fan-out from [rng], in index order — the one derivation
+    every trajectory average uses, so the dense and batched paths draw
+    identical streams. *)
+val split_children : Stats.Rng.t -> int -> Stats.Rng.t array
+
+(** Trajectories averaged for a stochastic program when the caller does
+    not say: 64. *)
+val default_trajectories : int
+
+(** [tracepoint_states ?pool ?rng ?noise ?trajectories ?initial c]
+    returns the expected reduced density matrix at every tracepoint.
+    Ideal programs starting from [|0...0>] take {!auto_route}'s route
+    through {!cone_traces}; other deterministic ideal circuits use one
     state-vector pass; everything else averages [trajectories] (default
-    64) runs fanned out over [pool] (default [Parallel.Pool.global ()])
-    with one [Stats.Rng.split] child per trajectory and an in-order
-    merge — results are bit-identical for any domain count under a
-    fixed seed. A forced [route] raises [Invalid_argument] when
-    inapplicable; [`Statevec] disables the routing entirely. *)
+    {!default_trajectories}) runs fanned out over [pool] (default
+    [Parallel.Pool.global ()]) with the {!split_children} of [rng] and an
+    in-order merge — results are bit-identical for any domain count
+    under a fixed seed. *)
 val tracepoint_states :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->
   ?noise:Noise.t ->
   ?trajectories:int ->
   ?initial:Qstate.Statevec.t ->
-  ?engine:[ `Auto | `Statevec | route ] ->
-  ?wall:float ->
   Circuit.t ->
   (int * Linalg.Cmat.t) list
 

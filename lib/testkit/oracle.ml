@@ -1,5 +1,7 @@
 let eps = 1e-9
 
+(* [<psi| rho |psi>] computed directly: no eigendecomposition, so
+   accurate to ~1e-14, safe against [eps] *)
 let fidelity_pure_dm psi rho =
   let v = Qstate.Statevec.to_cvec psi in
   let rv = Linalg.Cmat.apply (Qstate.Density.mat rho) v in
@@ -1375,7 +1377,7 @@ let norm_bounds_sound circ =
                    | [ i ] ->
                        let s = samples.(i) in
                        alpha.(i) = 1.
-                       && objective > options.V.epsilon_obj
+                       && objective > V.epsilon_obj
                        && float_exact objective (sample_value assertion s)
                        && not
                             (V.check_on_program ~rng:(Stats.Rng.make 5)

@@ -18,10 +18,6 @@
 val eps : float
 (** Agreement threshold, [1e-9]. *)
 
-(** [fidelity_pure_dm psi rho] is [<psi| rho |psi>] computed directly (no
-    eigendecomposition, so accurate to ~1e-14 — safe against {!eps}). *)
-val fidelity_pure_dm : Qstate.Statevec.t -> Qstate.Density.t -> float
-
 (** [traces_match ?eps a b] — same tracepoint ids in the same order, with
     reduced density matrices within [eps] in Frobenius norm. *)
 val traces_match :
@@ -94,15 +90,12 @@ val batch_bit_identical : ?pool:Parallel.Pool.t -> Gen.circ -> bool
     compared with [=] (exact, but blind to the sign of a zero). *)
 val batch_fences_exact : Circuit.t -> bool
 
-(** [delay_tracepoint_fences plan] — a deliberately broken segmentation
-    that moves every tracepoint fence past the operator that follows it.
-    Used by the shrinker smoke test: {!batch_fence_respected} must fail on
-    any circuit whose traced state changes across that operator. *)
-val delay_tracepoint_fences : Sim.Batch.plan -> Sim.Batch.plan
-
-(** [batch_fence_respected c] — {!batch_vs_engine} but with the plan's
-    tracepoint fences deliberately delayed ({!delay_tracepoint_fences});
-    holds only when the misplaced fences happen to be unobservable. *)
+(** [batch_fence_respected c] — {!batch_vs_engine} but with a
+    deliberately broken segmentation that moves every tracepoint fence
+    past the operator that follows it; holds only when the misplaced
+    fences happen to be unobservable. The shrinker smoke test relies on
+    it failing on any circuit whose traced state changes across that
+    operator. *)
 val batch_fence_respected : Gen.circ -> bool
 
 (** [prune_preserves_traces c] — {!Transpile.Passes.prune_lightcone} keeps

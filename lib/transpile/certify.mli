@@ -7,8 +7,9 @@
     the chain against the step's own input and shares nothing with the pass
     implementations beyond the gate-matrix table. Cost is O(total obligation
     size): every [Local_equiv] group is decided by a direct [2^k x 2^k]
-    matrix comparison on the group's union support (capped at
-    {!max_support} qubits), never by simulating the whole circuit, and
+    matrix comparison on the group's union support (capped at 8 qubits;
+    wider groups are conservatively rejected), never by simulating the
+    whole circuit, and
     deletions are re-justified from {!Analysis.Lightcone} or the gate matrix
     itself. See DESIGN.md §16. *)
 
@@ -66,11 +67,6 @@ type summary = {
   permutation : int;  (** mapped (untouched) instruction pairs *)
 }
 
-(** Widest [Local_equiv] union support the checker will decide (a
-    [2^k x 2^k] multiply per group member); wider groups are conservatively
-    rejected. *)
-val max_support : int
-
 (** [check cert before after] validates the certificate chain from [before]
     and requires the last step's output to equal [after] instruction-for-
     instruction. [locs] gives per-instruction source locations of [before]
@@ -103,5 +99,4 @@ val summarize : certificate -> summary
     pairs. A transpile run that rewrote anything has a nonzero total. *)
 val total_obligations : summary -> int
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_message : failure -> string

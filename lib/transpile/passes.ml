@@ -206,7 +206,11 @@ let drop_identities_cert ?(eps = 1e-12) c =
 
 let drop_identities ?eps c = fst (drop_identities_cert ?eps c)
 
-let optimize_cert ?(max_passes = 10) c =
+(* rounds of peephole passes before [optimize] stops short of a fixed
+   point *)
+let max_passes = 10
+
+let optimize_cert c =
   Obs.Span.with_ ~name:"passes.optimize" @@ fun () ->
   let step c =
     let c1, s1 = run_pass_cert ~pass:"peephole" ~do_cancel:true ~do_merge:true c in
@@ -227,7 +231,7 @@ let optimize_cert ?(max_passes = 10) c =
       (max 0 (Circuit.gate_count c - Circuit.gate_count out));
   (out, steps)
 
-let optimize ?max_passes c = fst (optimize_cert ?max_passes c)
+let optimize c = fst (optimize_cert c)
 
 let gate_reduction ~before ~after =
   let b = Circuit.gate_count before in

@@ -20,8 +20,9 @@ val merge_rotations : Circuit.t -> Circuit.t
 (** [drop_identities ?eps c] removes rotations by ~0 (and [p(0)], [id]). *)
 val drop_identities : ?eps:float -> Circuit.t -> Circuit.t
 
-(** [optimize ?max_passes c] iterates all passes to a fixed point. *)
-val optimize : ?max_passes:int -> Circuit.t -> Circuit.t
+(** [optimize c] iterates all passes to a fixed point, at most 10
+    times. *)
+val optimize : Circuit.t -> Circuit.t
 
 (** [gate_reduction ~before ~after] is the fraction of gates removed. *)
 val gate_reduction : before:Circuit.t -> after:Circuit.t -> float
@@ -47,5 +48,5 @@ val prune_lightcone : Circuit.t -> Circuit.t
 val cancel_inverses_cert : Circuit.t -> Circuit.t * Certify.step
 val merge_rotations_cert : Circuit.t -> Circuit.t * Certify.step
 val drop_identities_cert : ?eps:float -> Circuit.t -> Circuit.t * Certify.step
-val optimize_cert : ?max_passes:int -> Circuit.t -> Circuit.t * Certify.certificate
+val optimize_cert : Circuit.t -> Circuit.t * Certify.certificate
 val prune_lightcone_cert : Circuit.t -> Circuit.t * Certify.step

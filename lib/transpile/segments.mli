@@ -30,13 +30,6 @@
     gates column by column ([Sim.Engine.unitary]), so a plan pays the
     circuit walk once and every subsequent batch column reuses it. *)
 
-val default_cutoff : int
-(** [6]: full-segment fusion up to 64-dimensional blocks. Beyond this the
-    [O(4^k)] block application overtakes per-gate sweeps. *)
-
-val default_block_cutoff : int
-(** [3]: greedy packing inside wide segments stops at 8x8 blocks. *)
-
 (** [compile ?cutoff ?block_cutoff c] compiles [c] into a
     batched execution plan. [plan.source_ops] records the circuit's own
     unitary gate count; [Sim.Batch.ops] on the result counts the fused

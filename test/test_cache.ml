@@ -1058,6 +1058,19 @@ let test_spec_grammar () =
   rejects ghz3 "expect-le:1,ZZZZ,0";
   rejects ghz3 "purity-ge:4,0.5";
   rejects ghz3 "equals-basis:1,8";
+  (* a non-finite bound made every comparison false, so the objective
+     never exceeded the tolerance and anything verified *)
+  List.iter (rejects ghz3)
+    [
+      "diag:1,0,nan,1";
+      "diag:0,0,nan,nan";
+      "diag:1,0,0,inf";
+      "diag:1,0,-inf,1";
+      "expect-ge:1,ZZI,nan";
+      "expect-le:1,ZZZ,inf";
+      "purity-ge:1,1e999";
+      "purity-ge:1,-nan";
+    ];
   List.iter
     (fun (c, spec) -> ignore (ok (Server.Spec.parse_predicate c 3 spec)))
     [
@@ -1100,7 +1113,14 @@ let test_server_spec_error () =
           Alcotest.(check (option string))
             spec (Some want) (Jsonx.mem_str "error" last)
       | [] -> Alcotest.fail "no response")
-    [ "pure:9"; "diag:1,99,0,1"; "expect-ge:1,ZZ,0" ];
+    [
+      "pure:9";
+      "diag:1,99,0,1";
+      "expect-ge:1,ZZ,0";
+      "diag:1,0,nan,1";
+      "expect-le:1,ZZZ,inf";
+      "purity-ge:1,1e999";
+    ];
   (* an unknown solver is one error line, not a silent QP run *)
   let line =
     Jsonx.to_string
@@ -1124,9 +1144,9 @@ let test_server_spec_error () =
         (Jsonx.mem_str "error" only)
   | out -> Alcotest.failf "expected one line, got %d" (List.length out)
 
-(* a user tracepoint 0 would be read as the program input by every spec;
-   the daemon refuses the program with one error line instead *)
-let test_server_reserved_tracepoint () =
+(* a program the daemon must refuse: one error line, no result and no
+   verdict *)
+let server_refuses ~qasm ~guarantee want =
   let line =
     Jsonx.to_string
       (Jsonx.Obj
@@ -1136,11 +1156,8 @@ let test_server_reserved_tracepoint () =
            ( "params",
              Jsonx.Obj
                [
-                 ( "qasm",
-                   Jsonx.Str
-                     "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 0 q[0];\n\
-                      cx q[0],q[1];\nT 1 q[1];\n" );
-                 ("guarantee", Jsonx.Str "pure:0");
+                 ("qasm", Jsonx.Str qasm);
+                 ("guarantee", Jsonx.Str guarantee);
                  ("count", Jsonx.int 4);
                ] );
          ])
@@ -1155,10 +1172,24 @@ let test_server_reserved_tracepoint () =
        out);
   match List.rev out with
   | last :: _ ->
-      Alcotest.(check (option string))
-        "error" (Some "tracepoint id 0 is reserved for the program input")
+      Alcotest.(check (option string)) "error" (Some want)
         (Jsonx.mem_str "error" last)
   | [] -> Alcotest.fail "no response"
+
+(* a user tracepoint 0 would be read as the program input by every spec;
+   the daemon refuses the program with one error line instead *)
+let test_server_reserved_tracepoint () =
+  server_refuses
+    ~qasm:
+      "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 0 q[0];\ncx q[0],q[1];\nT 1 q[1];\n"
+    ~guarantee:"pure:0" "tracepoint id 0 is reserved for the program input"
+
+(* a tracepoint that names a qubit twice would read a matrix that is not
+   a density of the register; the parser refuses it *)
+let test_server_duplicate_tracepoint_qubit () =
+  server_refuses
+    ~qasm:"OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 1 q[0,0];\n"
+    ~guarantee:"pure:1" "[MQ003] Circuit: duplicate qubit in tracepoint 1"
 
 let () =
   Alcotest.run "cache"
@@ -1217,6 +1248,8 @@ let () =
           Alcotest.test_case "spec grammar" `Quick test_spec_grammar;
           Alcotest.test_case "spec errors" `Quick test_server_spec_error;
           Alcotest.test_case "reserved tracepoint 0" `Quick test_server_reserved_tracepoint;
+          Alcotest.test_case "duplicate tracepoint qubit" `Quick
+            test_server_duplicate_tracepoint_qubit;
           Alcotest.test_case "verify golden" `Quick test_server_verify_golden;
         ] );
     ]

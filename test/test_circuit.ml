@@ -45,6 +45,19 @@ let test_validation_errors () =
       ignore (Circuit.gate "frobnicate" [ 0 ] c));
   expect_error "empty register" "MQ016" (fun () -> ignore (Circuit.empty 0))
 
+(* a tracepoint that names a qubit twice would record a matrix that is
+   not a density of the register *)
+let test_tracepoint_duplicate_qubit () =
+  let c = Circuit.(empty 2 |> h 0) in
+  expect_error "repeated tracepoint qubit" "MQ003" (fun () ->
+      ignore (Circuit.tracepoint 1 [ 0; 0 ] c));
+  expect_error "repeated among distinct" "MQ003" (fun () ->
+      ignore (Circuit.tracepoint 1 [ 1; 0; 1 ] c));
+  Alcotest.(check (list (pair int (list int))))
+    "distinct qubits accepted"
+    [ (1, [ 1; 0 ]) ]
+    (Circuit.tracepoints (Circuit.tracepoint 1 [ 1; 0 ] c))
+
 let test_append () =
   let a = Circuit.(empty 2 |> h 0) in
   let b = Circuit.(empty 2 |> cx 0 1) in
@@ -136,6 +149,8 @@ let () =
           Alcotest.test_case "tracepoints" `Quick test_tracepoints;
           Alcotest.test_case "measurement before" `Quick test_measurement_before;
           Alcotest.test_case "validation" `Quick test_validation_errors;
+          Alcotest.test_case "tracepoint duplicate qubit" `Quick
+            test_tracepoint_duplicate_qubit;
           Alcotest.test_case "append" `Quick test_append;
           Alcotest.test_case "depth parallel" `Quick test_depth_parallel_gates;
         ] );

@@ -508,31 +508,6 @@ let test_check_counts_impossible_outcome () =
   Alcotest.(check bool) "rejected" false r.Verify.counts_hold;
   check_float ~eps:0. "certain rejection" 0. r.Verify.test.Stats.Tests.pvalue
 
-let test_probe_assertion_budgets () =
-  (* identity program, trivially-true guarantee: fixed and sequential
-     budgets agree, sequential accepting after ~14 Haar probes *)
-  let c = Circuit.(empty 1 |> tracepoint 1 [ 0 ] |> tracepoint 2 [ 0 ]) in
-  let program = Program.make c in
-  let assertion =
-    Assertion.make ~name:"id"
-      ~assumes:[ Predicate.Is_pure 1 ]
-      ~guarantees:[ Predicate.Purity_ge (2, 0.5) ]
-      ()
-  in
-  let fixed = Verify.probe_assertion ~rng:(rng ()) ~budget:(`Fixed 32) program assertion in
-  Alcotest.(check bool) "fixed holds" true fixed.Verify.probe_holds;
-  Alcotest.(check int) "fixed trials" 32 fixed.Verify.trials;
-  let seq =
-    Verify.probe_assertion ~rng:(rng ())
-      ~budget:(`Sequential { Stats.Tests.alpha = 0.05; beta = 0.05; max_shots = 64 })
-      program assertion
-  in
-  Alcotest.(check bool) "sequential holds" true seq.Verify.probe_holds;
-  Alcotest.(check bool) "sequential stops early" true seq.Verify.probe_early_stop;
-  if seq.Verify.trials >= fixed.Verify.trials then
-    Alcotest.failf "sequential used %d trials >= fixed %d" seq.Verify.trials
-      fixed.Verify.trials
-
 let test_sequential_tomography_matches_fixed () =
   (* sequential tomography on a basis state: strictly fewer shots, same
      reconstruction to within the shot-noise of the cap *)
@@ -1072,7 +1047,6 @@ let () =
           Alcotest.test_case "sequential agrees, stops early" `Quick test_check_counts_sequential_agrees;
           Alcotest.test_case "wrong dist rejected" `Quick test_check_counts_rejects_wrong_dist;
           Alcotest.test_case "impossible outcome certain" `Quick test_check_counts_impossible_outcome;
-          Alcotest.test_case "probe_assertion budgets" `Quick test_probe_assertion_budgets;
           Alcotest.test_case "sequential tomography" `Quick test_sequential_tomography_matches_fixed;
         ] );
       ( "properties",

@@ -255,19 +255,13 @@ let test_auto_route () =
   check_route_golden ()
 
 let test_forced_engines_reject () =
-  (match
-     Sim.Engine.tracepoint_states ~engine:`Rank
-       Circuit.(empty 1 |> u3 0.3 0.2 0.1 0 |> tracepoint 1 [ 0 ])
-   with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "u3 is not rank-decomposable" false
+    (Sim.Engine.applicable `Rank
+       Circuit.(empty 1 |> u3 0.3 0.2 0.1 0 |> tracepoint 1 [ 0 ]));
   (* measurement makes a single pass inexact: the sparse route refuses *)
-  match
-    Sim.Engine.tracepoint_states ~engine:`Sparse
-      Circuit.(empty ~clbits:1 2 |> h 0 |> measure 0 0 |> tracepoint 1 [ 0 ])
-  with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  Alcotest.(check bool) "measurement refuses sparse" false
+    (Sim.Engine.applicable `Sparse
+       Circuit.(empty ~clbits:1 2 |> h 0 |> measure 0 0 |> tracepoint 1 [ 0 ]))
 
 (* ------------------ end-to-end past the dense wall -------------------- *)
 
