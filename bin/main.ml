@@ -18,20 +18,17 @@
 
 open Morphcore
 
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* a program file through the one reader: its text parsed, or the
+   error as lint prints it *)
 let read_full path =
-  try Ok (Qasm.parse_file_full path) with
-  | Qasm.Parse_error { line; column; message; _ } ->
-      Error
-        (if column > 0 then
-           Printf.sprintf "%s:%d:%d: %s" path line column message
-         else Printf.sprintf "%s:%d: %s" path line message)
-  | Circuit.Error { code; message; loc } ->
-      Error
-        (match loc with
-        | Some (line, col) ->
-            Printf.sprintf "%s:%d:%d: [%s] %s" path line col code message
-        | None -> Printf.sprintf "%s: [%s] %s" path code message)
-  | Sys_error msg -> Error msg
+  match read_text path with
+  | exception Sys_error msg -> Error msg
+  | src ->
+      Result.map_error
+        (Format.asprintf "%a" (Analysis.Lint.pp ~file:path))
+        (Analysis.Lint.read src)
 
 (* the circuit alone, dropping the [expect] pragma side channel *)
 let read_circuit path = Result.map (fun f -> f.Qasm.circuit) (read_full path)
@@ -119,19 +116,6 @@ let sample_cmd file count kind seed =
 
 (* ------------------------------ certify ------------------------------ *)
 
-(* render the checker's structured failures as lint-style MQ021 lines *)
-let print_certify_failures ~file failures =
-  List.iter
-    (fun (f : Transpile.Certify.failure) ->
-      let loc =
-        match f.Transpile.Certify.loc with
-        | Some (line, col) -> Printf.sprintf ":%d:%d" line col
-        | None -> ""
-      in
-      Format.eprintf "%s%s: error[MQ021]: %s@." file loc
-        (Transpile.Certify.failure_message f))
-    failures
-
 (* the checker's verdict on one program's transpile chain, as printed by
    certify and verify --certify *)
 let print_certify_report ~file (report : Verify.certify_report) =
@@ -148,7 +132,9 @@ let print_certify_report ~file (report : Verify.certify_report) =
   else begin
     Format.printf "%s: NOT CERTIFIED (%d failures)@." file
       (List.length report.Verify.cert_failures);
-    print_certify_failures ~file report.Verify.cert_failures
+    List.iter
+      (Format.eprintf "%a@." (Analysis.Lint.pp ~file))
+      (Verify.certify_diagnostics report.Verify.cert_failures)
   end
 
 (* morphqpv certify: translation-validate the transpile pipeline over one
@@ -174,21 +160,18 @@ let certify_cmd files =
 
 (* ------------------------------ verify ------------------------------- *)
 
-(* print one pipeline event; a malformed expect pragma goes to stderr *)
+(* print one pipeline event *)
 let print_verify_event ~file = function
+  | Pipeline.Accepted _ -> ()
   | Pipeline.Certified report -> print_certify_report ~file report
-  | Pipeline.Expect (e, result) -> (
+  | Pipeline.Expect (e, r) ->
       let line, col = e.Qasm.expect_loc in
-      match result with
-      | Error msg -> Format.eprintf "expect at %d:%d: %s@." line col msg
-      | Ok r ->
-          Format.printf
-            "expect at %d:%d: %s (chi2 %.4g, p %.4g, df %g, shots %d%s)@."
-            line col
-            (if r.Verify.counts_hold then "OK" else "VIOLATED")
-            r.Verify.test.Stats.Tests.statistic r.Verify.test.Stats.Tests.pvalue
-            r.Verify.test.Stats.Tests.df r.Verify.shots_used
-            (if r.Verify.early_stop then ", early stop" else ""))
+      Format.printf
+        "expect at %d:%d: %s (chi2 %.4g, p %.4g, df %g, shots %d%s)@." line col
+        (if r.Verify.counts_hold then "OK" else "VIOLATED")
+        r.Verify.test.Stats.Tests.statistic r.Verify.test.Stats.Tests.pvalue
+        r.Verify.test.Stats.Tests.df r.Verify.shots_used
+        (if r.Verify.early_stop then ", early stop" else "")
   | Pipeline.Asserting assertion ->
       Format.printf "%s@." (Assertion.describe assertion)
   | Pipeline.Verdict (Verify.Verified { confidence; max_objective }) ->
@@ -204,35 +187,20 @@ let print_verify_event ~file = function
         objective Linalg.Cmat.pp counterexample
 
 (* exit 0 iff every guarantee and every expect pragma held *)
-let verify_cmd file assumes guarantees count solver seed budget use_cache
-    certify =
-  match (read_full file, Spec.parse_budget budget, Spec.parse_solver solver) with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
+let verify_cmd file fields use_cache =
+  match read_text file with
+  | exception Sys_error msg ->
+      prerr_endline msg;
       1
-  | Ok full, Ok budget, Ok solver -> (
-      (* --cache forces an in-memory cache even without the env vars;
-         MORPHQPV_CACHE_DIR / MORPHQPV_CACHE alone also enable it *)
-      let cache =
-        match (use_cache, Cache.of_env ()) with
-        | _, Some cache -> Some cache
-        | true, None -> Some (Cache.create ())
-        | false, None -> None
-      in
-      let request =
-        { Pipeline.full; name = file; assumes; guarantees; count; seed;
-          solver; budget;
-          mode = Characterize.Exact; certify; cache }
-      in
+  | qasm -> (
+      (* --cache forces a cache on; MORPHQPV_CACHE_DIR / MORPHQPV_CACHE
+         alone also enable it *)
+      let cache = Cache.of_env ~enable:use_cache () in
+      let request = { Pipeline.name = file; qasm; fields; cache } in
       match Pipeline.run ~emit:(print_verify_event ~file) request with
-      | Error (Pipeline.Not_certified _) -> 1
-      | Error (Pipeline.Bad_spec e) ->
-          prerr_endline e;
-          1
-      | Error Pipeline.Nothing_to_check ->
-          prerr_endline
-            "verify: at least one --guarantee (or an expect pragma in the \
-             file) is required";
+      | Error (Pipeline.Not_certified _) -> 1 (* the report said why *)
+      | Error e ->
+          Format.eprintf "%a@." (Pipeline.pp_error ~file) e;
           1
       | Ok o ->
           Option.iter
@@ -272,7 +240,9 @@ let optimize_cmd file output certify =
                 (Transpile.Certify.total_obligations s);
               (optimized, true)
           | Error failures ->
-              print_certify_failures ~file failures;
+              List.iter
+                (Format.eprintf "%a@." (Analysis.Lint.pp ~file))
+                (Verify.certify_diagnostics failures);
               (optimized, false)
       in
       Format.eprintf "gates: %d -> %d (%.0f%% removed); equivalence check: %b@."
@@ -413,46 +383,31 @@ let lint_cmd files strict quiet cost_threshold certify =
   let failed = ref false in
   List.iter
     (fun file ->
-      match Analysis.Lint.lint_file file with
+      match read_text file with
       | exception Sys_error msg ->
           prerr_endline msg;
           failed := true
-      | diags ->
-          (* MQ017/MQ018 need the circuit (not just the source) and the
-             simulator's cost model / engine router, so they run here
-             rather than inside [Lint.lint_file]; parse failures were
-             already reported *)
+      | src ->
           let diags =
-            diags
-            @ (match Qasm.parse_file_full file with
-              | full ->
-                  let c = full.Qasm.circuit in
-                  Analysis.Lint.check_cost ~estimate:characterization_seconds
+            match Analysis.Lint.read src with
+            | Error d -> [ d ]
+            | Ok full ->
+                (* MQ017/MQ018/MQ020/MQ021 need the simulator's cost model
+                   and engine router, the cache's canonical hasher and the
+                   certificate checker, all above the analysis library,
+                   so they are wired in here *)
+                let c = full.Qasm.circuit in
+                Analysis.Lint.check_program full
+                @ Analysis.Lint.check_cost ~estimate:characterization_seconds
                     ?threshold:cost_threshold c
-                  @ Analysis.Lint.check_sim_class ~classify:Sim.Engine.sim_class
-                      c
-                  (* MQ020 needs the canonical hasher from morphqpv.cache,
-                     one layer above the analysis library *)
-                  @ Analysis.Lint.check_cones ~digests:Cache.Canon.cone_digests
-                      c
-                  (* MQ021 (--certify) needs the certificate checker from
-                     morphqpv.transpile: transpile through the certificate-
-                     emitting passes and render every checker failure *)
-                  @ (if not certify then []
-                     else
-                       Analysis.Lint.check_certify
-                         ~certify:(fun c ->
-                           let r =
-                             Verify.certify_transpile ~locs:full.Qasm.locs c
-                           in
-                           List.map
-                             (fun (f : Transpile.Certify.failure) ->
-                               ( Transpile.Certify.failure_message f,
-                                 f.Transpile.Certify.loc,
-                                 f.Transpile.Certify.before_index ))
-                             r.Verify.cert_failures)
-                         c)
-              | exception _ -> [])
+                @ Analysis.Lint.check_sim_class ~classify:Sim.Engine.sim_class c
+                @ Analysis.Lint.check_cones ~digests:Cache.Canon.cone_digests c
+                @
+                if not certify then []
+                else
+                  Verify.certify_diagnostics
+                    (Verify.certify_transpile ~locs:full.Qasm.locs c)
+                      .Verify.cert_failures
           in
           List.iter
             (fun d ->
@@ -499,14 +454,10 @@ let serve_cmd socket tcp cache_dir cache_mb certify log log_level =
          Format.eprintf "morphqpv serve: --log %s: %s@." dest msg;
          exit 1)
   | None -> ());
-  let max_bytes = Option.map (fun mb -> mb * 1024 * 1024) cache_mb in
   let cache =
-    match cache_dir with
-    | Some dir -> Cache.create ?max_bytes ~dir ()
-    | None -> (
-        match Cache.of_env () with
-        | Some c -> c
-        | None -> Cache.create ?max_bytes ())
+    Cache.of_env ~enable:true ?dir:cache_dir
+      ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_mb)
+      ()
   in
   let addr = addr_of ~socket ~tcp in
   let on_ready () =
@@ -515,7 +466,7 @@ let serve_cmd socket tcp cache_dir cache_mb certify log log_level =
     | Server.Tcp port ->
         Format.eprintf "morphqpv serve: listening on 127.0.0.1:%d@." port
   in
-  (try Server.serve ~cache ~certify ~on_ready addr with
+  (try Server.serve ?cache ~certify ~on_ready addr with
   | Unix.Unix_error (e, fn, _) ->
       Format.eprintf "morphqpv serve: %s: %s@." fn (Unix.error_message e);
       exit 1);
@@ -531,52 +482,47 @@ let serve_cmd socket tcp cache_dir cache_mb certify log log_level =
    it is the id of the request to fetch. Method metrics prints the raw
    Prometheus exposition, so the output is scrapeable as-is. [--watch]
    re-issues the request every SECS seconds until it fails. *)
-let client_cmd socket tcp method_ file assumes guarantees count solver seed
-    budget mode certify request_id watch =
+let client_cmd socket tcp method_ file fields request_id watch =
   let addr = addr_of ~socket ~tcp in
   let method_ =
-    if method_ <> "" then Ok method_
-    else if file <> None then Ok "verify"
-    else Ok "ping"
+    if method_ <> "" then method_ else if file <> None then "verify" else "ping"
   in
   let params =
     match method_ with
-    | Error _ as e -> e
-    | Ok "verify" -> (
+    | "verify" -> (
         match file with
         | None -> Error "client: method verify needs a FILE argument"
         | Some file -> (
-            match In_channel.with_open_text file In_channel.input_all with
+            match read_text file with
             | exception Sys_error msg -> Error msg
             | qasm ->
-                let strings = List.map (fun s -> Jsonx.Str s) in
+                (* the fields as given; the daemon's pipeline fills in
+                   the defaults *)
                 Ok
                   (Jsonx.Obj
-                     ([
-                        ("qasm", Jsonx.Str qasm);
-                        ("count", Jsonx.int count);
-                        ("solver", Jsonx.Str solver);
-                        ("seed", Jsonx.int seed);
-                        ("budget", Jsonx.Str budget);
-                        ("mode", Jsonx.Str mode);
-                        ("certify", Jsonx.Bool certify);
-                      ]
-                     @ (if assumes = [] then []
-                        else [ ("assume", Jsonx.List (strings assumes)) ])
-                     @
-                     if guarantees = [] then []
-                     else [ ("guarantee", Jsonx.List (strings guarantees)) ]))))
-    | Ok "trace" -> (
+                     (("qasm", Jsonx.Str qasm)
+                     :: List.filter_map
+                          (fun (name, values) ->
+                            match values with
+                            | [] -> None
+                            | [ v ] -> Some (name, Jsonx.Str v)
+                            | vs ->
+                                Some
+                                  ( name,
+                                    Jsonx.List
+                                      (List.map (fun v -> Jsonx.Str v) vs) ))
+                          fields))))
+    | "trace" -> (
         match request_id with
         | Some r -> Ok (Jsonx.Obj [ ("request_id", Jsonx.Str r) ])
         | None -> Error "client: method trace needs --request-id")
-    | Ok _ -> Ok (Jsonx.Obj [])
+    | _ -> Ok (Jsonx.Obj [])
   in
-  match (method_, params) with
-  | Error e, _ | _, Error e ->
+  match params with
+  | Error e ->
       prerr_endline e;
       1
-  | Ok method_, Ok params ->
+  | Ok params -> (
       let req =
         Jsonx.Obj
           ([ ("id", Jsonx.int 1) ]
@@ -611,7 +557,7 @@ let client_cmd socket tcp method_ file assumes guarantees count solver seed
                 | Some false -> 1
                 | Some true | None -> 0))
       in
-      (match watch with
+      match watch with
       | None -> once ()
       | Some secs ->
           let rec loop () =
@@ -625,74 +571,26 @@ let client_cmd socket tcp method_ file assumes guarantees count solver seed
           loop ())
 
 (* morphqpv top: a live per-RPC console for a running daemon. Polls the
-   stats and metrics RPCs every --interval seconds and renders one table
-   row per verb: request/error tallies (from stats, available even with
-   observability off) plus latency totals parsed out of the
-   morphqpv_request_seconds histogram when the daemon runs with
-   MORPHQPV_OBS=1 (dashes otherwise). *)
+   stats RPC every --interval seconds and renders one table row per verb:
+   request and error tallies and the request seconds the daemon summed,
+   all kept with observability off too. *)
 let top_cmd socket tcp interval iterations =
   let addr = addr_of ~socket ~tcp in
-  let fetch method_ =
+  let stats () =
     Server.Client.request addr
       (Jsonx.Obj
          [
            ("id", Jsonx.int 1);
-           ("method", Jsonx.Str method_);
+           ("method", Jsonx.Str "stats");
            ("params", Jsonx.Obj []);
          ])
   in
-  let result v = Jsonx.member "result" v in
-  let verb_of series =
-    let marker = "verb=\"" in
-    let mlen = String.length marker in
-    let n = String.length series in
-    let rec find i =
-      if i + mlen > n then None
-      else if String.sub series i mlen = marker then begin
-        let j = ref (i + mlen) in
-        while !j < n && series.[!j] <> '"' do
-          incr j
-        done;
-        Some (String.sub series (i + mlen) (!j - i - mlen))
-      end
-      else find (i + 1)
-    in
-    find 0
-  in
-  (* morphqpv_request_seconds_sum{verb="verify"} 1.23 → ("verify", 1.23) *)
-  let hist_totals prom =
-    let sums = ref [] and counts = ref [] in
-    List.iter
-      (fun line ->
-        let grab prefix store =
-          let plen = String.length prefix in
-          if String.length line > plen && String.sub line 0 plen = prefix then
-            match String.index_opt line ' ' with
-            | None -> ()
-            | Some sp -> (
-                let series = String.sub line 0 sp in
-                match
-                  ( verb_of series,
-                    float_of_string_opt
-                      (String.sub line (sp + 1) (String.length line - sp - 1))
-                  )
-                with
-                | Some verb, Some v -> store := (verb, v) :: !store
-                | _ -> ())
-        in
-        grab "morphqpv_request_seconds_sum{" sums;
-        grab "morphqpv_request_seconds_count{" counts)
-      (String.split_on_char '\n' prom);
-    (!sums, !counts)
-  in
-  let render stats prom =
+  let render stats =
+    let result = Option.value ~default:Jsonx.Null (Jsonx.member "result" stats) in
     let by_verb =
-      match Option.bind (result stats) (Jsonx.member "by_verb") with
+      match Jsonx.member "by_verb" result with
       | Some (Jsonx.Obj fields) -> fields
       | _ -> []
-    in
-    let sums, counts =
-      match prom with Some p -> hist_totals p | None -> ([], [])
     in
     Format.printf "%-10s %10s %8s %12s %12s@." "verb" "requests" "errors"
       "total(ms)" "avg(ms)";
@@ -700,37 +598,30 @@ let top_cmd socket tcp interval iterations =
       (fun (verb, v) ->
         let reqs = Option.value ~default:0 (Jsonx.mem_int "requests" v) in
         let errs = Option.value ~default:0 (Jsonx.mem_int "errors" v) in
-        match (List.assoc_opt verb sums, List.assoc_opt verb counts) with
-        | Some s, Some c when c > 0. ->
+        match Option.bind (Jsonx.member "seconds" v) Jsonx.to_num with
+        | Some s when reqs > 0 ->
             Format.printf "%-10s %10d %8d %12.2f %12.2f@." verb reqs errs
               (1e3 *. s)
-              (1e3 *. s /. c)
+              (1e3 *. s /. float_of_int reqs)
         | _ -> Format.printf "%-10s %10d %8d %12s %12s@." verb reqs errs "-" "-")
       by_verb;
     match
-      ( Option.bind (result stats) (fun r ->
-            Option.bind (Jsonx.member "uptime_s" r) Jsonx.to_num),
-        Option.bind (result stats) (Jsonx.mem_int "requests"),
-        Option.bind (result stats) (Jsonx.mem_int "span_dropped") )
+      ( Option.bind (Jsonx.member "uptime_s" result) Jsonx.to_num,
+        Jsonx.mem_int "requests" result )
     with
-    | Some u, Some r, dropped ->
+    | Some u, Some r ->
         Format.printf "@.uptime %.1fs · %d requests · %d spans dropped@." u r
-          (Option.value ~default:0 dropped)
+          (Option.value ~default:0 (Jsonx.mem_int "span_dropped" result))
     | _ -> ()
   in
   let rec go i =
-    match fetch "stats" with
+    match stats () with
     | Error e ->
         prerr_endline ("top: " ^ e);
         1
     | Ok stats ->
-        let prom =
-          match fetch "metrics" with
-          | Ok m -> Option.bind (result m) (Jsonx.mem_str "prometheus")
-          | Error _ -> None
-        in
         if iterations <> 1 then Format.printf "\027[2J\027[H";
-        render stats prom;
+        render stats;
         Format.print_flush ();
         if iterations > 0 && i + 1 >= iterations then 0
         else begin
@@ -747,10 +638,60 @@ open Cmdliner
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"mini-QASM program")
 
+let default name = List.assoc name Pipeline.defaults
+
+(* simulate, sample and profile take the verify request's default seed *)
 let seed_arg =
-  Arg.(value & opt int 2024 & info [ "seed" ] ~doc:"random seed")
+  Arg.(
+    value
+    & opt int (int_of_string (default "seed"))
+    & info [ "seed" ] ~doc:"random seed")
 
 let certify_flag doc = Arg.(value & flag & info [ "certify" ] ~doc)
+
+(* verify, client and serve: certify a verify request's transpile plan *)
+let request_certify_flag =
+  certify_flag
+    "translation-validate the transpile plan (optimize, then \
+     prune_lightcone, then segment compile) before verifying; serve does \
+     it for every verify request. A failed certificate refuses the request \
+     with MQ021 (exit status 1). Characterization runs the source circuit, \
+     not the certified plan, so the run behind the verdict is not what the \
+     certificate covers"
+
+(* a verify request's flags, declared once for verify and client: named
+   string fields for [Pipeline.run], which holds their defaults *)
+let field_arg name ~docv doc =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ name ] ~docv
+        ~doc:(Printf.sprintf "%s (default %s)" doc (default name)))
+
+let request_fields =
+  let specs name doc =
+    Arg.(value & opt_all string [] & info [ name ] ~docv:"SPEC" ~doc)
+  in
+  Term.(
+    const (fun assumes guarantees count seed solver budget certify ->
+        [
+          ("assume", assumes);
+          ("guarantee", guarantees);
+          ("count", Option.to_list count);
+          ("seed", Option.to_list seed);
+          ("solver", Option.to_list solver);
+          ("budget", Option.to_list budget);
+          ("certify", if certify then [ "true" ] else []);
+        ])
+    $ specs "assume" "assumption predicate"
+    $ specs "guarantee" "guarantee predicate"
+    $ field_arg "count" ~docv:"N" "sampled inputs; 0 selects the Theorem 2 count"
+    $ field_arg "seed" ~docv:"SEED" "random seed"
+    $ field_arg "solver" ~docv:"SOLVER" "qp | sgd | anneal | genetic"
+    $ field_arg "budget" ~docv:"SPEC"
+        "shot budget for expect pragmas: fixed:N, or seq:ALPHA,BETA,MAX for \
+         a sequential (SPRT) budget with early stopping"
+    $ request_certify_flag)
 
 let info_term = Term.(const info_cmd $ file_arg)
 
@@ -864,27 +805,6 @@ let profile_term =
     $ prom)
 
 let verify_term =
-  let assumes =
-    Arg.(value & opt_all string [] & info [ "assume" ] ~docv:"SPEC" ~doc:"assumption predicate")
-  in
-  let guarantees =
-    Arg.(value & opt_all string [] & info [ "guarantee" ] ~docv:"SPEC" ~doc:"guarantee predicate")
-  in
-  let count =
-    Arg.(value & opt int 0 & info [ "count" ] ~doc:"sampled inputs (0 = Theorem 2 budget)")
-  in
-  let solver =
-    Arg.(value & opt string "qp" & info [ "solver" ] ~doc:"qp | sgd | anneal | genetic")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt string "fixed:2048"
-      & info [ "budget" ] ~docv:"SPEC"
-          ~doc:
-            "shot budget for expect pragmas: fixed:N, or seq:ALPHA,BETA,MAX \
-             for a sequential (SPRT) budget with early stopping")
-  in
   let cache =
     Arg.(
       value & flag
@@ -894,17 +814,7 @@ let verify_term =
              cache (in-memory; set MORPHQPV_CACHE_DIR for persistence \
              across runs)")
   in
-  let certify =
-    certify_flag
-      "translation-validate the transpile plan (optimize, then \
-       prune_lightcone, then segment compile) before verifying; a failed \
-       certificate aborts with MQ021 and exit status 1. Characterization \
-       runs the source circuit, not the certified plan, so the run behind \
-       the verdict is not what the certificate covers"
-  in
-  Term.(
-    const verify_cmd $ file_arg $ assumes $ guarantees $ count $ solver
-    $ seed_arg $ budget $ cache $ certify)
+  Term.(const verify_cmd $ file_arg $ request_fields $ cache)
 
 let socket_arg =
   Arg.(
@@ -935,14 +845,6 @@ let serve_term =
       & opt (some int) None
       & info [ "cache-mb" ] ~docv:"MB" ~doc:"in-memory cache budget in MiB")
   in
-  let certify =
-    certify_flag
-      "translation-validate the transpile plan (optimize, then \
-       prune_lightcone, then segment compile) on every verify request \
-       (individual requests can also opt in with a certify:true param). \
-       Characterization runs the source circuit, not the certified plan, \
-       so the run behind the verdict is not what the certificate covers"
-  in
   let log =
     Arg.(
       value
@@ -960,8 +862,8 @@ let serve_term =
           ~doc:"debug | info | warn | error (default info)")
   in
   Term.(
-    const serve_cmd $ socket_arg $ tcp_arg $ cache_dir $ cache_mb $ certify
-    $ log $ log_level)
+    const serve_cmd $ socket_arg $ tcp_arg $ cache_dir $ cache_mb
+    $ request_certify_flag $ log $ log_level)
 
 let client_term =
   let file =
@@ -978,45 +880,12 @@ let client_term =
             "ping | stats | metrics | trace | verify | shutdown (default: \
              verify with FILE, ping without)")
   in
-  let assumes =
-    Arg.(
-      value & opt_all string []
-      & info [ "assume" ] ~docv:"SPEC" ~doc:"assumption predicate")
-  in
-  let guarantees =
-    Arg.(
-      value & opt_all string []
-      & info [ "guarantee" ] ~docv:"SPEC" ~doc:"guarantee predicate")
-  in
-  let count =
-    Arg.(
-      value & opt int 0
-      & info [ "count" ] ~doc:"sampled inputs (0 = Theorem 2 budget)")
-  in
-  let solver =
-    Arg.(
-      value & opt string "qp"
-      & info [ "solver" ] ~doc:"qp | sgd | anneal | genetic")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt string "fixed:2048"
-      & info [ "budget" ] ~docv:"SPEC"
-          ~doc:"shot budget for expect pragmas (fixed:N | seq:ALPHA,BETA,MAX)")
-  in
-  let mode =
-    Arg.(
-      value & opt string "exact"
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"characterization mode: exact | tomo:SHOTS | probs:SHOTS")
-  in
-  let certify =
-    certify_flag
-      "ask the daemon to certify the transpile plan (optimize, then \
-       prune_lightcone, then segment compile; MQ021). Characterization \
-       runs the source circuit, not the certified plan, so the run behind \
-       the verdict is not what the certificate covers"
+  let fields =
+    Term.(
+      const (fun fields mode -> ("mode", Option.to_list mode) :: fields)
+      $ request_fields
+      $ field_arg "mode" ~docv:"MODE"
+          "characterization mode: exact | tomo:SHOTS | probs:SHOTS")
   in
   let request_id =
     Arg.(
@@ -1035,8 +904,7 @@ let client_term =
           ~doc:"re-issue the request every SECS seconds until it fails")
   in
   Term.(
-    const client_cmd $ socket_arg $ tcp_arg $ method_ $ file $ assumes
-    $ guarantees $ count $ solver $ seed_arg $ budget $ mode $ certify
+    const client_cmd $ socket_arg $ tcp_arg $ method_ $ file $ fields
     $ request_id $ watch)
 
 let top_term =

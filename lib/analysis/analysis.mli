@@ -117,6 +117,12 @@ module Lint : sig
       source positions. Diagnostics are sorted by instruction index. *)
   val check : ?locs:(int * int) array -> Circuit.t -> diagnostic list
 
+  (** [check_tracepoint_ids ?locs c] is {!check}'s MQ004 rule alone: a
+      tracepoint id declared twice, and id 0, which predicate specs read
+      as the program input. *)
+  val check_tracepoint_ids :
+    ?locs:(int * int) array -> Circuit.t -> diagnostic list
+
   (** [check_cost ~estimate ?threshold c] emits MQ017 when the estimated
       characterization cost of [c] — [estimate c], in device seconds —
       exceeds [threshold] (default {!cost_threshold}). The estimator is a
@@ -165,25 +171,33 @@ module Lint : sig
     Circuit.t ->
     diagnostic list
 
-  (** [check_certify ~certify c] emits MQ021: one Error diagnostic per
-      certificate-check failure of the transpile pipeline on [c]. The
-      [certify] callback returns the rendered failures as
-      [(message, source loc, instruction index)] — it is a callback
-      because the certificate checker lives in [morphqpv.transpile],
-      above this library (the CLI wraps
-      [Morphcore.Verify.certify_transpile]). An empty result means every
-      rewrite obligation was discharged by the independent checker. *)
-  val check_certify :
-    certify:(Circuit.t -> (string * (int * int) option * int option) list) ->
-    Circuit.t ->
-    diagnostic list
+  (** [expect_violation ?num_qubits ?significance expected] applies
+      MQ019's rules to one distribution expectation and returns the
+      first broken rule's message: no outcome listed, an index listed
+      twice, an index outside the [num_qubits]-qubit register (when
+      given; else a negative index), a probability outside [0, 1], a
+      significance outside (0, 1), probabilities summing past 1.
+      [Assertion.Dist.make] applies the same rules. *)
+  val expect_violation :
+    ?num_qubits:int -> ?significance:float -> (int * float) list ->
+    string option
 
-  (** [lint_qasm src] parses and checks QASM text; syntax errors (MQ000)
-      and construction errors (MQ001-MQ003, MQ013-MQ016) are returned as
-      located diagnostics instead of raising. *)
+  (** [check_expects ~num_qubits expects] is MQ019: one Error per
+      [expect] pragma that breaks a rule of {!expect_violation}. *)
+  val check_expects :
+    num_qubits:int -> Qasm.expect_pragma list -> diagnostic list
+
+  (** [read src] is the one reader of QASM text: the parsed program, or
+      the diagnostic for a syntax error (MQ000) or a construction error
+      (MQ001-MQ003, MQ013-MQ016, located) instead of an exception. *)
+  val read : string -> (Qasm.full, diagnostic) result
+
+  (** [check_program full] is {!check} plus {!check_expects}: every
+      check that needs only the parsed program. *)
+  val check_program : Qasm.full -> diagnostic list
+
+  (** [lint_qasm src] is {!read} then {!check_program}. *)
   val lint_qasm : string -> diagnostic list
-
-  val lint_file : string -> diagnostic list
 
   (** [pp ?file ppf d] prints [file:line:col: severity[CODE]: message]. *)
   val pp : ?file:string -> Format.formatter -> diagnostic -> unit

@@ -62,45 +62,56 @@ let pp ?file ppf d =
 
 let int_list_string qs = String.concat "," (List.map string_of_int qs)
 
+(* the source position of instruction [i]; [locs] comes from
+   [Qasm.parse_with_locs] *)
+let loc_of locs i =
+  match locs with
+  | Some a when i >= 0 && i < Array.length a -> Some a.(i)
+  | _ -> None
+
+(* MQ004: duplicate tracepoint ids, and id 0, which specs and the
+   approximation read as the program input *)
+let check_tracepoint_ids ?locs c =
+  let seen = Hashtbl.create 8 and out = ref [] in
+  List.iteri
+    (fun i instr ->
+      match instr with
+      | Circuit.Instr.Tracepoint { id; _ } -> (
+          let emit message =
+            out :=
+              { severity = Error; code = "MQ004"; message;
+                loc = loc_of locs i; instr = Some i }
+              :: !out
+          in
+          if id = 0 then emit "tracepoint id 0 is reserved for the program input";
+          match Hashtbl.find_opt seen id with
+          | Some first ->
+              emit
+                (Printf.sprintf
+                   "duplicate tracepoint id %d (first declared at instruction \
+                    %d)"
+                   id first)
+          | None -> Hashtbl.replace seen id i)
+      | _ -> ())
+    (Circuit.instrs c);
+  List.rev !out
+
 (* semantic checks over a well-formed circuit; [locs] (from
    [Qasm.parse_with_locs]) attaches source positions to per-instruction
    diagnostics *)
 let check ?locs c =
   let instrs = Array.of_list (Circuit.instrs c) in
   let n = Circuit.num_qubits c in
-  let loc_of i =
-    match locs with
-    | Some a when i >= 0 && i < Array.length a -> Some a.(i)
-    | _ -> None
-  in
-  let out = ref [] in
+  let out = ref (List.rev (check_tracepoint_ids ?locs c)) in
   let emit ?instr severity code fmt =
     Format.kasprintf
       (fun message ->
         out :=
-          { severity; code; message; loc = Option.bind instr loc_of; instr }
+          { severity; code; message; loc = Option.bind instr (loc_of locs);
+            instr }
           :: !out)
       fmt
   in
-
-  (* MQ004: duplicate tracepoint ids, and id 0, which specs and the
-     approximation read as the program input *)
-  let seen_tp = Hashtbl.create 8 in
-  Array.iteri
-    (fun i instr ->
-      match instr with
-      | Circuit.Instr.Tracepoint { id; _ } ->
-          if id = 0 then
-            emit ~instr:i Error "MQ004"
-              "tracepoint id 0 is reserved for the program input";
-          (match Hashtbl.find_opt seen_tp id with
-          | Some first ->
-              emit ~instr:i Error "MQ004"
-                "duplicate tracepoint id %d (first declared at instruction %d)"
-                id first
-          | None -> Hashtbl.replace seen_tp id i)
-      | _ -> ())
-    instrs;
 
   (* MQ005 / MQ006: classical dataflow *)
   let df = Dataflow.clbits c in
@@ -369,83 +380,73 @@ let check_cones ~digests c =
   in
   per_tp @ dups
 
-(* MQ021: translation validation of the transpile pipeline. [certify] is
-   a callback (like MQ017's [estimate]) because the certificate checker
-   lives in morphqpv.transpile, above this library — the CLI passes a
-   wrapper over [Verify.certify_transpile] that renders each structured
-   failure to (message, source loc, instruction index). An empty result
-   means every pass obligation was discharged. *)
-let check_certify ~certify c =
-  List.map
-    (fun (message, loc, instr) ->
-      { severity = Error; code = "MQ021"; message; loc; instr })
-    (certify c)
+(* MQ019's rules for one distribution expectation, shared with
+   [Assertion.Dist.make]: the first rule [expected] breaks, or [None]. The
+   register range applies when [num_qubits] is known; without it only a
+   negative index is out of range. *)
+let expect_violation ?num_qubits ?significance expected =
+  let seen = Hashtbl.create 8 in
+  let dup =
+    List.find_opt
+      (fun (k, _) ->
+        Hashtbl.mem seen k
+        || begin
+             Hashtbl.add seen k ();
+             false
+           end)
+      expected
+  in
+  let out_of_range (k, _) =
+    k < 0
+    || match num_qubits with Some n -> n < 62 && k >= 1 lsl n | None -> false
+  in
+  let bad_prob (_, p) = p < 0. || p > 1. in
+  let mass = List.fold_left (fun acc (_, p) -> acc +. p) 0. expected in
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  match
+    ( dup,
+      List.find_opt out_of_range expected,
+      List.find_opt bad_prob expected,
+      significance )
+  with
+  | _ when expected = [] -> bad "expect pragma lists no outcome"
+  | Some (k, _), _, _, _ -> bad "expect pragma lists basis index %d twice" k
+  | _, Some (k, _), _, _ -> (
+      match num_qubits with
+      | Some n ->
+          bad "expect pragma basis index %d is outside the %d-qubit register"
+            k n
+      | None -> bad "expect pragma basis index %d is negative" k)
+  | _, _, Some (k, p), _ ->
+      bad "expect pragma probability %g for index %d is outside [0, 1]" p k
+  | _, _, _, Some s when s <= 0. || s >= 1. ->
+      bad "expect pragma significance %g is outside (0, 1)" s
+  | _ when mass > 1. +. 1e-9 ->
+      bad "expect pragma probabilities sum to %g > 1" mass
+  | _ -> None
 
 (* MQ019: semantic validation of the [expect] distribution pragma — the
    parser keeps it purely syntactic so malformed pragmas reach here as
    diagnosable values instead of parse failures *)
 let check_expects ~num_qubits (expects : Qasm.expect_pragma list) =
-  List.concat_map
+  List.filter_map
     (fun (e : Qasm.expect_pragma) ->
-      let bad fmt =
-        Format.kasprintf
-          (fun message ->
-            [
-              {
-                severity = Error;
-                code = "MQ019";
-                message;
-                loc = Some e.Qasm.expect_loc;
-                instr = None;
-              };
-            ])
-          fmt
-      in
-      let seen = Hashtbl.create 8 in
-      let dup =
-        List.find_opt
-          (fun (k, _) ->
-            if Hashtbl.mem seen k then true
-            else begin
-              Hashtbl.add seen k ();
-              false
-            end)
-          e.Qasm.expected
-      in
-      let out_of_range (k, _) =
-        k < 0 || (num_qubits < 62 && k >= 1 lsl num_qubits)
-      in
-      let bad_prob (_, p) = p < 0. || p > 1. in
-      let mass = List.fold_left (fun acc (_, p) -> acc +. p) 0. e.Qasm.expected in
-      match
-        ( dup,
-          List.find_opt out_of_range e.Qasm.expected,
-          List.find_opt bad_prob e.Qasm.expected,
-          e.Qasm.significance )
-      with
-      | Some (k, _), _, _, _ ->
-          bad "expect pragma lists basis index %d twice" k
-      | _, Some (k, _), _, _ ->
-          bad "expect pragma basis index %d is outside the %d-qubit register"
-            k num_qubits
-      | _, _, Some (k, p), _ ->
-          bad "expect pragma probability %g for index %d is outside [0, 1]" p k
-      | _, _, _, Some s when s <= 0. || s >= 1. ->
-          bad "expect pragma significance %g is outside (0, 1)" s
-      | _ when mass > 1. +. 1e-9 ->
-          bad "expect pragma probabilities sum to %g > 1" mass
-      | _ -> [])
+      Option.map
+        (fun message ->
+          { severity = Error; code = "MQ019"; message;
+            loc = Some e.Qasm.expect_loc; instr = None })
+        (expect_violation ~num_qubits ?significance:e.Qasm.significance
+           e.Qasm.expected))
     expects
 
-(* lint QASM text: parse errors and construction errors become located
-   diagnostics instead of exceptions *)
-let lint_qasm src =
+(* the one reader of QASM text: a syntax error (MQ000) or a construction
+   error (its [Circuit.Error] code) becomes a located diagnostic instead of
+   an exception *)
+let read src =
   match Qasm.parse_full src with
-  | { Qasm.circuit = c; locs; expects } ->
-      check ~locs c
-      @ check_expects ~num_qubits:(Circuit.num_qubits c) expects
+  | full -> Ok full
   | exception Qasm.Parse_error { line; column; token; message } ->
-      [
+      Error
         {
           severity = Error;
           code = "MQ000";
@@ -454,21 +455,16 @@ let lint_qasm src =
              else Printf.sprintf "%s (at %S)" message token);
           loc = Some (line, column);
           instr = None;
-        };
-      ]
+        }
   | exception Circuit.Error { code; message; loc } ->
-      [
-        {
-          severity = severity_of_code code;
-          code;
-          message;
-          loc;
-          instr = None;
-        };
-      ]
+      Error
+        { severity = severity_of_code code; code; message; loc; instr = None }
 
-let lint_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> lint_qasm (really_input_string ic (in_channel_length ic)))
+(* every check that needs only the parsed program *)
+let check_program (full : Qasm.full) =
+  let c = full.Qasm.circuit in
+  check ~locs:full.Qasm.locs c
+  @ check_expects ~num_qubits:(Circuit.num_qubits c) full.Qasm.expects
+
+let lint_qasm src =
+  match read src with Ok full -> check_program full | Error d -> [ d ]

@@ -71,19 +71,32 @@ let create ?(max_bytes = 256 * 1024 * 1024) ?dir () =
     lock = Mutex.create ();
   }
 
-let of_env () =
-  let mb =
-    match Sys.getenv_opt "MORPHQPV_CACHE_MB" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
+let of_env ?(enable = false) ?dir ?max_bytes () =
+  let dir =
+    match (dir, Sys.getenv_opt "MORPHQPV_CACHE_DIR") with
+    | Some _, _ -> dir
+    | None, Some "" -> None (* MORPHQPV_CACHE_DIR= is unset *)
+    | None, env -> env
+  in
+  let max_bytes =
+    match max_bytes with
+    | Some _ -> max_bytes
+    | None -> (
+        match
+          Option.bind (Sys.getenv_opt "MORPHQPV_CACHE_MB") (fun s ->
+              int_of_string_opt (String.trim s))
+        with
         | Some n when n > 0 -> Some (n * 1024 * 1024)
         | _ -> None)
-    | None -> None
   in
-  match (Sys.getenv_opt "MORPHQPV_CACHE_DIR", Sys.getenv_opt "MORPHQPV_CACHE") with
-  | Some dir, _ -> Some (create ?max_bytes:mb ~dir ())
-  | None, Some ("1" | "true" | "on") -> Some (create ?max_bytes:mb ())
-  | None, _ -> None
+  let on =
+    enable || dir <> None
+    ||
+    match Sys.getenv_opt "MORPHQPV_CACHE" with
+    | Some ("1" | "true" | "on") -> true
+    | _ -> false
+  in
+  if on then Some (create ?max_bytes ?dir ()) else None
 
 let with_lock t f =
   Mutex.lock t.lock;

@@ -22,10 +22,13 @@ val create : ?max_bytes:int -> ?dir:string -> unit -> t
     [~dir] adds a persistent tier (one file per entry, atomic writes,
     corrupt or version-mismatched files read as misses). *)
 
-val of_env : unit -> t option
-(** [Some cache] when [MORPHQPV_CACHE_DIR] is set (persistent) or
-    [MORPHQPV_CACHE] is [1]/[true]/[on] (memory only);
-    [MORPHQPV_CACHE_MB] overrides the byte budget. *)
+val of_env : ?enable:bool -> ?dir:string -> ?max_bytes:int -> unit -> t option
+(** Resolves each cache setting once, an argument over its environment
+    variable: [dir] over [MORPHQPV_CACHE_DIR] (a persistent tier; empty
+    reads as unset),
+    [max_bytes] over [MORPHQPV_CACHE_MB] (MiB; else {!create}'s default).
+    [Some cache] when [enable] (default [false]), when a directory is set,
+    or when [MORPHQPV_CACHE] is [1]/[true]/[on]. *)
 
 val find : t -> ns:string -> string -> string option
 (** Lookup, refreshing recency. A memory miss falls through to disk;

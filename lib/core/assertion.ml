@@ -16,22 +16,9 @@ module Dist = struct
   type t = { expected : (int * float) list; significance : float }
 
   let make ?(significance = 0.05) expected =
-    if significance <= 0. || significance >= 1. then
-      invalid_arg "Assertion.Dist.make: significance must be in (0, 1)";
-    if expected = [] then invalid_arg "Assertion.Dist.make: empty distribution";
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (k, p) ->
-        if k < 0 then invalid_arg "Assertion.Dist.make: negative basis index";
-        if Hashtbl.mem seen k then
-          invalid_arg "Assertion.Dist.make: duplicate basis index";
-        Hashtbl.add seen k ();
-        if p < 0. || p > 1. then
-          invalid_arg "Assertion.Dist.make: probability outside [0, 1]")
-      expected;
-    let total = List.fold_left (fun acc (_, p) -> acc +. p) 0. expected in
-    if total > 1. +. 1e-9 then
-      invalid_arg "Assertion.Dist.make: probabilities sum past 1";
+    Option.iter
+      (fun msg -> invalid_arg ("Assertion.Dist.make: " ^ msg))
+      (Analysis.Lint.expect_violation ~significance expected);
     { expected = List.sort compare expected; significance }
 
   (* probability mass the expectation leaves to unlisted outcomes *)

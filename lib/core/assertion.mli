@@ -31,9 +31,11 @@ val holds : ?tol:float -> t -> Predicate.env -> bool
 module Dist : sig
   type t = private { expected : (int * float) list; significance : float }
 
-  (** [make ?significance expected] validates indices (distinct,
-      non-negative) and probabilities (each in [0, 1], summing to at
-      most 1). Default significance 0.05. *)
+  (** [make ?significance expected] raises [Invalid_argument] on an
+      expectation that breaks lint MQ019's rules
+      ({!Analysis.Lint.expect_violation}; indices distinct and
+      non-negative, probabilities each in [0, 1] and summing to at most
+      1). Default significance 0.05. *)
   val make : ?significance:float -> (int * float) list -> t
 
   (** Probability mass left to outcomes not listed in [expected]. *)

@@ -601,3 +601,17 @@ let certify_transpile ?cache ?locs circuit =
         cert_failures = failures;
         cert_plan = plan;
       }
+
+(* MQ021 lives in lint's code table, but the certificate checker sits
+   above the analysis library, so the records are built here *)
+let certify_diagnostics failures =
+  List.map
+    (fun (f : Transpile.Certify.failure) ->
+      {
+        Analysis.Lint.severity = Analysis.Lint.Error;
+        code = "MQ021";
+        message = Transpile.Certify.failure_message f;
+        loc = f.Transpile.Certify.loc;
+        instr = f.Transpile.Certify.before_index;
+      })
+    failures

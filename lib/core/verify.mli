@@ -250,3 +250,9 @@ val certify_transpile :
   ?locs:(int * int) array ->
   Circuit.t ->
   certify_report
+
+(** [certify_diagnostics failures] renders the checker's failures as lint
+    MQ021 diagnostics (message, source loc, instruction index), the form
+    every front end prints them in. *)
+val certify_diagnostics :
+  Transpile.Certify.failure list -> Analysis.Lint.diagnostic list

@@ -30,7 +30,11 @@ module Recorder = Recorder
 
 type addr = Unix_path of string | Tcp of int
 
-type verb_stat = { mutable vcount : int; mutable verrors : int }
+type verb_stat = {
+  mutable vcount : int;
+  mutable verrors : int;
+  mutable vseconds : float;
+}
 
 type state = {
   cache : Cache.t option;
@@ -43,7 +47,7 @@ type state = {
   mutable next_rid : int;
       (* generator for server-assigned request ids (req-1, req-2, ...) *)
   by_verb : (string, verb_stat) Hashtbl.t;
-      (* request/error tallies per RPC verb; kept outside the obs
+      (* request/error/seconds tallies per RPC verb; kept outside the obs
          registry so `stats` reports them even with obs disabled *)
 }
 
@@ -109,20 +113,28 @@ exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
-let get_or_fail = function Ok v -> v | Error e -> raise (Fail e)
-
-let string_list params key =
-  match Jsonx.member key params with
-  | None -> []
-  | Some (Jsonx.List l) ->
+(* the params as the pipeline's named string fields: a list's entries, or
+   one scalar (a string as is, an integral number in decimal digits at any
+   size, another number or a boolean in its JSON text) *)
+let param_fields params =
+  let text = function
+    | Jsonx.Str s -> s
+    | v -> (
+        match Jsonx.to_int v with
+        | Some n -> string_of_int n
+        | None -> Jsonx.to_string v)
+  in
+  match params with
+  | Jsonx.Obj kvs ->
       List.map
-        (fun v ->
-          match Jsonx.to_str v with
-          | Some s -> s
-          | None -> failf "%S entries must be strings" key)
-        l
-  | Some (Jsonx.Str s) -> [ s ]
-  | Some _ -> failf "%S must be a list of strings" key
+        (fun (k, v) ->
+          ( k,
+            match v with
+            | Jsonx.Null -> []
+            | Jsonx.List l -> List.map text l
+            | v -> [ text v ] ))
+        kvs
+  | _ -> []
 
 (* one pipeline event as a protocol event line; [Asserting] has none *)
 let emit_event ~emit ~id ev =
@@ -130,6 +142,15 @@ let emit_event ~emit ~id ev =
     emit (event id (("event", Jsonx.Str kind) :: fields))
   in
   match ev with
+  | Pipeline.Accepted full ->
+      let c = full.Qasm.circuit in
+      line "accepted"
+        [
+          ("qubits", Jsonx.int (Circuit.num_qubits c));
+          ("gates", Jsonx.int (Circuit.gate_count c));
+          ("tracepoints", Jsonx.int (List.length (Circuit.tracepoints c)));
+          ("expects", Jsonx.int (List.length full.Qasm.expects));
+        ]
   | Pipeline.Certified report ->
       let summary = report.Verify.cert_summary in
       line "certify"
@@ -139,21 +160,18 @@ let emit_event ~emit ~id ev =
           ( "obligations",
             Jsonx.int (Transpile.Certify.total_obligations summary) );
         ]
-  | Pipeline.Expect (e, result) ->
+  | Pipeline.Expect (e, r) ->
       let l, col = e.Qasm.expect_loc in
       line "expect"
-        ([ ("line", Jsonx.int l); ("col", Jsonx.int col) ]
-        @
-        match result with
-        | Error msg -> [ ("holds", Jsonx.Bool false); ("error", Jsonx.Str msg) ]
-        | Ok r ->
-            [
-              ("holds", Jsonx.Bool r.Verify.counts_hold);
-              ("statistic", Jsonx.Num r.Verify.test.Stats.Tests.statistic);
-              ("pvalue", Jsonx.Num r.Verify.test.Stats.Tests.pvalue);
-              ("shots", Jsonx.int r.Verify.shots_used);
-              ("early_stop", Jsonx.Bool r.Verify.early_stop);
-            ])
+        [
+          ("line", Jsonx.int l);
+          ("col", Jsonx.int col);
+          ("holds", Jsonx.Bool r.Verify.counts_hold);
+          ("statistic", Jsonx.Num r.Verify.test.Stats.Tests.statistic);
+          ("pvalue", Jsonx.Num r.Verify.test.Stats.Tests.pvalue);
+          ("shots", Jsonx.int r.Verify.shots_used);
+          ("early_stop", Jsonx.Bool r.Verify.early_stop);
+        ]
   | Pipeline.Asserting _ -> ()
   | Pipeline.Verdict (Verify.Verified { confidence; max_objective }) ->
       line "verdict"
@@ -174,53 +192,15 @@ let verify_request state ~emit ~id ~rid params =
     | Some s -> s
     | None -> failf "missing %S param" "qasm"
   in
-  let full =
-    try Qasm.parse_full qasm with
-    | Qasm.Parse_error { line; column; message; _ } ->
-        failf "parse error at %d:%d: %s" line column message
-    | Circuit.Error { code; message; _ } -> failf "[%s] %s" code message
+  (* a daemon started with --certify certifies every request; the
+     certified plan is cached under its own key prefix, so it never
+     serves a plan that skipped certification *)
+  let fields =
+    (if state.certify then [ ("certify", [ "true" ]) ] else [])
+    @ param_fields params
   in
-  let c = full.Qasm.circuit in
-  let seed = Option.value ~default:2024 (Jsonx.mem_int "seed" params) in
-  let count = Option.value ~default:0 (Jsonx.mem_int "count" params) in
-  let solver =
-    get_or_fail
-      (Spec.parse_solver
-         (Option.value ~default:"qp" (Jsonx.mem_str "solver" params)))
-  in
-  let budget =
-    get_or_fail
-      (Spec.parse_budget
-         (Option.value ~default:"fixed:2048" (Jsonx.mem_str "budget" params)))
-  in
-  let mode =
-    get_or_fail
-      (Spec.parse_mode
-         (Option.value ~default:"exact" (Jsonx.mem_str "mode" params)))
-  in
-  let assumes = string_list params "assume" in
-  let guarantees = string_list params "guarantee" in
   let stats0 = Option.map Cache.stats state.cache in
-  emit
-    (event id
-       [
-         ("event", Jsonx.Str "accepted");
-         ("qubits", Jsonx.int (Circuit.num_qubits c));
-         ("gates", Jsonx.int (Circuit.gate_count c));
-         ("tracepoints", Jsonx.int (List.length (Circuit.tracepoints c)));
-         ("expects", Jsonx.int (List.length full.Qasm.expects));
-       ]);
-  (* the certified plan is cached under its own key prefix, so a daemon
-     asked to certify never serves a plan that skipped certification *)
-  let certify =
-    state.certify
-    || Option.value ~default:false
-         (Option.bind (Jsonx.member "certify" params) Jsonx.to_bool)
-  in
-  let request =
-    { Pipeline.full; name = "rpc"; assumes; guarantees; count; seed; solver;
-      budget; mode; certify; cache = state.cache }
-  in
+  let request = { Pipeline.name = "rpc"; qasm; fields; cache = state.cache } in
   match Pipeline.run ~emit:(emit_event ~emit ~id) request with
   | Ok o ->
       let executions, shots =
@@ -240,26 +220,20 @@ let verify_request state ~emit ~id ~rid params =
                 ("cache", cache_delta_json stats0 state.cache);
                 ("seconds", Jsonx.Num (Unix.gettimeofday () -. t0));
               ]))
-  | Error (Pipeline.Not_certified report) ->
-      let msg =
-        match report.Verify.cert_failures with
-        | f :: _ -> Transpile.Certify.failure_message f
-        | [] -> "transpile certificate check failed"
-      in
-      Obs.Log.emit Obs.Log.Error "certify.fail"
-        [
-          ("code", Jsonx.Str "MQ021");
-          ("reason", Jsonx.Str msg);
-          ( "steps",
-            Jsonx.int report.Verify.cert_summary.Transpile.Certify.chain_steps );
-        ];
-      failf "MQ021: %s" msg
-  | Error (Pipeline.Bad_spec e) -> raise (Fail e)
-  | Error Pipeline.Nothing_to_check ->
-      raise
-        (Fail
-           "at least one guarantee (or an expect pragma in the program) is \
-            required")
+  | Error e ->
+      let msg = Format.asprintf "%a" (Pipeline.pp_error ?file:None) e in
+      (match e with
+      | Pipeline.Not_certified report ->
+          Obs.Log.emit Obs.Log.Error "certify.fail"
+            [
+              ("code", Jsonx.Str "MQ021");
+              ("reason", Jsonx.Str msg);
+              ( "steps",
+                Jsonx.int
+                  report.Verify.cert_summary.Transpile.Certify.chain_steps );
+            ]
+      | _ -> ());
+      raise (Fail msg)
 
 (* ------------------------- request summaries --------------------------- *)
 
@@ -291,16 +265,17 @@ let summary_jsonx (s : Recorder.summary) =
     | None -> []
     | Some e -> [ ("error", Jsonx.Str e) ])
 
-let bump_verb state verb ~ok =
+let bump_verb state verb ~ok ~seconds =
   let st =
     match Hashtbl.find_opt state.by_verb verb with
     | Some st -> st
     | None ->
-        let st = { vcount = 0; verrors = 0 } in
+        let st = { vcount = 0; verrors = 0; vseconds = 0. } in
         Hashtbl.add state.by_verb verb st;
         st
   in
   st.vcount <- st.vcount + 1;
+  st.vseconds <- st.vseconds +. seconds;
   if not ok then st.verrors <- st.verrors + 1
 
 let by_verb_jsonx state =
@@ -312,6 +287,7 @@ let by_verb_jsonx state =
              [
                ("requests", Jsonx.int st.vcount);
                ("errors", Jsonx.int st.verrors);
+               ("seconds", Jsonx.Num st.vseconds);
              ] )
          :: acc)
        state.by_verb []
@@ -425,7 +401,7 @@ let handle_request state ~emit ~id ~rid ~verb meth params =
     if Obs.enabled () then counter_delta counters0 (Obs.Metrics.counters ())
     else []
   in
-  bump_verb state verb ~ok;
+  bump_verb state verb ~ok ~seconds;
   Obs.Metrics.counter_add ~labels:[ ("verb", verb) ] "requests_total" 1;
   if not ok then
     Obs.Metrics.counter_add ~labels:[ ("verb", verb) ] "request_errors_total" 1;

@@ -8,9 +8,13 @@
     [metrics] (Prometheus text exposition in [result.prometheus]),
     [trace] (param [request_id] — one recorded request's span tree as
     Chrome-trace JSON in [result.trace]),
-    [verify] (params [qasm] (required), [assume]/[guarantee] spec lists,
-    [count], [solver], [seed], [budget], [mode] — the {!Spec} grammar),
-    and [shutdown].
+    [verify] (params [qasm] (required) and the CLI's verify fields by
+    name — [assume]/[guarantee] spec lists, [count], [seed], [solver],
+    [budget], [mode], [certify] — decoded, checked and run by
+    [Morphcore.Pipeline]; a refused request gets one [error] line, a
+    program error as lint prints it without a file prefix), and
+    [shutdown]. [stats] reports per-verb [requests], [errors] and summed
+    [seconds] under [by_verb].
 
     Every request carries a request id — client-supplied via a top-level
     ["request_id"] field, else server-generated ([req-N]) — echoed as

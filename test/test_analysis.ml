@@ -88,7 +88,12 @@ let example_dir () =
 let test_examples_clean () =
   List.iter
     (fun file ->
-      let ds = Analysis.Lint.lint_file (Filename.concat (example_dir ()) file) in
+      let ds =
+        Analysis.Lint.lint_qasm
+          (In_channel.with_open_text
+             (Filename.concat (example_dir ()) file)
+             In_channel.input_all)
+      in
       List.iter
         (fun d ->
           if d.Analysis.Lint.severity <> Analysis.Lint.Info then
@@ -107,20 +112,28 @@ let test_severity_table () =
     (Analysis.Lint.severity_of_code "MQ011" = Analysis.Lint.Info)
 
 let test_check_certify () =
-  (* the MQ021 callback check: a clean certify callback yields no
-     diagnostics; each reported failure becomes one Error with its
-     source location and instruction index threaded through *)
-  let c = Circuit.(empty 1 |> h 0) in
+  (* the MQ021 check: no checker failure yields no diagnostics; each
+     failure becomes one Error with its source location and instruction
+     index threaded through *)
   Alcotest.(check int)
     "clean" 0
-    (List.length (Analysis.Lint.check_certify ~certify:(fun _ -> []) c));
-  match
-    Analysis.Lint.check_certify
-      ~certify:(fun _ -> [ ("local_equiv product differs", Some (3, 1), Some 0) ])
-      c
-  with
+    (List.length (Morphcore.Verify.certify_diagnostics []));
+  let failure =
+    {
+      Transpile.Certify.fail_pass = "cancel";
+      kind = "local_equiv";
+      reason = "product differs";
+      before_index = Some 0;
+      after_index = None;
+      loc = Some (3, 1);
+    }
+  in
+  match Morphcore.Verify.certify_diagnostics [ failure ] with
   | [ d ] ->
       Alcotest.(check string) "code" "MQ021" d.Analysis.Lint.code;
+      Alcotest.(check string)
+        "message" (Transpile.Certify.failure_message failure)
+        d.Analysis.Lint.message;
       Alcotest.(check bool)
         "error severity" true
         (d.Analysis.Lint.severity = Analysis.Lint.Error);

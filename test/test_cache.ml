@@ -20,6 +20,13 @@ let temp_dir () =
   Unix.mkdir d 0o755;
   d
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
 (* ------------------------------ FNV ----------------------------------- *)
 
 (* golden vectors from the reference FNV-1a specification *)
@@ -154,6 +161,58 @@ let test_store_namespaces () =
     "namespaces isolate keys" (Some "va")
     (Cache.find cache ~ns:"a" "k");
   Alcotest.(check (option string)) "" (Some "vb") (Cache.find cache ~ns:"b" "k")
+
+(* each cache setting resolves once, an argument over its environment
+   variable: serve's --cache-mb and --cache-dir hold when MORPHQPV_CACHE
+   or MORPHQPV_CACHE_DIR also turn the cache on. [with_env] restores an
+   unset variable as empty, which [of_env] reads as unset. *)
+let test_store_settings () =
+  let fill cache =
+    for i = 0 to 31 do
+      Cache.store cache ~ns:"t" (string_of_int i) (String.make 512 'x')
+    done;
+    (Cache.stats cache).Cache.evictions
+  in
+  let with_env vars f =
+    let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) vars in
+    List.iter (fun (k, v) -> Unix.putenv k v) vars;
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun (k, v) -> Unix.putenv k (Option.value ~default:"" v))
+          saved)
+      f
+  in
+  let get = function Some c -> c | None -> Alcotest.fail "no cache" in
+  let env_dir = temp_dir () and flag_dir = temp_dir () in
+  Fun.protect ~finally:(fun () ->
+      remove_tree env_dir;
+      remove_tree flag_dir)
+  @@ fun () ->
+  with_env
+    [ ("MORPHQPV_CACHE", "1"); ("MORPHQPV_CACHE_MB", "1");
+      ("MORPHQPV_CACHE_DIR", env_dir) ]
+    (fun () ->
+      Alcotest.(check bool)
+        "the flag's 4 KiB budget evicts" true
+        (fill (get (Cache.of_env ~max_bytes:4096 ())) > 0);
+      Alcotest.(check int)
+        "the environment's 1 MiB budget holds 32 entries" 0
+        (fill (get (Cache.of_env ())));
+      ignore (fill (get (Cache.of_env ~dir:flag_dir ())));
+      Alcotest.(check bool)
+        "the flag's directory is written" true
+        (Sys.file_exists (Filename.concat flag_dir "t")));
+  with_env
+    [ ("MORPHQPV_CACHE", "0"); ("MORPHQPV_CACHE_MB", "1");
+      ("MORPHQPV_CACHE_DIR", "") ]
+    (fun () ->
+      Alcotest.(check bool)
+        "an empty directory variable is unset" true
+        (Cache.of_env () = None);
+      Alcotest.(check bool)
+        "enable turns it on" true
+        (Cache.of_env ~enable:true () <> None))
 
 let test_store_persistence () =
   let dir = temp_dir () in
@@ -374,13 +433,6 @@ let test_verdict_memo () =
 
 (* cached and uncached paths agree bit-for-bit across cold/warm/eviction,
    and across a persistence reload *)
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 let prop_cache_transparent =
   QCheck.Test.make ~name:"cache transparency (programs)" ~count:(max 5 (count / 4))
     (Gen.program ()) (fun sketch ->
@@ -553,6 +605,44 @@ let test_server_verify_warm () =
       Alcotest.(check bool) "cold executed" true (executions first > 0);
       Alcotest.(check int) "warm executed nothing" 0 (executions second)
   | _ -> Alcotest.failf "expected 2 results, got %d" (List.length results)
+
+(* an integral JSON number is decoded at any size, as the string of its
+   digits: a seed of 1e17 (which JSON text writes as 1e+17) is accepted and
+   runs as the seed "100000000000000000" does *)
+let test_server_large_seed () =
+  let req seed =
+    Jsonx.to_string
+      (Jsonx.Obj
+         [
+           ("id", Jsonx.int 1);
+           ("method", Jsonx.Str "verify");
+           ( "params",
+             Jsonx.Obj
+               [
+                 ("qasm", Jsonx.Str ghz_qasm);
+                 ("guarantee", Jsonx.Str "pure:1");
+                 ("count", Jsonx.int 4);
+                 ("seed", seed);
+               ] );
+         ])
+  in
+  let result seed =
+    match List.rev (fst (drive (Server.make_state ()) [ req seed ])) with
+    | last :: _ -> (
+        match Jsonx.member "result" last with
+        | Some r -> r
+        | None -> Alcotest.failf "refused: %s" (Jsonx.to_string last))
+    | [] -> Alcotest.fail "no response"
+  in
+  let as_number = result (Jsonx.Num 1e17)
+  and as_digits = result (Jsonx.Str "100000000000000000") in
+  List.iter
+    (fun field ->
+      Alcotest.(check string)
+        field
+        (Jsonx.to_string (member_exn field as_digits))
+        (Jsonx.to_string (member_exn field as_number)))
+    [ "verified"; "expects_ok"; "executions"; "shots" ]
 
 (* translation validation over the protocol: a daemon started with
    [~certify:true] must emit a "certify" event (checker verdict +
@@ -1144,37 +1234,39 @@ let test_server_spec_error () =
         (Jsonx.mem_str "error" only)
   | out -> Alcotest.failf "expected one line, got %d" (List.length out)
 
-(* a program the daemon must refuse: one error line, no result and no
-   verdict *)
+(* a program the daemon must refuse, and refuse before spending: its one
+   line is the error (no accepted, certify, expect or verdict event, no
+   result), even on a daemon that certifies every request, and it moves
+   no counter *)
 let server_refuses ~qasm ~guarantee want =
-  let line =
-    Jsonx.to_string
-      (Jsonx.Obj
-         [
-           ("id", Jsonx.int 1);
-           ("method", Jsonx.Str "verify");
-           ( "params",
-             Jsonx.Obj
-               [
-                 ("qasm", Jsonx.Str qasm);
-                 ("guarantee", Jsonx.Str guarantee);
-                 ("count", Jsonx.int 4);
-               ] );
-         ])
-  in
-  let out = fst (drive (Server.make_state ()) [ line ]) in
-  Alcotest.(check bool)
-    "no result or verdict" true
-    (List.for_all
-       (fun j ->
-         Jsonx.member "result" j = None
-         && Jsonx.mem_str "event" j <> Some "verdict")
-       out);
-  match List.rev out with
-  | last :: _ ->
-      Alcotest.(check (option string)) "error" (Some want)
-        (Jsonx.mem_str "error" last)
-  | [] -> Alcotest.fail "no response"
+  with_obs_enabled (fun () ->
+      let state = Server.make_state ~certify:true () in
+      let line =
+        Jsonx.to_string
+          (Jsonx.Obj
+             [
+               ("id", Jsonx.int 1);
+               ("request_id", Jsonx.Str "refused");
+               ("method", Jsonx.Str "verify");
+               ( "params",
+                 Jsonx.Obj
+                   [
+                     ("qasm", Jsonx.Str qasm);
+                     ("guarantee", Jsonx.Str guarantee);
+                     ("count", Jsonx.int 4);
+                   ] );
+             ])
+      in
+      (match fst (drive state [ line ]) with
+      | [ only ] ->
+          Alcotest.(check (option string)) "error" (Some want)
+            (Jsonx.mem_str "error" only)
+      | out -> Alcotest.failf "expected one line, got %d" (List.length out));
+      match Server.Recorder.find (Server.recorder state) "refused" with
+      | Some s ->
+          Alcotest.(check (list (pair string int)))
+            "no counter moved" [] s.Server.Recorder.counters
+      | None -> Alcotest.fail "request not recorded")
 
 (* a user tracepoint 0 would be read as the program input by every spec;
    the daemon refuses the program with one error line instead *)
@@ -1182,14 +1274,68 @@ let test_server_reserved_tracepoint () =
   server_refuses
     ~qasm:
       "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 0 q[0];\ncx q[0],q[1];\nT 1 q[1];\n"
-    ~guarantee:"pure:0" "tracepoint id 0 is reserved for the program input"
+    ~guarantee:"pure:0"
+    "4:1: error[MQ004]: tracepoint id 0 is reserved for the program input"
 
 (* a tracepoint that names a qubit twice would read a matrix that is not
    a density of the register; the parser refuses it *)
 let test_server_duplicate_tracepoint_qubit () =
   server_refuses
     ~qasm:"OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 1 q[0,0];\n"
-    ~guarantee:"pure:1" "[MQ003] Circuit: duplicate qubit in tracepoint 1"
+    ~guarantee:"pure:1"
+    "4:1: error[MQ003]: Circuit: duplicate qubit in tracepoint 1"
+
+(* the program-error table: the daemon prints each error as lint does,
+   without the file prefix *)
+let test_server_program_errors () =
+  List.iter
+    (fun qasm ->
+      match
+        List.filter
+          (fun d -> d.Analysis.Lint.severity = Analysis.Lint.Error)
+          (Analysis.Lint.lint_qasm qasm)
+      with
+      | [ d ] ->
+          server_refuses ~qasm ~guarantee:"pure:1"
+            (Format.asprintf "%a" (Analysis.Lint.pp ?file:None) d)
+      | ds -> Alcotest.failf "%d lint errors in %S" (List.length ds) qasm)
+    [
+      (* a syntax error *)
+      "qreg q[2];\nh q[0]\ncx q[0],q[1];\n";
+      (* a tracepoint that names a qubit twice *)
+      "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 1 q[0,0];\n";
+      (* a tracepoint with id 0, the id specs read as the input *)
+      "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nT 0 q[0];\ncx q[0],q[1];\nT 1 q[1];\n";
+      (* a malformed expect pragma *)
+      "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nT 1 q[0,1];\n\
+       expect 0 0.5, 0 0.5;\n";
+    ]
+
+(* stats.by_verb: request, error and seconds tallies per verb, kept with
+   observability off (they feed morphqpv top) *)
+let test_server_stats_by_verb () =
+  let state = Server.make_state ~cache:(Cache.create ()) () in
+  let refused =
+    {|{"id":3,"method":"verify","params":{"qasm":"qreg q[1];\nT 0 q[0];\n","guarantee":"pure:1"}}|}
+  in
+  let out, _ =
+    drive state
+      [ {|{"id":1,"method":"ping"}|}; verify_req 2; refused;
+        {|{"id":4,"method":"stats"}|} ]
+  in
+  let by_verb =
+    match List.rev out with
+    | stats :: _ -> member_exn "result" stats |> member_exn "by_verb"
+    | [] -> Alcotest.fail "no response"
+  in
+  let tally verb key = member_exn verb by_verb |> member_exn key in
+  Alcotest.(check int) "verify requests" 2 (tally "verify" "requests" |> int_exn);
+  Alcotest.(check int) "verify errors" 1 (tally "verify" "errors" |> int_exn);
+  Alcotest.(check int) "ping requests" 1 (tally "ping" "requests" |> int_exn);
+  Alcotest.(check int) "ping errors" 0 (tally "ping" "errors" |> int_exn);
+  match Jsonx.to_num (tally "verify" "seconds") with
+  | Some s -> Alcotest.(check bool) "verify seconds summed" true (s > 0.)
+  | None -> Alcotest.fail "verify seconds is not a number"
 
 let () =
   Alcotest.run "cache"
@@ -1206,6 +1352,8 @@ let () =
         [
           Alcotest.test_case "lru byte bound" `Quick test_store_lru;
           Alcotest.test_case "namespaces" `Quick test_store_namespaces;
+          Alcotest.test_case "settings: flag over environment" `Quick
+            test_store_settings;
           Alcotest.test_case "persistence" `Quick test_store_persistence;
           Alcotest.test_case "memo miss then hit" `Quick test_store_memo;
           Alcotest.test_case "memo rejects invalid" `Quick
@@ -1240,6 +1388,7 @@ let () =
           Alcotest.test_case "trace rpc" `Quick test_server_trace_rpc;
           qtest prop_server_obs_transparent;
           Alcotest.test_case "verify warm" `Quick test_server_verify_warm;
+          Alcotest.test_case "large integral seed" `Quick test_server_large_seed;
           Alcotest.test_case "verify certified" `Quick
             test_server_verify_certify;
           Alcotest.test_case "shutdown" `Quick test_server_shutdown;
@@ -1250,6 +1399,9 @@ let () =
           Alcotest.test_case "reserved tracepoint 0" `Quick test_server_reserved_tracepoint;
           Alcotest.test_case "duplicate tracepoint qubit" `Quick
             test_server_duplicate_tracepoint_qubit;
+          Alcotest.test_case "program errors as lint prints them" `Quick
+            test_server_program_errors;
+          Alcotest.test_case "stats by verb" `Quick test_server_stats_by_verb;
           Alcotest.test_case "verify golden" `Quick test_server_verify_golden;
         ] );
     ]
