@@ -119,7 +119,9 @@ module Lint : sig
 
   (** [check_tracepoint_ids ?locs c] is {!check}'s MQ004 rule alone: a
       tracepoint id declared twice, and id 0, which predicate specs read
-      as the program input. *)
+      as the program input. A duplicate's message cites the first
+      declaration's source position ([line:col]), or its instruction
+      index when [locs] has none. *)
   val check_tracepoint_ids :
     ?locs:(int * int) array -> Circuit.t -> diagnostic list
 

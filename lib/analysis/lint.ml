@@ -86,11 +86,14 @@ let check_tracepoint_ids ?locs c =
           if id = 0 then emit "tracepoint id 0 is reserved for the program input";
           match Hashtbl.find_opt seen id with
           | Some first ->
+              let at =
+                match loc_of locs first with
+                | Some (line, col) -> Printf.sprintf "%d:%d" line col
+                | None -> Printf.sprintf "instruction %d" first
+              in
               emit
                 (Printf.sprintf
-                   "duplicate tracepoint id %d (first declared at instruction \
-                    %d)"
-                   id first)
+                   "duplicate tracepoint id %d (first declared at %s)" id at)
           | None -> Hashtbl.replace seen id i)
       | _ -> ())
     (Circuit.instrs c);

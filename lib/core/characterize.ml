@@ -67,14 +67,41 @@ let unit_width_cap = 22
    a full state-vector pass. The decision is purely static — never a
    function of sampled values — so programs outside it take exactly the
    code path and generator streams they did before the routing existed:
-   batched when the noise model is ideal, sequential otherwise. *)
+   batched when the noise model is ideal, sequential otherwise. A pure
+   batched run may instead combine its inputs from the basis states
+   ([Span], when [spans_basis] holds). *)
 type decision =
   | Units of Cache.t * (Analysis.Lightcone.cone * Cache.Canon.unit_circuit) list
   | Routed of Sim.Engine.route
-  | Batched
+  | Batched of Sim.Batch.plan Lazy.t
+  | Span of Sim.Batch.plan
   | Sequential
 
-let decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program =
+let path_name = function
+  | Units _ -> "units"
+  | Routed _ -> "routed"
+  | Batched _ -> "batched"
+  | Span _ -> "span"
+  | Sequential -> "sequential"
+
+(* Linearity (Theorem 1): a pure program maps the embedded input
+   [sum_a psi_a |a>] to [sum_a psi_a phi_a] at every tracepoint, [phi_a]
+   being embedded basis state [a]'s state there. Simulating the [2^k]
+   basis states and combining each of [distinct] inputs from them beats
+   simulating the inputs when three facts hold: there are more inputs
+   than basis states; the [2^k] basis states of [2^n] amplitudes fit the
+   batch's amplitude budget; and one column's fused-block MACs exceed
+   the [T * 2^k] MACs per amplitude the combination costs at [T]
+   tracepoints. The plan is compiled only once the first two hold. *)
+let spans_basis ~pure ~distinct ~k circuit plan =
+  let n = Circuit.num_qubits circuit in
+  pure
+  && distinct > 1 lsl k
+  && 1 lsl k <= Sim.Batch.amplitude_budget asr n
+  && Sim.Batch.column_macs (Lazy.force plan)
+     > List.length (Circuit.tracepoints circuit) * (1 lsl (k + n))
+
+let decide ?cache ~engine ~kind ~inputs ~ideal ~pure ~distinct ?wall program =
   let circuit = program.Program.circuit in
   let units =
     match cache with
@@ -95,13 +122,19 @@ let decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program =
         else None
     | _ -> None
   in
+  let batched () =
+    let plan = lazy (Transpile.Segments.compile circuit) in
+    let k = Program.num_input_qubits program in
+    if spans_basis ~pure ~distinct ~k circuit plan then Span (Lazy.force plan)
+    else Batched plan
+  in
   match (units, engine) with
   | Some (cache, units), _ -> Units (cache, units)
   | None, `Sequential -> Sequential
   | None, `Batched ->
       if not ideal then
         invalid_arg "Characterize.run: batched engine requires ideal noise";
-      Batched
+      batched ()
   | None, `Auto -> (
       let route =
         if Option.is_none inputs && kind = Clifford.Sampling.Basis && ideal
@@ -110,7 +143,7 @@ let decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program =
       in
       match route with
       | Some route -> Routed route
-      | None -> if ideal then Batched else Sequential)
+      | None -> if ideal then batched () else Sequential)
 
 let statevec_fp st = Marshal.to_string (st : Qstate.Statevec.t) []
 
@@ -168,13 +201,34 @@ let input_density st =
   let v = Qstate.Statevec.to_cvec st in
   Cmat.outer v v
 
+(* [sum_a psi_a basis.(a)], accumulated in ascending [a], skipping zero
+   coefficients *)
+let combine (psi : Qstate.Statevec.t) (basis : Qstate.Statevec.t array) =
+  let n = Qstate.Statevec.num_qubits basis.(0) in
+  let d = 1 lsl n in
+  let re = Array.make d 0. and im = Array.make d 0. in
+  Array.iteri
+    (fun a (phi : Qstate.Statevec.t) ->
+      let pr = psi.re.(a) and pi = psi.im.(a) in
+      if pr <> 0. || pi <> 0. then
+        for x = 0 to d - 1 do
+          re.(x) <- re.(x) +. (pr *. phi.re.(x)) -. (pi *. phi.im.(x));
+          im.(x) <- im.(x) +. (pr *. phi.im.(x)) +. (pi *. phi.re.(x))
+        done)
+    basis;
+  Qstate.Statevec.of_cvec n (Cvec.of_arrays re im)
+
 let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     ?noise ?trajectories ?(engine = `Auto) ?inputs ?cache ?wall program ~count =
   let attrs =
     ("count", string_of_int count)
     :: (if Option.is_some cache then [ ("cache", "1") ] else [])
   in
-  Obs.Span.with_ ~name:"characterize.run" ~attrs @@ fun () ->
+  let path = ref "" and columns = ref 0 in
+  Obs.Span.with_ ~name:"characterize.run" ~attrs
+    ~finish:(fun _ ->
+      [ ("path", !path); ("columns", string_of_int !columns) ])
+  @@ fun () ->
   let rng = match rng with Some r -> r | None -> Stats.Rng.make 7 in
   let pool = match pool with Some p -> p | None -> Parallel.Pool.global () in
   (* cache keys end with the inputs, the caller's generator as it was on
@@ -248,8 +302,7 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
      the sequential path to ~1e-15 (fusion reorders segment arithmetic);
      generator streams, cost accounting and the batched engine's own results
      are bit-identical for any domain count. *)
-  let batch_traces () =
-    let plan = Transpile.Segments.compile circuit in
+  let batch_traces plan =
     let embed j = Program.embed program inputs_arr.(first.(j)) in
     if Sim.Batch.is_deterministic plan then
       Sim.Batch.run_traces ~pool plan ~count:m ~init:embed
@@ -276,12 +329,44 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     end
   in
   let input_positions = Array.of_list program.Program.input_qubits in
+  (* Span path ([spans_basis]): the [2^k] embedded basis states run once
+     through the plan, a segment at a time; at each tracepoint every
+     distinct input's state is combined from theirs and reduced as
+     [Engine.step] reduces it, one input per pool task *)
+  let span_traces plan =
+    let width = plan.Sim.Batch.num_qubits in
+    let per_tracepoint = ref [] in
+    Sim.Batch.iter_tracepoints ~pool plan ~count:(1 lsl k)
+      ~init:(fun a ->
+        Qstate.Statevec.basis width
+          (Qstate.Statevec.embed_index input_positions a))
+      (fun id qubits basis ->
+        let rhos =
+          Parallel.Pool.map_init pool m (fun j ->
+              Qstate.Statevec.reduced_density
+                (combine inputs_arr.(first.(j)) basis)
+                qubits)
+        in
+        per_tracepoint := (id, rhos) :: !per_tracepoint);
+    let per_tracepoint = List.rev !per_tracepoint in
+    Array.init m (fun j ->
+        List.map (fun (id, rhos) -> (id, rhos.(j))) per_tracepoint)
+  in
   (* every sample through one engine, tracepoints degraded per [mode]; a
      trace list leads with the input's density (id 0), built once per
      distinct input *)
   let simulate decision () =
+    let runs =
+      if pure then 1
+      else Option.value trajectories ~default:Sim.Engine.default_trajectories
+    in
+    columns :=
+      !columns + (match decision with Span _ -> 1 lsl k | _ -> m * runs);
     let batched_traces =
-      match decision with Batched -> Some (batch_traces ()) | _ -> None
+      match decision with
+      | Batched plan -> Some (batch_traces (Lazy.force plan))
+      | Span plan -> Some (span_traces plan)
+      | Units _ | Routed _ | Sequential -> None
     in
     share ~span:"characterize.sample" ~rng:(Array.get rngs) (fun j ->
         let i = first.(j) in
@@ -297,7 +382,7 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
                 ( route,
                   Qstate.Statevec.embed_index input_positions
                     (Clifford.Sampling.basis_index k ~index:i) )
-          | Units _ | Batched | Sequential -> None
+          | Units _ | Batched _ | Span _ | Sequential -> None
         in
         match (prep, batched_traces) with
         | Some (route, prep), _ ->
@@ -310,10 +395,12 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
     |> Array.mapi (fun i traces ->
            { input_state = inputs_arr.(i); input_dm = List.assoc 0 traces; traces })
   in
+  let decision =
+    decide ?cache ~engine ~kind ~inputs ~ideal ~pure ~distinct:m ?wall program
+  in
+  path := path_name decision;
   let samples =
-    match
-      (decide ?cache ~engine ~kind ~inputs ~ideal ~pure ?wall program, cache)
-    with
+    match (decision, cache) with
     | Units (cache, units), _ ->
         let per_cone =
           List.map
@@ -325,6 +412,7 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
                   ~valid:(fun arr -> Array.length arr = n)
                   key
                   (fun () ->
+                    columns := !columns + m;
                     (* one exact trace per distinct input, simulated in
                        the unit's canonical qubit order so the computation
                        is literally a function of the unit bytes;
@@ -355,9 +443,11 @@ let run ?pool ?rng ?(kind = Clifford.Sampling.Clifford) ?(mode = Exact) ?budget
               (0, input_dm) :: List.map (fun (id, arr) -> (id, arr.(i))) per_cone
             in
             { input_state = inputs_arr.(i); input_dm; traces })
-    | ((Batched | Sequential) as decision), Some cache ->
+    | ((Batched _ | Span _ | Sequential) as decision), Some cache ->
         (* stochastic, noisy or too-wide programs: whole-result memo keyed
-           by the exact (unrenumbered) circuit bytes and every parameter *)
+           by the exact (unrenumbered) circuit bytes and every parameter.
+           [Span] never reaches it: a pure program whose basis states fit
+           the batch budget has every cone unit under [unit_width_cap]. *)
         Cache.memo cache ~ns:ns_characterize
           (cache_key
              [

@@ -38,7 +38,8 @@ type t = {
     lightcone-restricted run per tracepoint. The routing condition is
     purely static (program text only, never sampled values); programs
     outside it take exactly the pre-routing code path and generator
-    streams. *)
+    streams. A pure batched run may combine its inputs from the basis
+    states instead (see {b Linearity} under {!run}). *)
 type engine = [ `Auto | `Batched | `Sequential ]
 
 (** [run ?pool ?rng ?kind ?mode ?noise ?trajectories ?engine ?inputs program
@@ -101,7 +102,29 @@ type engine = [ `Auto | `Batched | `Sequential ]
     [gate_applied_total], [batch_gemm_macs_total], ...) count distinct
     simulations. Samples with equal inputs share their exact trace
     matrices (and input density) physically: trace matrices are
-    immutable, and nothing downstream writes into them. *)
+    immutable, and nothing downstream writes into them.
+
+    {b Linearity.} A pure program is linear in its input (Theorem 1), so
+    at every tracepoint the embedded input [sum_a psi_a |a>] is in state
+    [sum_a psi_a phi_a], [phi_a] being embedded basis state [a]'s state
+    there. A batched run (either engine) takes the {e span} path when it
+    is pure, has more distinct inputs [m] than the [2^k] basis states of
+    its [k] input qubits, the [2^k x 2^n] basis states fit
+    {!Sim.Batch.amplitude_budget}, and one column's block MACs
+    ({!Sim.Batch.column_macs}) exceed the [T * 2^k] MACs per amplitude
+    that combining costs at [T] tracepoints. It then simulates only the
+    [2^k] basis states ({!Sim.Batch.iter_tracepoints}) and forms each
+    distinct input's state as [sum_a psi_a phi_a] before the reduction
+    [Engine.step] applies, one input per pool task, so results stay
+    bit-identical for any domain count. Per sample, everything above
+    stands; the traces agree with the direct batched path to ~1e-15,
+    and [batch_gemm_macs_total] and [fused_block_applied_total] count
+    [2^k] columns. No option selects it, and no other run takes it.
+
+    With observability on, the [characterize.run] span's end event
+    carries [path] ([units], [routed], [batched], [span] or
+    [sequential]) and [columns], the states the run simulated ([2^k] on
+    the span path, [0] on a full cache hit). *)
 val run :
   ?pool:Parallel.Pool.t ->
   ?rng:Stats.Rng.t ->

@@ -51,7 +51,8 @@ let token_text = function
   | Rbrace -> "}"
   | Str s -> "\"" ^ s ^ "\""
 
-type lexed = { token : token; line : int; col : int }
+(* [stop]: the 1-based column just after the token *)
+type lexed = { token : token; line : int; col : int; stop : int }
 
 let tokenize src =
   let tokens = ref [] in
@@ -62,8 +63,11 @@ let tokenize src =
   while !i < n do
     let c = src.[!i] in
     let start = !i in
-    let push t =
-      tokens := { token = t; line = !line; col = start - !bol + 1 } :: !tokens
+    let push ?(len = 1) t =
+      tokens :=
+        { token = t; line = !line; col = start - !bol + 1;
+          stop = start + len - !bol + 1 }
+        :: !tokens
     in
     if c = '\n' then begin
       incr line;
@@ -89,7 +93,7 @@ let tokenize src =
       do
         incr i
       done;
-      push (Ident (String.sub src start (!i - start)))
+      push ~len:(!i - start) (Ident (String.sub src start (!i - start)))
     end
     else if (c >= '0' && c <= '9') || c = '.' then begin
       let start = !i in
@@ -106,7 +110,7 @@ let tokenize src =
       done;
       let text = String.sub src start (!i - start) in
       match float_of_string_opt text with
-      | Some f -> push (Number f)
+      | Some f -> push ~len:(!i - start) (Number f)
       | None ->
           fail ~column:(start - !bol + 1) ~token:text !line "bad number %S"
             text
@@ -119,7 +123,7 @@ let tokenize src =
       done;
       if !i >= n then
         fail ~column:(start - !bol + 1) !line "unterminated string";
-      push (Str (String.sub src start (!i - start)));
+      push ~len:(!i - start + 2) (Str (String.sub src start (!i - start)));
       incr i
     end
     else begin
@@ -132,13 +136,13 @@ let tokenize src =
       | ';' -> push Semicolon
       | '-' ->
           if !i + 1 < n && src.[!i + 1] = '>' then begin
-            push Arrow;
+            push ~len:2 Arrow;
             incr i
           end
           else push Minus
       | '=' ->
           if !i + 1 < n && src.[!i + 1] = '=' then begin
-            push Eqeq;
+            push ~len:2 Eqeq;
             incr i
           end
           else
@@ -158,7 +162,9 @@ let tokenize src =
 
 (* ---------------- parser ---------------- *)
 
-type state = { mutable toks : lexed list }
+(* [at_end]: (line, column) just after the token [next] returned last,
+   where an input that ends mid-statement is reported *)
+type state = { mutable toks : lexed list; mutable at_end : int * int }
 
 let peek st = match st.toks with [] -> None | t :: _ -> Some t
 
@@ -168,9 +174,12 @@ let fail_at (t : lexed) fmt =
 
 let next st =
   match st.toks with
-  | [] -> fail 0 "unexpected end of input"
+  | [] ->
+      let line, column = st.at_end in
+      fail ~column line "unexpected end of input"
   | t :: rest ->
       st.toks <- rest;
+      st.at_end <- (t.line, t.stop);
       t
 
 let expect st token what =
@@ -352,7 +361,7 @@ let parse_ident_list st =
    concrete qubit indices, [env] binds formal parameters *)
 let rec expand_def ~lookup ~depth line (def : gate_def) ~env ~qmap =
   if depth > 32 then fail line "gate definitions nested too deeply";
-  let st = { toks = def.body } in
+  let st = { toks = def.body; at_end = (1, 1) } in
   let out = ref [] in
   let rec stmts () =
     match peek st with
@@ -413,7 +422,7 @@ type full = {
 }
 
 let parse_full src =
-  let st = { toks = tokenize src } in
+  let st = { toks = tokenize src; at_end = (1, 1) } in
   let qreg = ref None and creg = ref 0 in
   let qreg_loc = ref (0, 0) in
   let expects = ref [] in

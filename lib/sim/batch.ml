@@ -267,32 +267,43 @@ let compile items =
   go [] [] items
 
 (* Tiles bound peak memory: the live tiles never hold more than
-   ~[max_block_floats] amplitudes per component, whatever the sample
+   ~[amplitude_budget] amplitudes per component, whatever the sample
    count. Columns are independent, so tiling cannot change any column's
    result. *)
-let max_block_floats = 1 lsl 21
+let amplitude_budget = 1 lsl 21
 let tile_cols = 16
 let ceil_div a b = (a + b - 1) / b
 
+(* a fused block costs one multiply-accumulate per nonzero of [u], per
+   group of rows of a [2^num_qubits]-amplitude column *)
+let block_macs num_qubits { qubits; u } =
+  let nnz = ref 0 in
+  Array.iteri
+    (fun idx r -> if r <> 0. || u.Cmat.im.(idx) <> 0. then incr nnz)
+    u.Cmat.re;
+  ((1 lsl num_qubits) lsr Array.length qubits) * !nnz
+
+let column_macs plan =
+  List.fold_left
+    (fun acc -> function
+      | Block b -> acc + block_macs plan.num_qubits b
+      | Direct _ | Fence _ -> acc)
+    0 plan.items
+
 (* Work counters are a function of the plan and the column count alone,
    never of the tiling or the domain count: an operator counts one
-   application per column block of at most [max_block_floats] amplitudes,
-   and a fused block one multiply-accumulate per nonzero of [u], per
-   group of rows, per column. *)
+   application per column block of at most [amplitude_budget] amplitudes,
+   and a fused block its [block_macs] per column. *)
 let record_work plan ~count =
   if Obs.enabled () then begin
     let d = 1 lsl plan.num_qubits in
-    let col_blocks = ceil_div count (max 1 (min count (max_block_floats / d))) in
+    let col_blocks = ceil_div count (max 1 (min count (amplitude_budget / d))) in
     List.iter
       (function
-        | Block { qubits; u } ->
-            let nnz = ref 0 in
-            Array.iteri
-              (fun idx r -> if r <> 0. || u.Cmat.im.(idx) <> 0. then incr nnz)
-              u.Cmat.re;
+        | Block b ->
             Obs.Metrics.counter_add "fused_block_applied_total" col_blocks;
             Obs.Metrics.counter_add "batch_gemm_macs_total"
-              ((d lsr Array.length qubits) * !nnz * count)
+              (block_macs plan.num_qubits b * count)
         | Direct g ->
             Obs.Metrics.counter_add
               ~labels:[ ("kind", g.Circuit.Gate.name) ]
@@ -356,10 +367,10 @@ let exec ?pool ?rngs plan ~count ~init ~want_states =
     let w =
       max 1
         (min tile_cols
-           (min (ceil_div count domains) (max_block_floats / (d * domains))))
+           (min (ceil_div count domains) (amplitude_budget / (d * domains))))
     in
     let tiles = ceil_div count w in
-    let tasks = max 1 (min (min domains tiles) (max_block_floats / (d * w))) in
+    let tasks = max 1 (min (min domains tiles) (amplitude_budget / (d * w))) in
     Parallel.Pool.parallel_for pool ~n:tasks (fun task ->
         let t = make_tile plan w in
         let i = ref task in
@@ -410,3 +421,29 @@ let run_traces ?pool ?rngs plan ~count ~init =
 let run_seq ?rng plan st =
   let rngs = Option.map (fun r -> [| r |]) rng in
   (run ?rngs plan [| st |]).(0)
+
+(* Segment by segment: the items before each tracepoint run as one
+   packed [exec] over every column, whose final states are the columns'
+   states at that tracepoint and the next segment's inputs. A
+   deterministic plan's other fences (barriers) are no-ops, and items
+   after the last tracepoint reach no snapshot, so they are not run. *)
+let iter_tracepoints ?pool plan ~count ~init f =
+  if not (is_deterministic plan) then
+    invalid_arg "Batch.iter_tracepoints: plan measures, resets or feeds back";
+  let advance col items =
+    if items = [] then Array.init count col
+    else
+      let _, _, out =
+        exec ?pool { plan with items } ~count ~init:col ~want_states:true
+      in
+      Array.map Option.get out
+  in
+  let rec go col pending = function
+    | [] -> ()
+    | Fence (Circuit.Instr.Tracepoint { id; qubits }) :: rest ->
+        let states = advance col (List.rev pending) in
+        f id qubits states;
+        go (Array.get states) [] rest
+    | item :: rest -> go col (item :: pending) rest
+  in
+  go init [] plan.items

@@ -75,6 +75,16 @@ val ops : plan -> int
     or feedback fence (mirrors [Engine.is_deterministic]). *)
 val is_deterministic : plan -> bool
 
+(** [column_macs plan] is the complex multiply-accumulates one column
+    spends in the plan's fused blocks: per {!Block}, one per nonzero of
+    [u] per group of [2^k] rows. A run of [count] columns adds
+    [count * column_macs plan] to [batch_gemm_macs_total]. *)
+val column_macs : plan -> int
+
+(** [amplitude_budget] ([2^21]) bounds the amplitudes per component that
+    a run's live tiles hold together. *)
+val amplitude_budget : int
+
 (** [run ?pool ?rngs plan states] executes the plan once per input state,
     all packed into one batch, and returns per-column outcomes in input
     order. [rngs], when given, must hold one generator per column (used
@@ -106,3 +116,22 @@ val run_traces :
     "sequential path" that batched runs are tested bit-identical
     against. *)
 val run_seq : ?rng:Stats.Rng.t -> plan -> Qstate.Statevec.t -> Engine.outcome
+
+(** [iter_tracepoints ?pool plan ~count ~init f] runs the columns
+    [init 0 .. init (count - 1)] through a deterministic plan one segment
+    at a time: the items before each tracepoint run as one packed {!run}
+    of every column, then [f id qubits states] sees every column's state
+    at that tracepoint ([states.(i)] for column [i]), in plan order.
+    [states] are fresh vectors the caller may keep; the next segment
+    starts from them. Items after the last tracepoint are not run. Each
+    column is bit-identical to {!run_seq} up to the tracepoint, for any
+    domain count, and the work counters count [count] columns of every
+    segment run. [init] must be pure, as for {!run_traces}. Raises
+    [Invalid_argument] on a plan that measures, resets or feeds back. *)
+val iter_tracepoints :
+  ?pool:Parallel.Pool.t ->
+  plan ->
+  count:int ->
+  init:(int -> Qstate.Statevec.t) ->
+  (int -> int list -> Qstate.Statevec.t array -> unit) ->
+  unit

@@ -1133,11 +1133,85 @@ let pure_part circ =
           circ.Gen.specs;
     }
 
+(* The linearity rule, stated on its own: a pure batched run with more
+   distinct inputs than the [2^k] basis states, whose basis states fit
+   the batch's amplitude budget and whose plan spends more block MACs per
+   column than the combination's [T 2^k] per amplitude, simulates the
+   basis states instead of its inputs. *)
+let spans_basis program ~distinct =
+  let c = program.Morphcore.Program.circuit in
+  let n = Circuit.num_qubits c
+  and k = Morphcore.Program.num_input_qubits program in
+  distinct > 1 lsl k
+  && 1 lsl (k + n) <= Sim.Batch.amplitude_budget
+  && Sim.Batch.column_macs (Transpile.Segments.compile c)
+     > List.length (Circuit.tracepoints c) * (1 lsl (k + n))
+
+(* the plan up to its last tracepoint: what a basis run simulates *)
+let traced_prefix (plan : Sim.Batch.plan) =
+  let rec from_last = function
+    | Sim.Batch.Fence (Circuit.Instr.Tracepoint _) :: _ as l -> l
+    | _ :: rest -> from_last rest
+    | [] -> []
+  in
+  let items = List.rev (from_last (List.rev plan.Sim.Batch.items)) in
+  { plan with Sim.Batch.items }
+
+let count_distinct states =
+  let rec go acc = function
+    | [] -> List.length acc
+    | st :: rest ->
+        let same a =
+          floats_exact a.Qstate.Statevec.re st.Qstate.Statevec.re
+          && floats_exact a.Qstate.Statevec.im st.Qstate.Statevec.im
+        in
+        go (if List.exists same acc then acc else st :: acc) rest
+  in
+  go [] states
+
+let traces_within tol a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (ia, (ma : Linalg.Cmat.t)) (ib, (mb : Linalg.Cmat.t)) ->
+         ia = ib
+         && Linalg.Cmat.dims ma = Linalg.Cmat.dims mb
+         && Array.for_all2
+              (fun x y -> Float.abs (x -. y) <= tol)
+              (Array.append ma.Linalg.Cmat.re ma.Linalg.Cmat.im)
+              (Array.append mb.Linalg.Cmat.re mb.Linalg.Cmat.im))
+       a b
+
+(* [c] with a dense mixing layer over every qubit ([ry], [rz], a CX
+   chain, [ry], [rz]) before each tracepoint and at the end: every block
+   spans the register, so the linearity rule's cost condition holds *)
+let with_mixing c =
+  let n = Circuit.num_qubits c in
+  let rs = Random.State.make [| 0x5EED |] in
+  let qs = List.init n Fun.id in
+  let angle () = Random.State.float rs 3. in
+  let rot c =
+    List.fold_left
+      (fun c q -> Circuit.(c |> ry (angle ()) q |> rz (angle ()) q))
+      c qs
+  in
+  let mix c =
+    rot
+      (List.fold_left (fun c q -> Circuit.cx (q - 1) q c) (rot c) (List.tl qs))
+  in
+  mix
+    (List.fold_left
+       (fun acc instr ->
+         match instr with
+         | Circuit.Instr.Tracepoint _ -> Circuit.add instr (mix acc)
+         | _ -> Circuit.add instr acc)
+       (Circuit.empty ~clbits:(Circuit.num_clbits c) n)
+       (Circuit.instrs c))
+
 let characterize_repeats_exact ?pool circ =
   let full = Gen.build circ in
   let pure = pure_part circ in
-  let k = min 2 (Circuit.num_qubits full) in
-  let input_qubits = List.init k Fun.id in
+  let n = Circuit.num_qubits full in
+  let k = min 2 n in
   let trajectories = 3 in
   (* planted repeats: a copy (equal bits, another value) and a conjugate
      (equal real parts, other bits) *)
@@ -1149,14 +1223,28 @@ let characterize_repeats_exact ?pool circ =
     let a = draw 17 and b = draw 18 in
     [ a; b; Qstate.Statevec.copy a; conjugate a; a; b ]
   in
+  (* random states, one more distinct than the 2^k basis states, and a
+     planted copy *)
+  let random =
+    let rng = Stats.Rng.make 23 in
+    let draws =
+      List.init ((1 lsl k) + 1) (fun index ->
+          Clifford.Sampling.state rng Clifford.Sampling.Haar k ~index)
+    in
+    draws @ [ Qstate.Statevec.copy (List.hd draws) ]
+  in
   (* One characterization of [c] over [inputs] (explicit, or else
      3*2^k+1 basis inputs): sample [i] must hold its input, and its exact
-     traces must equal in their bits [reference program rngs.(i) input],
-     a run that shares nothing ([rngs] being the per-sample generators
-     the run derives: inputs drawn first, then one split child per
-     sample); under [Exact] and [Tomography] the meter must equal the sum
-     of single-input runs' meters. *)
-  let check ?noise ?cache ?wall ~engine ~reference c inputs =
+     traces must match [reference program rngs.(i) input], a run that
+     shares nothing ([rngs] being the per-sample generators the run
+     derives: inputs drawn first, then one split child per sample); under
+     [Exact] and [Tomography] the meter must equal the sum of single-input
+     runs' meters. Traces match in their bits, except on a run the
+     linearity rule takes: there each is within 1e-12 of its reference,
+     samples with equal inputs hold bit-identical traces, and the run
+     spends the MACs of exactly 2^k basis columns. *)
+  let check ?noise ?cache ?wall ?(input_qubits = List.init k Fun.id) ~engine
+      ~reference c inputs =
     let program = Morphcore.Program.make ~input_qubits c in
     let count = (3 lsl k) + 1 in
     let run ?inputs mode =
@@ -1174,6 +1262,11 @@ let characterize_repeats_exact ?pool circ =
               Clifford.Sampling.state rng Clifford.Sampling.Basis k ~index)
     in
     let rngs = Array.init (Array.length states) (Stats.Rng.split rng) in
+    let linear =
+      engine <> `Sequential && cache = None && noise = None
+      && Sim.Engine.is_deterministic c
+      && spans_basis program ~distinct:(count_distinct (Array.to_list states))
+    in
     let meter_matches (ch : Morphcore.Characterize.t) mode =
       let sum = Sim.Cost.create () in
       Array.iter
@@ -1182,22 +1275,54 @@ let characterize_repeats_exact ?pool circ =
         states;
       costs_equal ch.Morphcore.Characterize.cost sum
     in
-    let exact = run ?inputs Morphcore.Characterize.Exact in
+    let was = Obs.enabled () in
+    let exact, macs =
+      Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+      Obs.configure ~enabled:true;
+      let macs () =
+        Option.value ~default:0
+          (Obs.Metrics.counter_value "batch_gemm_macs_total")
+      in
+      let m0 = macs () in
+      let exact = run ?inputs Morphcore.Characterize.Exact in
+      (exact, macs () - m0)
+    in
     let samples = exact.Morphcore.Characterize.samples in
     let tomography =
       Morphcore.Characterize.Tomography { shots = 16; project = false }
     in
+    let same_input i j =
+      floats_exact states.(i).Qstate.Statevec.re states.(j).Qstate.Statevec.re
+      && floats_exact states.(i).Qstate.Statevec.im
+           states.(j).Qstate.Statevec.im
+    in
+    let indices = Array.init (Array.length states) Fun.id in
     Array.length samples = Array.length states
     && Array.for_all
          (fun i ->
            let s = samples.(i) and st = states.(i) in
            let got = s.Morphcore.Characterize.input_state in
+           let traces = s.Morphcore.Characterize.traces in
+           let reference = reference program rngs.(i) st in
            floats_exact got.Qstate.Statevec.re st.Qstate.Statevec.re
            && floats_exact got.Qstate.Statevec.im st.Qstate.Statevec.im
            && cmat_exact s.Morphcore.Characterize.input_dm (input_density st)
-           && traces_exact s.Morphcore.Characterize.traces
-                (reference program rngs.(i) st))
-         (Array.init (Array.length states) Fun.id)
+           &&
+           if linear then
+             traces_within 1e-12 traces reference
+             && Array.for_all
+                  (fun j ->
+                    (not (same_input i j))
+                    || traces_exact traces
+                         samples.(j).Morphcore.Characterize.traces)
+                  indices
+           else traces_exact traces reference)
+         indices
+    && ((not linear)
+       || macs
+          = (1 lsl k)
+            * Sim.Batch.column_macs
+                (traced_prefix (Transpile.Segments.compile c)))
     && meter_matches exact Morphcore.Characterize.Exact
     && meter_matches (run ?inputs tomography) tomography
   in
@@ -1216,11 +1341,14 @@ let characterize_repeats_exact ?pool circ =
                .Sim.Engine.traces)
          |> Sim.Engine.average_traces trajectories)
   in
-  let units c _ _ st =
+  let units c program _ st =
     with_input st
       (List.map
          (fun (cone : Analysis.Lightcone.cone) ->
-           let u = Cache.Canon.cone_unit c ~input_qubits cone in
+           let u =
+             Cache.Canon.cone_unit c
+               ~input_qubits:program.Morphcore.Program.input_qubits cone
+           in
            let id = cone.Analysis.Lightcone.id in
            let out =
              Sim.Engine.run
@@ -1231,14 +1359,26 @@ let characterize_repeats_exact ?pool circ =
            (id, List.assoc id out.Sim.Engine.traces))
          (Analysis.Lightcone.cones c))
   in
-  let routed route c _ _ st =
+  let routed route c program _ st =
     let prep =
-      Qstate.Statevec.embed_index (Array.of_list input_qubits) (basis_of st)
+      Qstate.Statevec.embed_index
+        (Array.of_list program.Morphcore.Program.input_qubits)
+        (basis_of st)
     in
     with_input st (Sim.Engine.cone_traces ~prep route c)
   in
   let both f = f (Some explicit) && f None in
   let plan c = batched (Transpile.Segments.compile c) in
+  (* random states on the top qubits, highest first, so a basis state's
+     embedding is not its index: on the pure part as it is, and with
+     mixing layers the linearity rule takes *)
+  let linear c =
+    let input_qubits = List.init k (fun j -> n - 1 - j) in
+    List.for_all
+      (fun engine ->
+        check ~input_qubits ~engine ~reference:(plan c) c (Some random))
+      [ `Batched; `Auto ]
+  in
   (* pure: every decision shares *)
   both (check ~engine:`Batched ~reference:(plan pure) pure)
   && both (check ~engine:`Sequential ~reference:(sequential ?noise:None) pure)
@@ -1248,6 +1388,8 @@ let characterize_repeats_exact ?pool circ =
      | Some route ->
          check ~wall:0. ~engine:`Auto ~reference:(routed route pure) pure None
      | None -> true)
+  && linear pure
+  && linear (with_mixing pure)
   (* impure — noise, or a measurement, reset or feedback: nothing shares *)
   && both
        (check ~noise:Sim.Noise.ibm_cairo ~engine:`Sequential

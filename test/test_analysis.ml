@@ -78,6 +78,21 @@ let test_golden_corpus () =
         (d.Analysis.Lint.severity = Analysis.Lint.severity_of_code code))
     golden
 
+(* MQ004 cites where the id was first declared: its source position when
+   the circuit came with one, its instruction index otherwise *)
+let test_duplicate_tracepoint_cites_first () =
+  let src = "qreg q[1];\nh q[0];\nT 1 q[0];\nh q[0];\nT 1 q[0];" in
+  let message ds =
+    (find_code "duplicate tracepoint" "MQ004" ds).Analysis.Lint.message
+  in
+  Alcotest.(check string)
+    "with locations" "duplicate tracepoint id 1 (first declared at 3:1)"
+    (message (Analysis.Lint.lint_qasm src));
+  Alcotest.(check string)
+    "without locations"
+    "duplicate tracepoint id 1 (first declared at instruction 1)"
+    (message (Analysis.Lint.check_tracepoint_ids (Qasm.parse src)))
+
 (* the shipped example corpus must stay free of errors and warnings.
    `dune runtest` runs from _build/default/test (the corpus is a declared
    dep at ../examples/qasm); a bare `dune exec` runs from the project
@@ -348,6 +363,8 @@ let () =
       ( "lint",
         [
           Alcotest.test_case "golden corpus" `Quick test_golden_corpus;
+          Alcotest.test_case "MQ004 cites the first declaration" `Quick
+            test_duplicate_tracepoint_cites_first;
           Alcotest.test_case "examples clean" `Quick test_examples_clean;
           Alcotest.test_case "severity table" `Quick test_severity_table;
           Alcotest.test_case "MQ021 certify callback" `Quick test_check_certify;

@@ -215,6 +215,62 @@ let test_domain_count_invariance () =
           domains)
     [ 2; 4 ]
 
+(* segment by segment: each column's state at each tracepoint reduces
+   bit for bit to the trace its own [run_seq] records, in plan order,
+   under one and two domains; a plan that measures is refused *)
+let test_iter_tracepoints () =
+  let c =
+    Circuit.(
+      empty 4 |> h 0 |> t_gate 0 |> cx 0 1 |> ry 0.3 2 |> tracepoint 1 [ 1; 2 ]
+      |> cp 0.7 1 3 |> rx 0.2 3 |> tracepoint 2 [ 3 ] |> tracepoint 3 [ 0; 3 ]
+      |> h 2)
+  in
+  let plan = Transpile.Segments.compile c in
+  let column i =
+    Clifford.Sampling.state (Stats.Rng.make 8) Clifford.Sampling.Haar 4 ~index:i
+  in
+  let bits (m : Linalg.Cmat.t) =
+    Array.map Int64.bits_of_float
+      (Array.append m.Linalg.Cmat.re m.Linalg.Cmat.im)
+  in
+  List.iter
+    (fun domains ->
+      let pool = Parallel.Pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
+      let seen = ref [] in
+      Sim.Batch.iter_tracepoints ~pool plan ~count:5 ~init:column
+        (fun id qubits states ->
+          let rhos =
+            Array.map
+              (fun st -> Qstate.Statevec.reduced_density st qubits)
+              states
+          in
+          seen := (id, rhos) :: !seen);
+      let seen = List.rev !seen in
+      Alcotest.(check (list int)) "tracepoints in plan order" [ 1; 2; 3 ]
+        (List.map fst seen);
+      for i = 0 to 4 do
+        let reference = (Sim.Batch.run_seq plan (column i)).Sim.Engine.traces in
+        List.iter
+          (fun (id, rhos) ->
+            if bits rhos.(i) <> bits (List.assoc id reference) then
+              Alcotest.failf "domains=%d column %d tracepoint %d diverged"
+                domains i id)
+          seen
+      done)
+    [ 1; 2 ];
+  let measured =
+    Transpile.Segments.compile
+      Circuit.(empty ~clbits:1 1 |> h 0 |> measure 0 0 |> tracepoint 1 [ 0 ])
+  in
+  Alcotest.check_raises "stochastic plan"
+    (Invalid_argument
+       "Batch.iter_tracepoints: plan measures, resets or feeds back")
+    (fun () ->
+      Sim.Batch.iter_tracepoints measured ~count:1
+        ~init:(fun _ -> Qstate.Statevec.zero 1)
+        (fun _ _ _ -> ()))
+
 let test_trace_only_circuit () =
   let c = Circuit.(empty 2 |> tracepoint 1 [ 0; 1 ]) in
   let plan = Transpile.Segments.compile c in
@@ -328,6 +384,9 @@ let () =
           ("wide gate compiled as direct", `Quick, test_direct_wide_gate);
           ("domain-count invariance", `Quick, test_domain_count_invariance);
           ("trace-only circuit", `Quick, test_trace_only_circuit);
+          ( "tracepoint states segment by segment",
+            `Quick,
+            test_iter_tracepoints );
           ("feedback swap: unfused plan = engine", `Quick, test_feedback_swap_exact);
           ("raw gate fence rejected", `Quick, test_raw_gate_fence_rejected);
           ("batched engine rejects noise", `Quick, test_batched_rejects_noise);

@@ -123,6 +123,145 @@ let test_characterize_tomography_cost () =
   Alcotest.(check int) "executions" 6 c.Characterize.cost.Sim.Cost.executions;
   Alcotest.(check int) "shots" 600 c.Characterize.cost.Sim.Cost.shots
 
+(* ---------------- characterization by linearity ---------------- *)
+
+(* a layer that fuses into one dense block over [qs]: [ry] and [rz] on
+   each qubit around a CX chain *)
+let mixing_layer ~seed qs c =
+  let rs = Random.State.make [| seed |] in
+  let angle () = Random.State.float rs 3. in
+  let rot c =
+    List.fold_left
+      (fun c q -> Circuit.(c |> ry (angle ()) q |> rz (angle ()) q))
+      c qs
+  in
+  let rec chain c = function
+    | a :: (b :: _ as rest) -> chain (Circuit.cx a b c) rest
+    | _ -> c
+  in
+  rot (chain (rot c) qs)
+
+let haar_inputs k count =
+  let r = Stats.Rng.make 41 in
+  List.init count (fun index ->
+      Clifford.Sampling.state r Clifford.Sampling.Haar k ~index)
+
+(* One [`Auto] characterization with counters on: the samples, the
+   [batch_gemm_macs_total] delta, and the [path] and [columns] attributes
+   of its [characterize.run] span. *)
+let characterize_observed program inputs =
+  let was = Obs.enabled () in
+  Obs.configure ~enabled:true;
+  Fun.protect ~finally:(fun () -> Obs.configure ~enabled:was) @@ fun () ->
+  let macs () =
+    Option.value ~default:0 (Obs.Metrics.counter_value "batch_gemm_macs_total")
+  in
+  let m0 = macs () and mark = Obs.Span.mark () in
+  let ch = Characterize.run ~rng:(rng ()) ~inputs program ~count:0 in
+  let attrs =
+    List.find_map
+      (fun (ev : Obs.Span.event) ->
+        if ev.Obs.Span.name = "characterize.run" && ev.Obs.Span.ph = Obs.Span.E
+        then Some ev.Obs.Span.attrs
+        else None)
+      (Obs.Span.events ~since:mark ())
+    |> Option.value ~default:[]
+  in
+  let attr name = List.assoc_opt name attrs in
+  (ch, macs () - m0, attr "path", attr "columns")
+
+(* the run took [path] over [columns] simulated states, spending exactly
+   [columns] columns of the plan's MACs *)
+let check_path name program inputs ~path ~columns =
+  let plan = Transpile.Segments.compile program.Program.circuit in
+  let ch, macs, got_path, got_columns = characterize_observed program inputs in
+  Alcotest.(check (option string)) (name ^ ": path") (Some path) got_path;
+  Alcotest.(check (option string))
+    (name ^ ": columns") (Some (string_of_int columns)) got_columns;
+  Alcotest.(check int)
+    (name ^ ": MACs") (columns * Sim.Batch.column_macs plan) macs;
+  (ch, plan)
+
+(* every trace within 1e-12 of the input's own unshared batch run *)
+let check_unshared name program plan (ch : Characterize.t) =
+  Array.iter
+    (fun (s : Characterize.sample) ->
+      let reference =
+        (Sim.Batch.run_seq plan
+           (Program.embed program s.Characterize.input_state))
+          .Sim.Engine.traces
+      in
+      List.iter
+        (fun (id, m) ->
+          if id <> 0 then begin
+            let d = Cmat.sub m (List.assoc id reference) in
+            let worst = ref 0. in
+            Array.iter
+              (fun x -> worst := Float.max !worst (Float.abs x))
+              (Array.append d.Cmat.re d.Cmat.im);
+            if !worst > 1e-12 then
+              Alcotest.failf "%s: tracepoint %d off by %g" name id !worst
+          end)
+        s.Characterize.traces)
+    ch.Characterize.samples
+
+(* four qubits, two of them the input (k = 2), in reversed order: two
+   dense four-qubit blocks, each read by a tracepoint, cost one column
+   2 x 16 MACs per amplitude, above the combination's T x 2^k = 8 *)
+let deep_program () =
+  let c =
+    Circuit.empty 4 |> mixing_layer ~seed:1 [ 0; 1; 2; 3 ]
+    |> Circuit.tracepoint 1 [ 0; 1 ]
+    |> mixing_layer ~seed:2 [ 0; 1; 2; 3 ]
+    |> Circuit.tracepoint 2 [ 2; 3 ]
+  in
+  Program.make ~input_qubits:[ 2; 1 ] c
+
+let test_linearity_rule_edges () =
+  let program = deep_program () in
+  (* m = 2^k distinct inputs: simulating them directly costs no more
+     (the same MACs either way, so the span attribute tells the paths
+     apart) *)
+  ignore
+    (check_path "m = 2^k" program (haar_inputs 2 4) ~path:"batched" ~columns:4);
+  (* m = 2^k + 1, one of them repeated: the 2^k basis states instead *)
+  let inputs = haar_inputs 2 5 in
+  let ch, plan =
+    check_path "m = 2^k + 1" program (inputs @ [ List.nth inputs 3 ])
+      ~path:"span" ~columns:4
+  in
+  check_unshared "m = 2^k + 1" program plan ch;
+  let samples = ch.Characterize.samples in
+  Alcotest.(check bool) "repeated input shares its traces" true
+    (List.for_all2
+       (fun (_, a) (_, b) -> a == b)
+       samples.(5).Characterize.traces samples.(3).Characterize.traces);
+  (* shallow: one dense segment read by five tracepoints, where combining
+     costs more than simulating *)
+  let shallow =
+    let c = Circuit.empty 4 |> mixing_layer ~seed:3 [ 0; 1; 2; 3 ] in
+    Program.make ~input_qubits:[ 0; 1 ]
+      (List.fold_left
+         (fun c id -> Circuit.tracepoint id [ id mod 4 ] c)
+         c [ 1; 2; 3; 4; 5 ])
+  in
+  ignore
+    (check_path "shallow" shallow (haar_inputs 2 5) ~path:"batched" ~columns:5);
+  (* 2^3 basis states of 2^19 amplitudes exceed the 2^21 budget, although
+     the count and cost conditions hold: a segment wider than the fusion
+     cutoff packs into three dense three-qubit blocks *)
+  let wide =
+    Program.make ~input_qubits:[ 0; 1; 2 ]
+      (Circuit.empty 19 |> mixing_layer ~seed:4 [ 0; 1; 2 ]
+      |> mixing_layer ~seed:5 [ 3; 4; 5 ]
+      |> mixing_layer ~seed:6 [ 6; 7; 8 ]
+      |> Circuit.tracepoint 1 [ 0 ])
+  in
+  let wide_plan = Transpile.Segments.compile wide.Program.circuit in
+  Alcotest.(check bool) "wide: cost condition holds" true
+    (Sim.Batch.column_macs wide_plan > 8 lsl 19);
+  ignore (check_path "wide" wide (haar_inputs 3 9) ~path:"batched" ~columns:9)
+
 let test_approx_exact_on_identity () =
   (* identity program: tracepoint state must equal the input exactly for any
      input in the sampled span *)
@@ -884,6 +1023,16 @@ let golden_characterizations () =
       empty 3 |> h 0 |> t_gate 0 |> cp 0.3 0 1 |> ry 0.7 2 |> cx 1 2
       |> tracepoint 1 [ 1; 2 ] |> rz 0.4 0 |> tracepoint 2 [ 0 ])
   in
+  (* two segments that fuse into dense three-qubit blocks: one column
+     costs 16 MACs per amplitude, above the 2 x 2^2 that combining from
+     the basis costs, so Clifford inputs take the span path *)
+  let deep =
+    Circuit.(
+      empty 3 |> h 0 |> ry 0.7 1 |> ry 0.4 2 |> cx 0 1 |> cx 1 2 |> rz 0.3 0
+      |> ry 0.9 0 |> ry 1.1 2 |> tracepoint 1 [ 1; 2 ] |> ry 0.5 0 |> ry 0.8 1
+      |> cx 0 2 |> ry 1.3 2 |> cx 2 1 |> rz 0.6 1 |> ry 0.2 0
+      |> tracepoint 2 [ 0 ])
+  in
   let clifford_state index =
     Clifford.Sampling.state (Stats.Rng.make 5) Clifford.Sampling.Clifford 2
       ~index
@@ -917,6 +1066,8 @@ let golden_characterizations () =
     case "batched" ~input_qubits:[ 0; 1 ] dense ~count:9;
     case "batched-clifford" ~kind:Clifford.Sampling.Clifford
       ~input_qubits:[ 0; 1 ] dense ~count:9;
+    case "span" ~kind:Clifford.Sampling.Clifford ~input_qubits:[ 2; 0 ] deep
+      ~count:9;
     case "batched-measure" ~input_qubits:[ 0 ]
       (Benchmarks.Teleport.single ()) ~count:5;
     case "noisy-sequential" ~noise:Sim.Noise.ibm_cairo ~input_qubits:[ 0; 1 ]
@@ -991,6 +1142,8 @@ let () =
           Alcotest.test_case "shapes" `Quick test_characterize_shapes;
           Alcotest.test_case "custom inputs" `Quick test_characterize_custom_inputs;
           Alcotest.test_case "tomography cost" `Quick test_characterize_tomography_cost;
+          Alcotest.test_case "linearity rule edges" `Quick
+            test_linearity_rule_edges;
           Alcotest.test_case "characterize golden" `Quick
             test_characterize_golden;
         ] );

@@ -89,6 +89,21 @@ let test_parse_error_columns () =
       Alcotest.(check int) "column" 9 column;
       Alcotest.(check string) "token" "=" token
   | _ -> Alcotest.fail "expected parse error");
+  (* a program that ends mid-statement is located just after its last
+     token, whatever that token's width *)
+  List.iter
+    (fun (src, at) ->
+      match Qasm.parse src with
+      | exception Qasm.Parse_error { line; column; message; _ } ->
+          Alcotest.(check (pair int int)) src at (line, column);
+          Alcotest.(check string) "message" "unexpected end of input" message
+      | _ -> Alcotest.fail "expected parse error")
+    [
+      ("OPENQASM 2.0;\nqreg q[2];\nh q[0]", (3, 7));
+      ("qreg q[2];\ncreg c[1];\nmeasure q[0] ->", (3, 16));
+      ("qreg q[2];\nrz(0.125", (2, 9));
+      ("include \"qelib1.inc\"", (1, 21));
+    ];
   match Qasm.parse "qreg q[2];\n  h q[5];\n" with
   | exception Circuit.Error { code; loc; _ } ->
       Alcotest.(check string) "code" "MQ001" code;
